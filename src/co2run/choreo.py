@@ -12,13 +12,16 @@ from typing import Iterable, Optional, Union
 
 from .contracts import (
     Contract,
+    Interned,
     Rec,
     RecVar,
     RecvChoice,
     SendChoice,
     END,
-    free_rec_vars,
+    frozen_union,
+    recv,
     recv_choice,
+    send,
     send_choice,
 )
 
@@ -27,38 +30,73 @@ class ProjectionError(Exception):
     """The global type has no local view for the requested participant."""
 
 
-@dataclass(frozen=True)
-class GEnd:
-    pass
+class _Global(Interned):
+    """Global-type nodes are hash-consed like contracts (see `contracts`);
+    each caches the set of its `participants`."""
+
+    __slots__ = ("participants",)
+
+    def _derive(self) -> None:
+        object.__setattr__(self, "participants", frozenset())
 
 
-@dataclass(frozen=True)
-class GRecVar:
+@dataclass(frozen=True, eq=False, init=False)
+class GEnd(_Global):
+    __slots__ = ()
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class GRecVar(_Global):
+    __slots__ = ("var",)
     var: str
 
 
-@dataclass(frozen=True)
-class GRec:
+@dataclass(frozen=True, eq=False, init=False)
+class GRec(_Global):
+    __slots__ = ("var", "body")
     var: str
     body: "GlobalType"
 
+    def _derive(self) -> None:
+        object.__setattr__(self, "participants", self.body.participants)
 
-@dataclass(frozen=True)
-class GMsg:
+
+@dataclass(frozen=True, eq=False, init=False)
+class GMsg(_Global):
+    __slots__ = ("src", "dst", "sort", "cont")
     src: str
     dst: str
     sort: str
     cont: "GlobalType"
 
+    def _derive(self) -> None:
+        parts = frozen_union(self.cont.participants, frozenset([self.src, self.dst]))
+        object.__setattr__(self, "participants", parts)
 
-@dataclass(frozen=True)
-class GChoice:
+
+@dataclass(frozen=True, eq=False, init=False)
+class GChoice(_Global):
+    __slots__ = ("branches",)
     branches: tuple["GlobalType", ...]
 
+    def _derive(self) -> None:
+        _derive_branches(self)
 
-@dataclass(frozen=True)
-class GPar:
+
+@dataclass(frozen=True, eq=False, init=False)
+class GPar(_Global):
+    __slots__ = ("branches",)
     branches: tuple["GlobalType", ...]
+
+    def _derive(self) -> None:
+        _derive_branches(self)
+
+
+def _derive_branches(node: GChoice | GPar) -> None:
+    parts: frozenset[str] = frozenset()
+    for b in node.branches:
+        parts = frozen_union(parts, b.participants)
+    object.__setattr__(node, "participants", parts)
 
 
 GlobalType = Union[GEnd, GRecVar, GRec, GMsg, GChoice, GPar]
@@ -103,24 +141,6 @@ def gpar(branches: Iterable[GlobalType]) -> GlobalType:
 # --------------------------------------------------------------------------
 # Structural predicates
 # --------------------------------------------------------------------------
-
-def participants(g: GlobalType) -> frozenset[str]:
-    out: set[str] = set()
-
-    def walk(node: GlobalType) -> None:
-        if isinstance(node, GMsg):
-            out.add(node.src)
-            out.add(node.dst)
-            walk(node.cont)
-        elif isinstance(node, (GChoice, GPar)):
-            for b in node.branches:
-                walk(b)
-        elif isinstance(node, GRec):
-            walk(node.body)
-
-    walk(g)
-    return frozenset(out)
-
 
 def has_recursion(g: GlobalType) -> bool:
     """True iff a recursion variable occurs (the session can loop)."""
@@ -211,23 +231,23 @@ def project(g: GlobalType, who: str) -> Contract:
     if isinstance(g, GRecVar):
         return RecVar(g.var)
     if isinstance(g, GRec):
-        if who not in participants(g.body):
+        if who not in g.body.participants:
             return END
         body = project(g.body, who)
         if isinstance(body, RecVar) and body.var == g.var:
             return END
-        if g.var not in free_rec_vars(body):
+        if g.var not in body.free_rec_vars:
             return body
         return Rec(g.var, body)
     if isinstance(g, GMsg):
         cont = project(g.cont, who)
         if g.src == who:
-            return send_choice([(g.dst, g.sort, cont)])
+            return send(g.dst, g.sort, cont)
         if g.dst == who:
-            return recv_choice(g.src, [(g.sort, cont)])
+            return recv(g.src, g.sort, cont)
         return cont
     if isinstance(g, GPar):
-        sides = [b for b in g.branches if who in participants(b)]
+        sides = [b for b in g.branches if who in b.participants]
         if not sides:
             return END
         if len(sides) > 1:
@@ -298,7 +318,7 @@ def well_formed(g: GlobalType) -> tuple[bool, tuple[str, ...]]:
         elif isinstance(node, GPar):
             seen: set[str] = set()
             for b in node.branches:
-                ps = participants(b)
+                ps = b.participants
                 overlap = seen & ps
                 if overlap:
                     diags.append(
@@ -315,7 +335,7 @@ def well_formed(g: GlobalType) -> tuple[bool, tuple[str, ...]]:
             walk(node.body)
 
     walk(g)
-    for who in sorted(participants(g)):
+    for who in sorted(g.participants):
         try:
             project(g, who)
         except ProjectionError as exc:

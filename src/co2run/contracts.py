@@ -6,11 +6,27 @@ A session holds one stipulated contract per participant plus one FIFO queue
 per ordered pair of participants; sends append to a queue, receives pop the
 matching head.
 
+Contract nodes (and the global-type nodes of `choreo`) are hash-consed:
+
+  * a node is built only through its class constructor (or the smart
+    constructors below), which looks the fields up in a per-class table of
+    live nodes and returns the existing instance when there is one, so
+    equal terms usually share one instance;
+  * every node carries values computed once, from its children's values,
+    when it is built: its hash, `mentioned_participants` (every peer
+    reference, names and variables), `free_participant_vars`,
+    `free_rec_vars` and `is_guarded`; a `Rec` also memoises its one-step
+    unfolding;
+  * equality never depends on sharing: identity is only a fast path, and a
+    duplicate (made by two threads racing on the table, say) compares and
+    hashes equal to the shared instance.
+
 Everything here is immutable; operations are pure functions returning new
 values, so concurrent use needs no locking.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -20,6 +36,9 @@ RECV = "recv"
 # Cap on chained unfoldings while head-normalising; guarded contracts need at
 # most one unfold per nested binder, so hitting this means a malformed input.
 _MAX_UNFOLD = 1000
+
+_NONE: frozenset[str] = frozenset()
+_set = object.__setattr__
 
 
 class ContractError(Exception):
@@ -37,38 +56,163 @@ def is_part_var(ref: str) -> bool:
 
 
 # --------------------------------------------------------------------------
+# Hash-consed terms
+# --------------------------------------------------------------------------
+
+class Interned:
+    """Base of hash-consed term nodes.
+
+    A subclass is a frozen dataclass whose fields are its annotations, also
+    listed in its `__slots__`. Calling the class looks the field tuple up in
+    the class's weak table and returns the live node with those fields, or
+    builds one, runs `_derive` to attach the values it caches, and records
+    it. Pickling and copying rebuild through the constructor, so they
+    return the shared instance too.
+    """
+
+    __slots__ = ("_key", "_hash", "__weakref__")
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._table = weakref.WeakValueDictionary()
+
+    def __new__(cls, *args, **kwargs):
+        if kwargs:
+            args += tuple(kwargs.pop(f) for f in cls._fields[len(args):] if f in kwargs)
+        table = cls._table
+        node = table.get(args)
+        if node is None:
+            if kwargs or len(args) != len(cls._fields):
+                raise TypeError(f"{cls.__name__} takes the fields {cls._fields}")
+            node = object.__new__(cls)
+            for name, value in zip(cls._fields, args):
+                _set(node, name, value)
+            _set(node, "_key", args)
+            _set(node, "_hash", hash(args))  # the value a frozen dataclass would give
+            node._derive()
+            table[args] = node
+        return node
+
+    def _derive(self) -> None:
+        """Attach the values the node caches, computed from its children's."""
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._hash == other._hash and self._key == other._key
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), self._key
+
+
+def frozen_union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
+    """a | b, reusing an operand that already holds the union, so the nodes
+    of a long chain share one set object."""
+    if b <= a:
+        return a
+    if a <= b:
+        return b
+    return a | b
+
+
+# --------------------------------------------------------------------------
 # Contract AST
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class End:
-    pass
+class _Contract(Interned):
+    __slots__ = (
+        "mentioned_participants",
+        "free_participant_vars",
+        "free_rec_vars",
+        "is_guarded",
+        "_head_vars",  # free recursion variables not under a prefix
+    )
+
+    def _derive_choice(self, peers: Iterable[str], conts: Iterable["Contract"]) -> None:
+        mentioned = part_vars = rec_vars = _NONE
+        guarded = True
+        for c in conts:
+            mentioned = frozen_union(mentioned, c.mentioned_participants)
+            part_vars = frozen_union(part_vars, c.free_participant_vars)
+            rec_vars = frozen_union(rec_vars, c.free_rec_vars)
+            guarded = guarded and c.is_guarded
+        for p in peers:
+            if p not in mentioned:
+                mentioned = mentioned | {p}
+                if is_part_var(p):
+                    part_vars = part_vars | {p}
+        _set(self, "mentioned_participants", mentioned)
+        _set(self, "free_participant_vars", part_vars)
+        _set(self, "free_rec_vars", rec_vars)
+        _set(self, "is_guarded", guarded)
+        _set(self, "_head_vars", _NONE)
 
 
-@dataclass(frozen=True)
-class RecVar:
+@dataclass(frozen=True, eq=False, init=False)
+class End(_Contract):
+    __slots__ = ()
+
+    def _derive(self) -> None:
+        self._derive_choice((), ())
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class RecVar(_Contract):
+    __slots__ = ("var",)
     var: str
 
+    def _derive(self) -> None:
+        self._derive_choice((), ())
+        free = frozenset([self.var])
+        _set(self, "free_rec_vars", free)
+        _set(self, "_head_vars", free)
 
-@dataclass(frozen=True)
-class Rec:
+
+@dataclass(frozen=True, eq=False, init=False)
+class Rec(_Contract):
+    __slots__ = ("var", "body", "_unfolded")
     var: str
     body: "Contract"
 
+    def _derive(self) -> None:
+        body, var = self.body, self.var
+        _set(self, "mentioned_participants", body.mentioned_participants)
+        _set(self, "free_participant_vars", body.free_participant_vars)
+        _set(self, "free_rec_vars", body.free_rec_vars - {var})
+        _set(self, "_head_vars", body._head_vars - {var})
+        # guarded iff the body is and does not reach this binder prefix-free
+        _set(self, "is_guarded", body.is_guarded and var not in body._head_vars)
+        _set(self, "_unfolded", None)
 
-@dataclass(frozen=True)
-class SendChoice:
+
+@dataclass(frozen=True, eq=False, init=False)
+class SendChoice(_Contract):
     """Internal choice: each branch is (peer, sort, continuation)."""
 
+    __slots__ = ("branches",)
     branches: tuple[tuple[str, str, "Contract"], ...]
 
+    def _derive(self) -> None:
+        self._derive_choice([b[0] for b in self.branches], [b[2] for b in self.branches])
 
-@dataclass(frozen=True)
-class RecvChoice:
+
+@dataclass(frozen=True, eq=False, init=False)
+class RecvChoice(_Contract):
     """External choice: receive one of several sorts from a single peer."""
 
+    __slots__ = ("source", "branches")
     source: str
     branches: tuple[tuple[str, "Contract"], ...]
+
+    def _derive(self) -> None:
+        self._derive_choice((self.source,), [b[1] for b in self.branches])
 
 
 Contract = Union[End, RecVar, Rec, SendChoice, RecvChoice]
@@ -103,121 +247,49 @@ def recv_choice(source: str, branches: Iterable[tuple[str, Contract]]) -> RecvCh
 
 
 def send(to: str, sort: str, cont: Contract = END) -> SendChoice:
-    return send_choice([(to, sort, cont)])
+    return SendChoice(((to, sort, cont),))  # one branch is already in canonical order
 
 
 def recv(source: str, sort: str, cont: Contract = END) -> RecvChoice:
-    return recv_choice(source, [(sort, cont)])
+    return RecvChoice(source, ((sort, cont),))
 
 
 def rec(var: str, body: Contract) -> Contract:
-    if not _is_guarded(body, frozenset([var])):
+    node = Rec(var, body)
+    if not node.is_guarded:
         raise ContractError(f"unguarded recursion on {var!r}")
-    return Rec(var, body)
+    return node
 
 
 # --------------------------------------------------------------------------
-# Structural helpers
+# Substitution and unfolding
 # --------------------------------------------------------------------------
-
-def free_participant_vars(c: Contract) -> frozenset[str]:
-    """All participant variables occurring in c."""
-    out: set[str] = set()
-    _collect_part_vars(c, out)
-    return frozenset(out)
-
-
-def _collect_part_vars(c: Contract, out: set[str]) -> None:
-    if isinstance(c, SendChoice):
-        for to, _, cont in c.branches:
-            if is_part_var(to):
-                out.add(to)
-            _collect_part_vars(cont, out)
-    elif isinstance(c, RecvChoice):
-        if is_part_var(c.source):
-            out.add(c.source)
-        for _, cont in c.branches:
-            _collect_part_vars(cont, out)
-    elif isinstance(c, Rec):
-        _collect_part_vars(c.body, out)
-
-
-def mentioned_participants(c: Contract) -> frozenset[str]:
-    """All peer references (names and variables) occurring in c."""
-    out: set[str] = set()
-
-    def walk(node: Contract) -> None:
-        if isinstance(node, SendChoice):
-            for to, _, cont in node.branches:
-                out.add(to)
-                walk(cont)
-        elif isinstance(node, RecvChoice):
-            out.add(node.source)
-            for _, cont in node.branches:
-                walk(cont)
-        elif isinstance(node, Rec):
-            walk(node.body)
-
-    walk(c)
-    return frozenset(out)
-
-
-def free_rec_vars(c: Contract) -> frozenset[str]:
-    if isinstance(c, RecVar):
-        return frozenset([c.var])
-    if isinstance(c, Rec):
-        return free_rec_vars(c.body) - {c.var}
-    if isinstance(c, SendChoice):
-        return frozenset().union(*(free_rec_vars(b[2]) for b in c.branches))
-    if isinstance(c, RecvChoice):
-        return frozenset().union(*(free_rec_vars(b[1]) for b in c.branches))
-    return frozenset()
-
-
-def is_closed(c: Contract) -> bool:
-    return not free_rec_vars(c)
-
-
-def _is_guarded(c: Contract, pending: frozenset[str]) -> bool:
-    # `pending` holds binders not yet separated from this node by a prefix.
-    if isinstance(c, RecVar):
-        return c.var not in pending
-    if isinstance(c, Rec):
-        return _is_guarded(c.body, pending | {c.var})
-    if isinstance(c, SendChoice):
-        return all(_is_guarded(cont, frozenset()) for _, _, cont in c.branches)
-    if isinstance(c, RecvChoice):
-        return all(_is_guarded(cont, frozenset()) for _, cont in c.branches)
-    return True
-
-
-def is_guarded(c: Contract) -> bool:
-    return _is_guarded(c, frozenset())
-
 
 def subst_rec(c: Contract, var: str, replacement: Contract) -> Contract:
-    """Substitute RecVar(var) by replacement; inner binders of var shadow."""
+    """Substitute RecVar(var) by replacement; inner binders of var shadow.
+
+    A subterm where var is not free is returned as it is, not rebuilt."""
+    if var not in c.free_rec_vars:
+        return c
     if isinstance(c, RecVar):
-        return replacement if c.var == var else c
+        return replacement
     if isinstance(c, Rec):
-        if c.var == var:
-            return c
         return Rec(c.var, subst_rec(c.body, var, replacement))
     if isinstance(c, SendChoice):
         return SendChoice(
             tuple((to, sort, subst_rec(cont, var, replacement)) for to, sort, cont in c.branches)
         )
-    if isinstance(c, RecvChoice):
-        return RecvChoice(
-            c.source,
-            tuple((sort, subst_rec(cont, var, replacement)) for sort, cont in c.branches),
-        )
-    return c
+    return RecvChoice(
+        c.source,
+        tuple((sort, subst_rec(cont, var, replacement)) for sort, cont in c.branches),
+    )
 
 
 def subst_parts(c: Contract, mapping: Mapping[str, str]) -> Contract:
-    """Instantiate participant variables according to mapping."""
-    if not mapping:
+    """Instantiate participant variables according to mapping.
+
+    A subterm that mentions no key of mapping is returned as it is."""
+    if mapping.keys().isdisjoint(c.mentioned_participants):
         return c
     if isinstance(c, SendChoice):
         return SendChoice(
@@ -231,16 +303,16 @@ def subst_parts(c: Contract, mapping: Mapping[str, str]) -> Contract:
             mapping.get(c.source, c.source),
             tuple((sort, subst_parts(cont, mapping)) for sort, cont in c.branches),
         )
-    if isinstance(c, Rec):
-        return Rec(c.var, subst_parts(c.body, mapping))
-    return c
+    return Rec(c.var, subst_parts(c.body, mapping))
 
 
 def unfold(c: Contract) -> Contract:
     """One-step unfolding of a top-level recursive binder; identity otherwise."""
-    if isinstance(c, Rec):
-        return subst_rec(c.body, c.var, c)
-    return c
+    if not isinstance(c, Rec):
+        return c
+    if c._unfolded is None:
+        _set(c, "_unfolded", subst_rec(c.body, c.var, c))
+    return c._unfolded
 
 
 def rename_rec_vars(c: Contract) -> Contract:
@@ -293,7 +365,7 @@ def contract_ready_sets(c: Contract) -> frozenset[ReadySet]:
     (peer, sort) pair (all must be handled); a finished contract yields the
     empty family, so it demands nothing.
     """
-    bad = free_participant_vars(c)
+    bad = c.free_participant_vars
     if bad:
         raise ContractError(f"unstipulated contract: free participant variables {sorted(bad)}")
     node = c
@@ -373,11 +445,11 @@ def make_system(
     for name, c in contracts.items():
         if not is_part_name(name):
             raise ContractError(f"{name!r} is not a participant name")
-        if not is_closed(c):
+        if c.free_rec_vars:
             raise ContractError(f"contract of {name} has free recursion variables")
-        if not is_guarded(c):
+        if not c.is_guarded:
             raise ContractError(f"contract of {name} has unguarded recursion")
-        bad = free_participant_vars(c)
+        bad = c.free_participant_vars
         if bad:
             raise ContractError(
                 f"contract of {name} still mentions participant variables {sorted(bad)}"

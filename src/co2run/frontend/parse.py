@@ -23,12 +23,11 @@ from ..contracts import (
     END,
     Rec,
     RecVar,
-    free_rec_vars,
-    free_participant_vars,
-    is_guarded,
     is_part_name,
     make_system,
+    recv,
     recv_choice,
+    send,
     send_choice,
     RecvChoice,
     SendChoice,
@@ -160,10 +159,10 @@ class _Parser:
             if is_part_name(var.text):
                 self.fail("recursion variables are lowercase", var.span)
             self.expect(".")
-            body = self.contract()
-            if not is_guarded(Rec(var.text, body)):
+            node = Rec(var.text, self.contract())
+            if not node.is_guarded:
                 self.fail(f"unguarded recursion on {var.text!r}", var.span)
-            return Rec(var.text, body)
+            return node
         nxt = self.peek(1)
         if nxt.text in ("!", "?"):
             part = self.eat()
@@ -175,8 +174,8 @@ class _Parser:
             if self.accept("."):
                 cont = self.contract_unit()
             if dir_tok.text == "!":
-                return send_choice([(part.text, sort.text, cont)])
-            return recv_choice(part.text, [(sort.text, cont)])
+                return send(part.text, sort.text, cont)
+            return recv(part.text, sort.text, cont)
         var = self.eat()
         if is_part_name(var.text):
             self.fail("a bare identifier here is a recursion variable (lowercase)", var.span)
@@ -322,7 +321,7 @@ class _Parser:
         return NIL
 
     def _check_contract(self, c: Contract, span) -> None:
-        free = free_rec_vars(c)
+        free = c.free_rec_vars
         if free:
             self.fail(f"unbound recursion variable {sorted(free)[0]!r}", span)
 
@@ -511,7 +510,7 @@ class _Parser:
                 self.fail(f"duplicate contract for {name.text}", name.span)
             self.expect(":")
             c = self.contract()
-            bad = free_participant_vars(c)
+            bad = c.free_participant_vars
             if bad:
                 self.fail(
                     f"stipulated contract of {name.text} mentions variables {sorted(bad)}",
@@ -576,7 +575,7 @@ def _free_proc_vars(
                 if prefix.session_var not in bound_s:
                     out.add(prefix.session_var)
                 out |= {
-                    v for v in free_participant_vars(prefix.contract) if v not in bound_p
+                    v for v in prefix.contract.free_participant_vars if v not in bound_p
                 }
             elif isinstance(prefix, PDo):
                 if prefix.session not in bound_s:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .choreo import GlobalType, participants as g_participants, has_recursion, has_end
+from .choreo import GlobalType, has_recursion, has_end
 from .contracts import (
     Contract,
     ContractError,
@@ -31,11 +31,9 @@ from .contracts import (
     MoveLabel,
     enabled_moves,
     contract_step,
-    free_participant_vars,
     is_part_name,
     is_part_var,
     make_system,
-    mentioned_participants,
     subst_parts,
 )
 from .synthesis import synthesize
@@ -258,7 +256,7 @@ def _proc_identifiers(p: Process, out: set[str]) -> None:
             if isinstance(prefix, PTell):
                 out.add(prefix.target)
                 out.add(prefix.session_var)
-                out |= mentioned_participants(prefix.contract)
+                out |= prefix.contract.mentioned_participants
             elif isinstance(prefix, PDo):
                 out.add(prefix.session)
                 out.add(prefix.peer)
@@ -287,12 +285,12 @@ def collect_identifiers(system: Co2System) -> set[str]:
         for k in pool:
             out.add(k.promiser)
             out.add(k.session_var)
-            out |= mentioned_participants(k.contract)
+            out |= k.contract.mentioned_participants
     for sname, t in system.sessions:
         out.add(sname)
         for pname, c in t.contracts:
             out.add(pname)
-            out |= mentioned_participants(c)
+            out |= c.mentioned_participants
         for _, _, msgs in t.queues:
             out.update(msgs)
     for dname, _ in system.definitions:
@@ -360,7 +358,7 @@ def _rename(
         branches = []
         for prefix, cont in p.branches:
             if isinstance(prefix, PTell):
-                cvars = free_participant_vars(prefix.contract)
+                cvars = prefix.contract.free_participant_vars
                 prefix = PTell(
                     pref(prefix.target),
                     sref(prefix.session_var),
@@ -488,7 +486,7 @@ def normalize(system: Co2System) -> Co2System:
     for _, pool in system.pools:
         for k in pool:
             pool_sessions[k.session_var] = k.session_var
-            for v in free_participant_vars(k.contract):
+            for v in k.contract.free_participant_vars:
                 pool_parts[v] = v
     taken |= set(pool_sessions) | set(pool_parts)
     namer = _Namer(set(taken))
@@ -599,7 +597,7 @@ class Agreement:
 
 def policy_check(g: GlobalType, policy: FusePolicy) -> bool:
     """Does the synthesised choreography satisfy the broker's policy?"""
-    if len(g_participants(g)) < policy.min_participants:
+    if len(g.participants) < policy.min_participants:
         return False
     if policy.mode == TERMINATING and has_recursion(g):
         return False
@@ -624,7 +622,7 @@ def _search_agreement(
                 continue
             owners: dict[str, set[str]] = {}
             for k in latents:
-                for v in free_participant_vars(k.contract):
+                for v in k.contract.free_participant_vars:
                     owners.setdefault(v, set()).add(k.promiser)
             names = set(promisers)
             variables = sorted(owners)

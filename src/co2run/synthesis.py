@@ -53,7 +53,6 @@ from .contracts import (
     head_normal,
     is_terminated,
     make_system,
-    mentioned_participants,
 )
 
 STUCK = "stuck"
@@ -96,7 +95,7 @@ def _components(config: Config) -> list[Config]:
     present = set(names)
     adj: dict[str, set[str]] = {n: set() for n in names}
     for n, c in live:
-        for peer in mentioned_participants(c):
+        for peer in c.mentioned_participants:
             if peer in present and peer != n:
                 adj[n].add(peer)
                 adj[peer].add(n)

@@ -17,7 +17,6 @@ from co2run.choreo import (
     GRec,
     GRecVar,
     gchoice,
-    participants,
     project,
     well_formed,
 )
@@ -30,7 +29,6 @@ from co2run.contracts import (
     SendChoice,
     recv_choice,
     send_choice,
-    is_guarded,
 )
 
 SORTS = ("p", "q")
@@ -46,7 +44,7 @@ def random_contract(
 ) -> Contract:
     use_rec = allow_rec and rng.random() < 0.25
     body = _contract_node(rng, peers, depth, "t" if use_rec else None)
-    if use_rec and "t" in _used_vars(body) and is_guarded(Rec("t", body)):
+    if use_rec and "t" in _used_vars(body) and Rec("t", body).is_guarded:
         return Rec("t", body)
     return _strip_var(body)
 
@@ -127,7 +125,7 @@ def random_global(rng: random.Random, tries: int = 60) -> GlobalType:
         if isinstance(g, GRecVar) or g == GEND:
             continue
         ok, _ = well_formed(g)
-        if ok and len(participants(g)) >= 2:
+        if ok and len(g.participants) >= 2:
             return g
     # a safe fallback that is always well-formed
     return GMsg("A", "B", "p", GEND)
@@ -192,7 +190,7 @@ def projected_system(rng: random.Random) -> dict[str, Contract]:
     for _ in range(40):
         g = random_global(rng)
         try:
-            out = {name: project(g, name) for name in sorted(participants(g))}
+            out = {name: project(g, name) for name in sorted(g.participants)}
             make_system(out)  # validate closedness and guardedness
             return out
         except (ContractError, ProjectionError):

@@ -14,7 +14,6 @@ from co2run.choreo import (
     gpar,
     has_end,
     has_recursion,
-    participants,
     project,
     well_formed,
 )
@@ -35,9 +34,9 @@ G_STORE2_TEXT = (
 
 
 def test_participants_store_choreographies():
-    assert participants(parse_global(G_STORE3_TEXT)) == frozenset(["A", "B1", "B2"])
-    assert participants(parse_global(G_STORE2_TEXT)) == frozenset(["A", "B12"])
-    assert participants(GEND) == frozenset()
+    assert parse_global(G_STORE3_TEXT).participants == frozenset(["A", "B1", "B2"])
+    assert parse_global(G_STORE2_TEXT).participants == frozenset(["A", "B12"])
+    assert GEND.participants == frozenset()
 
 
 def test_has_recursion():
@@ -108,7 +107,7 @@ def test_well_formed_rejects_overlapping_parallel():
 
 def test_parallel_participants_disjoint_union():
     g = gpar([GMsg("A", "B", "x", GEND), GMsg("C", "D", "y", GEND)])
-    assert participants(g) == frozenset(["A", "B", "C", "D"])
+    assert g.participants == frozenset(["A", "B", "C", "D"])
     ok, _ = well_formed(g)
     assert ok
     assert project(g, "C") == parse_contract("D!y")
@@ -132,10 +131,10 @@ def test_canonicalize_idempotent_and_preserving():
         g = random_global(rng)
         c = canonicalize(g)
         assert canonicalize(c) == c
-        assert participants(c) == participants(g)
+        assert c.participants == g.participants
         assert has_recursion(c) == has_recursion(g)
         assert has_end(c) == has_end(g)
-        for who in sorted(participants(g)):
+        for who in sorted(g.participants):
             assert rename_rec_vars(project(c, who)) == rename_rec_vars(project(g, who))
 
 
@@ -145,5 +144,5 @@ def test_projection_total_on_well_formed():
         g = random_global(rng)
         ok, _ = well_formed(g)
         assert ok
-        for who in sorted(participants(g)):
+        for who in sorted(g.participants):
             project(g, who)  # must not raise

@@ -13,7 +13,6 @@ from co2run.contracts import (
     contract_ready_sets,
     contract_step,
     enabled_moves,
-    free_participant_vars,
     head_normal,
     is_terminated,
     make_system,
@@ -215,9 +214,9 @@ def test_waiting_contract_blocks_termination():
 
 def test_free_participant_vars_of_store_contracts():
     c_b1 = parse_contract("a!req . a?quote . (b2'!ok . a!order (+) b2'!bye . a!bye)")
-    assert free_participant_vars(c_b1) == frozenset(["a", "b2'"])
-    assert free_participant_vars(CA) == frozenset()
-    assert free_participant_vars(parse_contract("b!x")) == frozenset(["b"])
+    assert c_b1.free_participant_vars == frozenset(["a", "b2'"])
+    assert CA.free_participant_vars == frozenset()
+    assert parse_contract("b!x").free_participant_vars == frozenset(["b"])
 
 
 def test_choice_constructors_sort_and_check():

@@ -1,7 +1,9 @@
+import hashlib
+
 import pytest
 
-from co2run.choreo import canonicalize, participants, well_formed
-from co2run.contracts import free_participant_vars, is_terminated
+from co2run.choreo import canonicalize, well_formed
+from co2run.contracts import is_terminated
 from co2run.frontend import parse_contract, parse_global, parse_system
 from co2run.fixtures import fixture_text
 from co2run.runtime import (
@@ -203,7 +205,7 @@ def test_shared_variable_across_advertised_contracts():
         pre for it in items for pre, _ in it.branches if pre.__class__.__name__ == "PTell"
     ]
     assert len(tell_prefixes) == 1
-    assert free_participant_vars(tell_prefixes[0].contract) == frozenset()
+    assert tell_prefixes[0].contract.free_participant_vars == frozenset()
     assert "B" in str(tell_prefixes[0].contract)
     # and the whole thing still runs to completion
     t = run(s, seed=0, max_steps=200)
@@ -277,7 +279,7 @@ def test_fuse_reports_are_legal_agreements():
         assert len(set(sigma.values())) == 1
         ok, diags = well_formed(report.global_type)
         assert ok, diags
-        assert set(participants(report.global_type)) <= set(report.participants)
+        assert set(report.global_type.participants) <= set(report.participants)
 
 
 def test_policy_check_gates():
@@ -413,3 +415,29 @@ def test_fairness_serves_persistent_step():
 def test_make_co2_rejects_lowercase_participant():
     with pytest.raises(RuntimeError_):
         make_co2({"a": NIL})
+
+
+# Digests recorded before contract and global-type nodes were hash-consed;
+# the trace format depends on them, so a change to the term core must not
+# move them.
+PINGPONG_SEED0_DIGESTS_SHA256 = (
+    "ac5507327a034e6a53a9a881ac0972f0c25dcb7e34cc6c0d7062a92d360509b1"
+)
+STORE_S1_SEED3_DIGESTS = (
+    "e009be5d80a393fe", "7777ef65f593900c", "f8c2e7ade25316f9", "3c39790c386dd25a",
+    "2063a6f36339eb2c", "73c2e0627e943d07", "958b3c2778cef16c", "e846cc22b61f5790",
+    "5151a48aa955a89a", "2b47c433a3bc3721", "8121350321c12348",
+)
+
+
+def test_run_digests_are_pinned():
+    t = run(_load("pingpong.co2"), seed=0)
+    assert len(t.digests) == 10_000
+    assert t.digests[:3] == ("24e96e4cccf71baa", "fafc6acc581138ff", "5474b5a58b5ebf10")
+    joined = "\n".join(t.digests).encode()
+    assert hashlib.sha256(joined).hexdigest() == PINGPONG_SEED0_DIGESTS_SHA256
+    assert system_digest(t.terminal) == "0e04fe11368c29be"
+
+    t = run(_load("store_s1.co2"), seed=3)
+    assert t.digests == STORE_S1_SEED3_DIGESTS
+    assert system_digest(t.terminal) == "8121350321c12348"

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from co2run.choreo import canonicalize, participants, project, well_formed
+from co2run.choreo import canonicalize, project, well_formed
 from co2run.contracts import ContractError, END, make_system, recv, send
 from co2run.frontend import parse_contract, parse_global, parse_named_contracts
 from co2run.fixtures import fixture_text
@@ -104,7 +104,7 @@ def test_independent_pairs_compose_in_parallel():
     result = synthesize(make_system(contracts))
     assert result.ok
     g = result.global_type
-    assert participants(g) == frozenset("ABCD")
+    assert g.participants == frozenset("ABCD")
     ok, _ = well_formed(g)
     assert ok
 
