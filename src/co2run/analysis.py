@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .contracts import contract_ready_sets, enabled_moves, is_part_name, is_terminated
-from .contracts import End, head_normal
+from .contracts import End, head_normal, orphan_messages
 from .runtime import (
     Co2System,
     PDo,
@@ -129,7 +129,6 @@ class ReadySetReport:
     contract_ready_sets: frozenset[frozenset[tuple[str, str]]]
     process_ready_set: frozenset[tuple[str, str]]
     weak_process_ready_set: frozenset[tuple[str, str]]
-    depth_used: int
     exhausted: bool
     ready: Optional[bool]  # None = unknown (bound hit before a verdict)
 
@@ -168,7 +167,6 @@ def ready(
                 contract_ready_sets=family,
                 process_ready_set=rdo,
                 weak_process_ready_set=wrdo,
-                depth_used=bound,
                 exhausted=truncated,
                 ready=verdict,
             )
@@ -357,13 +355,8 @@ def check_trace_properties(trace_steps, digests, system: Co2System) -> PropertyR
                     violations.append(
                         f"{at}: session {sname} is unfinished but nobody is culpable"
                     )
-                for frm, to, msgs in t.queues:
-                    if msgs and all(
-                        isinstance(head_normal(c), End) for _, c in t.contracts
-                    ):
-                        violations.append(
-                            f"{at}: orphan message {frm}->{to}:{msgs[0]} in {sname}"
-                        )
+                for frm, to, msg in orphan_messages(t):
+                    violations.append(f"{at}: orphan message {frm}->{to}:{msg} in {sname}")
 
     assert_culpability(state, "initial state")
     for i, label in enumerate(trace_steps):

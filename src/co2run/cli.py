@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .analysis import (
@@ -90,14 +91,7 @@ def _override_policies(system, args):
             return Par(tuple(rewrite(q) for q in p.parts))
         return p
 
-    from .runtime import make_co2  # local import to avoid a cycle at module load
-
-    return make_co2(
-        {n: rewrite(p) for n, p in system.processes},
-        {h: list(k) for h, k in system.pools},
-        dict(system.sessions),
-        dict(system.definitions),
-    )
+    return replace(system, processes=tuple((n, rewrite(p)) for n, p in system.processes))
 
 
 # --------------------------------------------------------------------------
@@ -152,8 +146,16 @@ def cmd_synth(args) -> int:
 
 
 def _load_system(path: str, args):
-    text = Path(path).read_text()
-    system = parse_system(text)
+    """The system in the file with the flags' fuse policy, or None after
+    printing why it could not be read."""
+    try:
+        system = parse_system(Path(path).read_text())
+    except ParseError as exc:
+        _print_diagnostics(exc, path)
+        return None
+    except OSError as exc:
+        print(f"cannot read {path}: {exc}", file=sys.stderr)
+        return None
     return _override_policies(system, args)
 
 
@@ -170,13 +172,8 @@ def _terminal_summary(trace: Trace) -> dict:
 
 
 def cmd_run(args) -> int:
-    try:
-        system = _load_system(args.system, args)
-    except ParseError as exc:
-        _print_diagnostics(exc, args.system)
-        return EXIT_PARSE
-    except OSError as exc:
-        print(f"cannot read {args.system}: {exc}", file=sys.stderr)
+    system = _load_system(args.system, args)
+    if system is None:
         return EXIT_PARSE
     trace = run(system, seed=args.seed, max_steps=args.max_steps,
                 fairness_window=args.fairness_window)
@@ -201,13 +198,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_honesty(args) -> int:
-    try:
-        system = _load_system(args.system, args)
-    except ParseError as exc:
-        _print_diagnostics(exc, args.system)
-        return EXIT_PARSE
-    except OSError as exc:
-        print(f"cannot read {args.system}: {exc}", file=sys.stderr)
+    system = _load_system(args.system, args)
+    if system is None:
         return EXIT_PARSE
     known = {name for name, _ in system.processes}
     if args.participant not in known:
@@ -274,13 +266,8 @@ def cmd_honesty(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        system = _load_system(args.system, args)
-    except ParseError as exc:
-        _print_diagnostics(exc, args.system)
-        return EXIT_PARSE
-    except OSError as exc:
-        print(f"cannot read {args.system}: {exc}", file=sys.stderr)
+    system = _load_system(args.system, args)
+    if system is None:
         return EXIT_PARSE
     try:
         steps, digests = trace_from_jsonl(Path(args.trace).read_text())

@@ -1,7 +1,5 @@
 from .lex import Diagnostic, ParseError
 from .parse import (
-    SourceFile,
-    load_source,
     parse_contract,
     parse_global,
     parse_named_contracts,
@@ -20,8 +18,6 @@ from .emit import (
 
 __all__ = [
     "Diagnostic",
-    "SourceFile",
-    "load_source",
     "ParseError",
     "parse_contract",
     "parse_global",

@@ -14,7 +14,6 @@ stipulated contracts and queue contents.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Optional
 
 from ..contracts import (
@@ -523,20 +522,15 @@ class _Parser:
             self.fail(str(exc), header.span)
 
     def _validate_calls(self, processes, definitions) -> None:
-        def walk(p: Process, bound_s: frozenset[str], bound_p: frozenset[str], where: str):
+        def walk(p: Process, where: str):
             if isinstance(p, Sum):
                 for prefix, cont in p.branches:
-                    walk(cont, bound_s, bound_p, where)
+                    walk(cont, where)
             elif isinstance(p, Par):
                 for q in p.parts:
-                    walk(q, bound_s, bound_p, where)
+                    walk(q, where)
             elif isinstance(p, Delim):
-                walk(
-                    p.body,
-                    bound_s | frozenset(p.session_vars),
-                    bound_p | frozenset(p.part_vars),
-                    where,
-                )
+                walk(p.body, where)
             elif isinstance(p, Call):
                 if p.name not in definitions:
                     self.fail(f"call to undefined process {p.name} in {where}")
@@ -547,14 +541,9 @@ class _Parser:
                     self.fail(f"arity mismatch calling {p.name} in {where}")
 
         for name, proc in processes.items():
-            walk(proc, frozenset(), frozenset(), f"participant {name}")
+            walk(proc, f"participant {name}")
         for name, d in definitions.items():
-            walk(
-                d.body,
-                frozenset(d.session_params),
-                frozenset(d.part_params),
-                f"def {name}",
-            )
+            walk(d.body, f"def {name}")
             free = _free_proc_vars(d.body, frozenset(d.session_params), frozenset(d.part_params))
             if free:
                 self.fail(
@@ -601,55 +590,6 @@ def _free_proc_vars(
 # --------------------------------------------------------------------------
 # Entry points
 # --------------------------------------------------------------------------
-
-CONTRACT_FILE = "contract"
-SYSTEM_FILE = "system"
-GLOBAL_TYPE_FILE = "global-type"
-
-_KIND_BY_SUFFIX = {
-    ".ctr": CONTRACT_FILE,
-    ".co2": SYSTEM_FILE,
-    ".gt": GLOBAL_TYPE_FILE,
-    ".gt.json": GLOBAL_TYPE_FILE,
-}
-
-
-@dataclass(frozen=True)
-class SourceFile:
-    path: str
-    text: str
-    kind: str
-
-    def parse(self):
-        if self.kind == CONTRACT_FILE:
-            return parse_named_contracts(self.text)
-        if self.kind == SYSTEM_FILE:
-            return parse_system(self.text)
-        if self.kind == GLOBAL_TYPE_FILE:
-            if self.path.endswith(".json"):
-                import json
-
-                from .emit import global_from_json
-
-                return global_from_json(json.loads(self.text))
-            return parse_global(self.text)
-        raise ValueError(f"unknown source kind {self.kind!r}")
-
-
-def load_source(path) -> SourceFile:
-    from pathlib import Path
-
-    p = Path(path)
-    name = p.name
-    kind = None
-    for suffix, k in sorted(_KIND_BY_SUFFIX.items(), key=lambda kv: -len(kv[0])):
-        if name.endswith(suffix):
-            kind = k
-            break
-    if kind is None:
-        raise ValueError(f"cannot tell the format of {name!r} from its extension")
-    return SourceFile(str(p), p.read_text(encoding="utf-8"), kind)
-
 
 def parse_contract(text: str, start_line: int = 1) -> Contract:
     p = _Parser(tokenize(text, start_line))

@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -129,7 +129,6 @@ class Call:
 Process = Union[PNil, Sum, Par, Delim, Call]
 
 NIL = PNil()
-TAU = PTau()
 
 
 @dataclass(frozen=True)
@@ -193,13 +192,18 @@ def make_co2(
             raise RuntimeError_(f"{name!r} is not a participant name")
     return Co2System(
         tuple(sorted(processes.items())),
-        tuple(
-            (host, tuple(sorted(ks, key=_latent_key)))
-            for host, ks in sorted((pools or {}).items())
-            if ks
-        ),
+        _pools(pools or {}),
         tuple(sorted((sessions or {}).items())),
         tuple(sorted((definitions or {}).items())),
+    )
+
+
+def _pools(
+    pools: Mapping[str, Sequence[LatentContract]],
+) -> tuple[tuple[str, tuple[LatentContract, ...]], ...]:
+    """Pools in canonical order: hosts sorted, each pool sorted, none empty."""
+    return tuple(
+        (host, tuple(sorted(ks, key=_latent_key))) for host, ks in sorted(pools.items()) if ks
     )
 
 
@@ -559,14 +563,8 @@ def _prefix_enabled(system: Co2System, actor: str, prefix: Prefix) -> bool:
     return False
 
 
-def _prefix_kind(prefix: Prefix) -> str:
-    if isinstance(prefix, PTau):
-        return "tau"
-    if isinstance(prefix, PTell):
-        return "tell"
-    if isinstance(prefix, PFuse):
-        return "fuse"
-    return "do"
+# the step kind of each prefix, and of a call's unfolding
+_KINDS = {PTau: "tau", PTell: "tell", PFuse: "fuse", PDo: "do", Call: "call"}
 
 
 def enabled_steps(system: Co2System) -> tuple[Step, ...]:
@@ -578,7 +576,7 @@ def enabled_steps(system: Co2System) -> tuple[Step, ...]:
             elif isinstance(item, Sum):
                 for j, (prefix, _) in enumerate(item.branches):
                     if _prefix_enabled(system, actor, prefix):
-                        steps.append(Step(actor, i, j, _prefix_kind(prefix)))
+                        steps.append(Step(actor, i, j, _KINDS[type(prefix)]))
     return tuple(steps)
 
 
@@ -674,168 +672,103 @@ def find_agreement(
 # Reductions
 # --------------------------------------------------------------------------
 
-def _branch(system: Co2System, actor: str, item: int, branch: int) -> tuple[Prefix, Process, Process]:
-    proc = system.process(actor)
-    items = proc_items(proc)
-    if item >= len(items) or not isinstance(items[item], Sum):
-        raise RuntimeError_(f"{actor} has no choice at item {item}")
-    sum_ = items[item]
-    if branch >= len(sum_.branches):
-        raise RuntimeError_(f"{actor} has no branch {branch} at item {item}")
-    prefix, cont = sum_.branches[branch]
-    return prefix, cont, proc
-
-
-def _advance(system: Co2System, actor: str, item: int, cont: Process) -> dict[str, Process]:
-    procs = dict(system.processes)
-    procs[actor] = _replace_item(procs[actor], item, cont)
-    return procs
-
-
-def reduce_tau(system: Co2System, actor: str, item: int, branch: int) -> tuple[Co2System, StepLabel]:
-    prefix, cont, _ = _branch(system, actor, item, branch)
-    if not isinstance(prefix, PTau):
-        raise RuntimeError_("branch is not an internal step")
-    out = make_co2(
-        _advance(system, actor, item, cont),
-        {h: list(k) for h, k in system.pools},
-        dict(system.sessions),
-        dict(system.definitions),
-    )
-    return out, StepLabel(actor, "tau")
-
-
-def reduce_tell(system: Co2System, actor: str, item: int, branch: int) -> tuple[Co2System, StepLabel]:
-    prefix, cont, _ = _branch(system, actor, item, branch)
-    if not isinstance(prefix, PTell):
-        raise RuntimeError_("branch is not an advertisement")
-    if not is_part_name(prefix.target):
-        raise RuntimeError_(f"tell target {prefix.target!r} is unresolved")
-    pools = {h: list(k) for h, k in system.pools}
-    pools.setdefault(prefix.target, []).append(
-        LatentContract(actor, prefix.session_var, prefix.contract)
-    )
-    out = make_co2(
-        _advance(system, actor, item, cont),
-        pools,
-        dict(system.sessions),
-        dict(system.definitions),
-    )
-    label = StepLabel(
-        actor, "tell", target=prefix.target, session_var=prefix.session_var
-    )
-    return out, label
-
-
-def reduce_fuse(system: Co2System, actor: str, item: int, branch: int) -> tuple[Co2System, StepLabel]:
-    prefix, cont, _ = _branch(system, actor, item, branch)
-    if not isinstance(prefix, PFuse):
-        raise RuntimeError_("branch is not a fuse")
-    s = next_session_name(system)
-    agreement = find_agreement(system.pool(actor), prefix.policy, s)
-    if agreement is None:
-        raise RuntimeError_(f"fuse of {actor} is not enabled: no agreement in the pool")
-    sigma = dict(agreement.sigma)
-    pi = dict(agreement.pi)
-
-    fused = set(agreement.latents)
-    pools: dict[str, list[LatentContract]] = {}
-    for host, pool in system.pools:
-        kept = [
-            LatentContract(k.promiser, k.session_var, subst_parts(k.contract, pi))
-            for k in pool
-            if not (host == actor and k in fused)
-        ]
-        if kept:
-            pools[host] = kept
-
-    procs = _advance(system, actor, item, cont)
-    # substitution can disturb the canonical branch order, so re-normalize
-    procs = {n: normalize_proc(proc_subst(p, sigma, pi)) for n, p in procs.items()}
-
-    sessions = dict(system.sessions)
-    sessions[s] = agreement.system  # stipulated contracts plus the empty queue grid
-
-    out = make_co2(procs, pools, sessions, dict(system.definitions))
-    report = FuseReport(
-        session=s,
-        participants=tuple(agreement.system.participants),
-        sigma=tuple(sorted(sigma.items())),
-        pi=tuple(sorted(pi.items())),
-        global_type=agreement.global_type,
-    )
-    return out, StepLabel(actor, "fuse", session=s, fuse=report)
-
-
-def reduce_do(system: Co2System, actor: str, item: int, branch: int) -> tuple[Co2System, StepLabel]:
-    prefix, cont, _ = _branch(system, actor, item, branch)
-    if not isinstance(prefix, PDo):
-        raise RuntimeError_("branch is not a contractual action")
-    if prefix.session not in system.session_names:
-        raise RuntimeError_(f"session {prefix.session!r} is not installed")
-    t = system.session(prefix.session)
-    move = MoveLabel(actor, prefix.peer, prefix.sort, prefix.dir)
-    try:
-        t2 = contract_step(t, move)
-    except ContractError as exc:
-        raise RuntimeError_(f"do of {actor} not permitted by the session: {exc}") from exc
-    sessions = dict(system.sessions)
-    sessions[prefix.session] = t2
-    out = make_co2(
-        _advance(system, actor, item, cont),
-        {h: list(k) for h, k in system.pools},
-        sessions,
-        dict(system.definitions),
-    )
-    label = StepLabel(
-        actor,
-        "do",
-        session=prefix.session,
-        peer=prefix.peer,
-        sort=prefix.sort,
-        dir=prefix.dir,
-    )
-    return out, label
-
-
-def reduce_call(system: Co2System, actor: str, item: int) -> tuple[Co2System, StepLabel]:
-    proc = system.process(actor)
-    items = proc_items(proc)
-    if item >= len(items) or not isinstance(items[item], Call):
-        raise RuntimeError_(f"{actor} has no invocation at item {item}")
-    call = items[item]
-    try:
-        d = system.definition(call.name)
-    except KeyError:
-        raise RuntimeError_(f"undefined process {call.name!r}")
-    if len(d.session_params) != len(call.session_args) or len(d.part_params) != len(
-        call.part_args
-    ):
-        raise RuntimeError_(f"arity mismatch calling {call.name}")
-    namer = _Namer(collect_identifiers(system))
-    smap = dict(zip(d.session_params, call.session_args))
-    pmap = dict(zip(d.part_params, call.part_args))
-    body = _rename(d.body, smap, pmap, namer, system.session_names)
-    out = make_co2(
-        _advance(system, actor, item, body),
-        {h: list(k) for h, k in system.pools},
-        dict(system.sessions),
-        dict(system.definitions),
-    )
-    return out, StepLabel(actor, "call", callee=call.name)
-
-
 def apply_step(system: Co2System, step: Step) -> tuple[Co2System, StepLabel]:
-    if step.kind == "call":
-        return reduce_call(system, step.actor, step.item)
-    assert step.branch is not None
-    reducer = {
-        "tau": reduce_tau,
-        "tell": reduce_tell,
-        "fuse": reduce_fuse,
-        "do": reduce_do,
-    }[step.kind]
-    return reducer(system, step.actor, step.item, step.branch)
+    """Fire one step: the reduction rule of its prefix, or a call's unfolding.
+
+    The successor reuses the input's sorted fields and changes only those
+    the step touches; only a grown or substituted pool and a new session
+    are sorted again.
+    """
+    actor = step.actor
+    proc = system.process(actor)
+    items = proc_items(proc)
+    item = items[step.item] if step.item < len(items) else None
+    if isinstance(item, Call):
+        prefix = item  # a call is its own prefix: the step unfolds it
+    elif isinstance(item, Sum) and step.branch is not None and step.branch < len(item.branches):
+        prefix, cont = item.branches[step.branch]
+    else:
+        raise RuntimeError_(f"{actor} has no branch {step.branch} at item {step.item}")
+    if _KINDS[type(prefix)] != step.kind:
+        raise RuntimeError_(f"item {step.item} of {actor} is not a {step.kind} step")
+
+    def advance(replacement: Process) -> tuple[tuple[str, Process], ...]:
+        new = _replace_item(proc, step.item, replacement)
+        return tuple((n, new if n == actor else p) for n, p in system.processes)
+
+    if isinstance(prefix, PTau):
+        return replace(system, processes=advance(cont)), StepLabel(actor, "tau")
+
+    if isinstance(prefix, PTell):
+        if not is_part_name(prefix.target):
+            raise RuntimeError_(f"tell target {prefix.target!r} is unresolved")
+        latent = LatentContract(actor, prefix.session_var, prefix.contract)
+        pools = {**dict(system.pools), prefix.target: (*system.pool(prefix.target), latent)}
+        out = replace(system, processes=advance(cont), pools=_pools(pools))
+        label = StepLabel(actor, "tell", target=prefix.target, session_var=prefix.session_var)
+        return out, label
+
+    if isinstance(prefix, PFuse):
+        s = next_session_name(system)
+        agreement = find_agreement(system.pool(actor), prefix.policy, s)
+        if agreement is None:
+            raise RuntimeError_(f"fuse of {actor} is not enabled: no agreement in the pool")
+        sigma = dict(agreement.sigma)
+        pi = dict(agreement.pi)
+        fused = set(agreement.latents)
+        pools = {
+            host: [
+                LatentContract(k.promiser, k.session_var, subst_parts(k.contract, pi))
+                for k in pool
+                if not (host == actor and k in fused)
+            ]
+            for host, pool in system.pools
+        }
+        out = Co2System(
+            # substitution can disturb the canonical branch order, so re-normalize
+            tuple((n, normalize_proc(proc_subst(p, sigma, pi))) for n, p in advance(cont)),
+            _pools(pools),
+            # stipulated contracts plus the empty queue grid
+            tuple(sorted({**dict(system.sessions), s: agreement.system}.items())),
+            system.definitions,
+        )
+        report = FuseReport(
+            session=s,
+            participants=tuple(agreement.system.participants),
+            sigma=tuple(sorted(sigma.items())),
+            pi=agreement.pi,
+            global_type=agreement.global_type,
+        )
+        return out, StepLabel(actor, "fuse", session=s, fuse=report)
+
+    if isinstance(prefix, PDo):
+        if prefix.session not in system.session_names:
+            raise RuntimeError_(f"session {prefix.session!r} is not installed")
+        move = MoveLabel(actor, prefix.peer, prefix.sort, prefix.dir)
+        try:
+            t = contract_step(system.session(prefix.session), move)
+        except ContractError as exc:
+            raise RuntimeError_(f"do of {actor} not permitted by the session: {exc}") from exc
+        sessions = tuple((n, t if n == prefix.session else u) for n, u in system.sessions)
+        out = replace(system, processes=advance(cont), sessions=sessions)
+        label = StepLabel(
+            actor, "do", session=prefix.session, peer=prefix.peer, sort=prefix.sort, dir=prefix.dir
+        )
+        return out, label
+
+    try:
+        d = system.definition(prefix.name)
+    except KeyError:
+        raise RuntimeError_(f"undefined process {prefix.name!r}")
+    if len(d.session_params) != len(prefix.session_args) or len(d.part_params) != len(
+        prefix.part_args
+    ):
+        raise RuntimeError_(f"arity mismatch calling {prefix.name}")
+    namer = _Namer(collect_identifiers(system))
+    smap = dict(zip(d.session_params, prefix.session_args))
+    pmap = dict(zip(d.part_params, prefix.part_args))
+    body = _rename(d.body, smap, pmap, namer, system.session_names)
+    return replace(system, processes=advance(body)), StepLabel(actor, "call", callee=prefix.name)
 
 
 # --------------------------------------------------------------------------

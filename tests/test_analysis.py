@@ -303,3 +303,17 @@ def test_empty_trace_on_initial_system():
     s = _load("store_s1.co2")
     report = check_trace_properties((), (), s)
     assert report.ok and not report.live_sessions
+
+
+def test_orphan_message_is_a_violation():
+    s = parse_system("""
+    participant A { 0 }
+    participant B { 0 }
+    session s {
+      A: end
+      B: end
+      queue A -> B : [int]
+    }
+    """)
+    report = check_trace_properties((), (), s)
+    assert "initial state: orphan message A->B:int in s" in report.violations

@@ -13,6 +13,7 @@ from co2run.runtime import (
     NIL,
     Par,
     RuntimeError_,
+    Step,
     Sum,
     apply_step,
     collect_identifiers,
@@ -22,7 +23,6 @@ from co2run.runtime import (
     normalize,
     normalize_proc,
     policy_check,
-    reduce_fuse,
     run,
     system_digest,
 )
@@ -249,7 +249,15 @@ def test_fuse_blocked_without_agreement():
     s2, _ = _drive(s, [("tell", "A")])
     assert not any(st.kind == "fuse" for st in enabled_steps(s2))
     with pytest.raises(RuntimeError_):
-        reduce_fuse(s2, "A", 0, 0)
+        apply_step(s2, Step("A", 0, 0, "fuse"))
+
+
+def test_step_kind_must_match_its_prefix():
+    s = normalize(_load("store_s1.co2"))
+    tell = next(st for st in enabled_steps(s) if st.actor == "A")
+    assert tell.kind == "tell"
+    with pytest.raises(RuntimeError_):
+        apply_step(s, Step("A", tell.item, tell.branch, "tau"))
 
 
 def test_honest_store_completes():
