@@ -267,9 +267,9 @@ def check_honesty(
 
 
 def _replay_one(
-    state: Co2System, label: StepLabel, expected_digest: Optional[str] = None
+    state: Co2System, label: StepLabel, expected_digest: Optional[str], number: int
 ) -> Co2System:
-    """Fire the enabled step carrying this label.
+    """Fire the enabled step carrying this label, the trace's step `number`.
 
     Distinct branches can produce identical labels (two internal steps,
     say); when a digest is recorded it picks the right one.
@@ -280,13 +280,13 @@ def _replay_one(
         if produced == label:
             candidates.append(nxt)
     if not candidates:
-        raise ReplayError(f"no enabled step matches {label}")
-    if expected_digest is not None:
-        for nxt in candidates:
-            if system_digest(nxt) == expected_digest:
-                return nxt
-        raise ReplayError(f"state digest mismatch after {label}")
-    return candidates[0]
+        raise ReplayError(f"step {number}: no enabled step matches {label}")
+    for nxt in candidates:
+        if expected_digest is None or system_digest(nxt) == expected_digest:
+            return nxt
+    got = ", ".join(system_digest(nxt) for nxt in candidates)
+    raise ReplayError(f"step {number}: state digest mismatch after {label}: "
+                      f"expected {expected_digest}, candidate successors have {got}")
 
 
 def exculpation_within(
@@ -360,7 +360,7 @@ def check_trace_properties(trace_steps, digests, system: Co2System) -> PropertyR
 
     assert_culpability(state, "initial state")
     for i, label in enumerate(trace_steps):
-        state = _replay_one(state, label, digests[i] if digests else None)
+        state = _replay_one(state, label, digests[i] if digests else None, i + 1)
         assert_culpability(state, f"step {i + 1}")
 
     live = []

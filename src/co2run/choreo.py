@@ -40,18 +40,18 @@ class _Global(Interned):
         object.__setattr__(self, "participants", frozenset())
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class GEnd(_Global):
     __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class GRecVar(_Global):
     __slots__ = ("var",)
     var: str
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class GRec(_Global):
     __slots__ = ("var", "body")
     var: str
@@ -61,7 +61,7 @@ class GRec(_Global):
         object.__setattr__(self, "participants", self.body.participants)
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class GMsg(_Global):
     __slots__ = ("src", "dst", "sort", "cont")
     src: str
@@ -74,7 +74,7 @@ class GMsg(_Global):
         object.__setattr__(self, "participants", parts)
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class GChoice(_Global):
     __slots__ = ("branches",)
     branches: tuple["GlobalType", ...]
@@ -83,7 +83,7 @@ class GChoice(_Global):
         _derive_branches(self)
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class GPar(_Global):
     __slots__ = ("branches",)
     branches: tuple["GlobalType", ...]

@@ -256,7 +256,7 @@ def cmd_honesty(args) -> int:
                 if r.ready is False:
                     print(f"  session {r.session}: process offers "
                           f"{sorted(r.weak_process_ready_set)} but the contract needs one of "
-                          f"{[sorted(x) for x in r.contract_ready_sets]}")
+                          f"{[sorted(x) for x in sorted(r.contract_ready_sets, key=sorted)]}")
             if args.trace:
                 print(f"  witness trace written to {args.trace}")
         else:

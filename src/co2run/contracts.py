@@ -6,7 +6,8 @@ A session holds one stipulated contract per participant plus one FIFO queue
 per ordered pair of participants; sends append to a queue, receives pop the
 matching head.
 
-Contract nodes (and the global-type nodes of `choreo`) are hash-consed:
+Contract nodes (and the global-type nodes of `choreo` and the process
+nodes of `runtime`) are hash-consed:
 
   * a node is built only through its class constructor (or the smart
     constructors below), which looks the fields up in a per-class table of
@@ -17,6 +18,9 @@ Contract nodes (and the global-type nodes of `choreo`) are hash-consed:
     reference, names and variables), `free_participant_vars`,
     `free_rec_vars` and `is_guarded`; a `Rec` also memoises its one-step
     unfolding;
+  * every node caches its `repr` on first use, built from its children's
+    and byte-identical to the dataclass repr, so a repr-based digest
+    formats only the nodes that are new;
   * equality never depends on sharing: identity is only a fast path, and a
     duplicate (made by two threads racing on the table, say) compares and
     hashes equal to the shared instance.
@@ -68,15 +72,21 @@ class Interned:
     builds one, runs `_derive` to attach the values it caches, and records
     it. Pickling and copying rebuild through the constructor, so they
     return the shared instance too.
+
+    Subclasses are declared with `repr=False`: the dataclass repr is built
+    on first use from the children's cached reprs and kept in `_repr`.
     """
 
-    __slots__ = ("_key", "_hash", "__weakref__")
+    __slots__ = ("_key", "_hash", "_repr", "__weakref__")
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
         cls._table = weakref.WeakValueDictionary()
+        # the dataclass repr as a %-template over the field values: a first
+        # repr of a deep term then recurses no deeper than a dataclass's did
+        cls._repr_template = f"{cls.__qualname__}({', '.join(f + '=%r' for f in cls._fields)})"
 
     def __new__(cls, *args, **kwargs):
         if kwargs:
@@ -107,6 +117,13 @@ class Interned:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __repr__(self) -> str:
+        text = getattr(self, "_repr", None)  # unset until first asked for
+        if text is None:
+            text = self._repr_template % self._key
+            _set(self, "_repr", text)
+        return text
 
     def __reduce__(self):
         return type(self), self._key
@@ -155,7 +172,7 @@ class _Contract(Interned):
         _set(self, "_head_vars", _NONE)
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class End(_Contract):
     __slots__ = ()
 
@@ -163,7 +180,7 @@ class End(_Contract):
         self._derive_choice((), ())
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class RecVar(_Contract):
     __slots__ = ("var",)
     var: str
@@ -175,7 +192,7 @@ class RecVar(_Contract):
         _set(self, "_head_vars", free)
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Rec(_Contract):
     __slots__ = ("var", "body", "_unfolded")
     var: str
@@ -192,7 +209,7 @@ class Rec(_Contract):
         _set(self, "_unfolded", None)
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class SendChoice(_Contract):
     """Internal choice: each branch is (peer, sort, continuation)."""
 
@@ -203,7 +220,7 @@ class SendChoice(_Contract):
         self._derive_choice([b[0] for b in self.branches], [b[2] for b in self.branches])
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class RecvChoice(_Contract):
     """External choice: receive one of several sorts from a single peer."""
 

@@ -13,6 +13,10 @@ are applied across the whole system.
 Systems are immutable; every reduction returns a fresh value. Delimitation
 is compiled away: loading renames all bound and block-local variables to
 globally unique identifiers, so substitutions can be applied globally.
+
+Process nodes are hash-consed like contracts (`contracts.Interned`) and also
+cache their sort key and normal form, so the repr-based state digest, state
+hashing and renormalization after a step cost time only for new nodes.
 """
 from __future__ import annotations
 
@@ -28,6 +32,7 @@ from .contracts import (
     Contract,
     ContractError,
     ContractSystem,
+    Interned,
     MoveLabel,
     enabled_moves,
     contract_step,
@@ -69,25 +74,28 @@ DEFAULT_POLICY = FusePolicy()
 # Process syntax
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PTau:
-    pass
+@dataclass(frozen=True, eq=False, init=False, repr=False)
+class PTau(Interned):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PTell:
+@dataclass(frozen=True, eq=False, init=False, repr=False)
+class PTell(Interned):
+    __slots__ = ("target", "session_var", "contract")
     target: str
     session_var: str
     contract: Contract
 
 
-@dataclass(frozen=True)
-class PFuse:
-    policy: FusePolicy = DEFAULT_POLICY
+@dataclass(frozen=True, eq=False, init=False, repr=False)
+class PFuse(Interned):
+    __slots__ = ("policy",)
+    policy: FusePolicy
 
 
-@dataclass(frozen=True)
-class PDo:
+@dataclass(frozen=True, eq=False, init=False, repr=False)
+class PDo(Interned):
+    __slots__ = ("session", "peer", "sort", "dir")
     session: str
     peer: str
     sort: str
@@ -97,30 +105,40 @@ class PDo:
 Prefix = Union[PTau, PTell, PFuse, PDo]
 
 
-@dataclass(frozen=True)
-class PNil:
-    pass
+class _Proc(Interned):
+    """Process nodes also keep their sort key and normal form, unset until used."""
+
+    __slots__ = ("_sort_key", "_normal")
 
 
-@dataclass(frozen=True)
-class Sum:
+@dataclass(frozen=True, eq=False, init=False, repr=False)
+class PNil(_Proc):
+    __slots__ = ()
+
+
+@dataclass(frozen=True, eq=False, init=False, repr=False)
+class Sum(_Proc):
+    __slots__ = ("branches",)
     branches: tuple[tuple[Prefix, "Process"], ...]
 
 
-@dataclass(frozen=True)
-class Par:
+@dataclass(frozen=True, eq=False, init=False, repr=False)
+class Par(_Proc):
+    __slots__ = ("parts",)
     parts: tuple["Process", ...]
 
 
-@dataclass(frozen=True)
-class Delim:
+@dataclass(frozen=True, eq=False, init=False, repr=False)
+class Delim(_Proc):
+    __slots__ = ("session_vars", "part_vars", "body")
     session_vars: tuple[str, ...]
     part_vars: tuple[str, ...]
     body: "Process"
 
 
-@dataclass(frozen=True)
-class Call:
+@dataclass(frozen=True, eq=False, init=False, repr=False)
+class Call(_Proc):
+    __slots__ = ("name", "session_args", "part_args")
     name: str
     session_args: tuple[str, ...]
     part_args: tuple[str, ...]
@@ -153,10 +171,7 @@ class Co2System:
     definitions: tuple[tuple[str, ProcDef], ...] = ()
 
     def process(self, name: str) -> Process:
-        for n, p in self.processes:
-            if n == name:
-                return p
-        raise KeyError(name)
+        return _lookup(self.processes, name)
 
     def pool(self, host: str) -> tuple[LatentContract, ...]:
         for n, k in self.pools:
@@ -165,20 +180,21 @@ class Co2System:
         return ()
 
     def session(self, name: str) -> ContractSystem:
-        for n, t in self.sessions:
-            if n == name:
-                return t
-        raise KeyError(name)
+        return _lookup(self.sessions, name)
 
     @property
     def session_names(self) -> frozenset[str]:
         return frozenset(n for n, _ in self.sessions)
 
     def definition(self, name: str) -> ProcDef:
-        for n, d in self.definitions:
-            if n == name:
-                return d
-        raise KeyError(name)
+        return _lookup(self.definitions, name)
+
+
+def _lookup(pairs: tuple, name: str):
+    for n, value in pairs:
+        if n == name:
+            return value
+    raise KeyError(name)
 
 
 def make_co2(
@@ -427,15 +443,20 @@ def proc_subst(p: Process, smap: Mapping[str, str], pmap: Mapping[str, str]) -> 
 # --------------------------------------------------------------------------
 
 def _proc_key(p: Process) -> tuple:
-    if isinstance(p, PNil):
-        return (0,)
-    if isinstance(p, Sum):
-        return (1, tuple((_prefix_key(pr), _proc_key(c)) for pr, c in p.branches))
-    if isinstance(p, Par):
-        return (2, tuple(_proc_key(q) for q in p.parts))
-    if isinstance(p, Call):
-        return (3, p.name, p.session_args, p.part_args)
-    return (4, repr(p))
+    key = getattr(p, "_sort_key", None)
+    if key is None:
+        if isinstance(p, PNil):
+            key = (0,)
+        elif isinstance(p, Sum):
+            key = (1, tuple((_prefix_key(pr), _proc_key(c)) for pr, c in p.branches))
+        elif isinstance(p, Par):
+            key = (2, tuple(_proc_key(q) for q in p.parts))
+        elif isinstance(p, Call):
+            key = (3, p.name, p.session_args, p.part_args)
+        else:
+            key = (4, repr(p))
+        object.__setattr__(p, "_sort_key", key)
+    return key
 
 
 def _prefix_key(pr: Prefix) -> tuple:
@@ -449,6 +470,12 @@ def _prefix_key(pr: Prefix) -> tuple:
 
 
 def normalize_proc(p: Process) -> Process:
+    """Flatten parallels, drop nils, sort parts and branches; cached. A normal
+    form's `_normal` is True, not itself (a reference cycle), and its subterms
+    are normal, so renormalizing a term changed in one place sorts one level."""
+    n = getattr(p, "_normal", None)
+    if n is not None:
+        return p if n is True else n
     if isinstance(p, Par):
         parts: list[Process] = []
         for q in p.parts:
@@ -457,22 +484,24 @@ def normalize_proc(p: Process) -> Process:
                 parts.extend(q.parts)
             elif not isinstance(q, PNil):
                 parts.append(q)
-        if not parts:
-            return NIL
-        if len(parts) == 1:
-            return parts[0]
-        return Par(tuple(sorted(parts, key=_proc_key)))
-    if isinstance(p, Sum):
+        if len(parts) > 1:
+            n = Par(tuple(sorted(parts, key=_proc_key)))
+        else:
+            n = parts[0] if parts else NIL
+    elif isinstance(p, Sum):
         branches = tuple(
             sorted(
                 ((pr, normalize_proc(c)) for pr, c in p.branches),
                 key=lambda b: (_prefix_key(b[0]), _proc_key(b[1])),
             )
         )
-        if not branches:
-            return NIL
-        return Sum(branches)
-    return p
+        n = Sum(branches) if branches else NIL
+    else:
+        n = p
+    object.__setattr__(n, "_normal", True)
+    if n is not p:
+        object.__setattr__(p, "_normal", n)
+    return n
 
 
 def normalize(system: Co2System) -> Co2System:
@@ -543,7 +572,7 @@ def proc_items(p: Process) -> tuple[Process, ...]:
 def _replace_item(p: Process, index: int, replacement: Process) -> Process:
     items = list(proc_items(p))
     items[index] = replacement
-    return normalize_proc(Par(tuple(items)))
+    return normalize_proc(Par(tuple(items)) if len(items) > 1 else replacement)
 
 
 def _prefix_enabled(system: Co2System, actor: str, prefix: Prefix) -> bool:
@@ -776,12 +805,10 @@ def apply_step(system: Co2System, step: Step) -> tuple[Co2System, StepLabel]:
 # --------------------------------------------------------------------------
 
 def _step_key(system: Co2System, step: Step) -> tuple:
-    if step.kind == "call":
-        item = proc_items(system.process(step.actor))[step.item]
-        return (step.actor, "call", item.name)
     item = proc_items(system.process(step.actor))[step.item]
-    prefix = item.branches[step.branch][0]
-    return (step.actor, step.kind, _prefix_key(prefix))
+    if step.kind == "call":
+        return (step.actor, "call", item.name)
+    return (step.actor, step.kind, _prefix_key(item.branches[step.branch][0]))
 
 
 def run(

@@ -4,10 +4,12 @@ The corpus mixes three populations: projections of random well-formed
 choreographies (compliant by construction), raw random contract systems
 (mostly non-compliant), and single-contract mutations of the projections
 (near-misses). All draws are driven by an explicit Random instance, so a
-fixed seed reproduces the corpus exactly.
+fixed seed reproduces the corpus exactly. `reference_repr` recomputes the
+repr the term nodes cache.
 """
 from __future__ import annotations
 
+import dataclasses
 import random
 
 from co2run.choreo import (
@@ -261,3 +263,21 @@ def corpus_system(rng: random.Random) -> dict[str, Contract]:
     if roll < 0.6:
         return mutate_system(rng, projected_system(rng))
     return random_raw_system(rng)
+
+
+# --------------------------------------------------------------------------
+# Reference values
+# --------------------------------------------------------------------------
+
+def reference_repr(value) -> str:
+    """The repr a plain dataclass gives, rebuilt field by field through
+    `dataclasses.fields`, never reading a cached string."""
+    if dataclasses.is_dataclass(value):
+        fields = ", ".join(
+            f"{f.name}={reference_repr(getattr(value, f.name))}" for f in dataclasses.fields(value)
+        )
+        return f"{type(value).__qualname__}({fields})"
+    if isinstance(value, tuple):
+        items = [reference_repr(v) for v in value]
+        return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
+    return repr(value)

@@ -182,8 +182,8 @@ def test_buggy_buyer_is_dishonest():
     state = normalize(_load("store_s1.co2"))
     from co2run.analysis import _replay_one
 
-    for label in verdict.witness.steps:
-        state = _replay_one(state, label)
+    for i, label in enumerate(verdict.witness.steps):
+        state = _replay_one(state, label, None, i + 1)
     assert culpable(state, report.session) == frozenset(["B1"])
     v, _ = ready(state, "B1")
     assert v is False

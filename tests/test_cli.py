@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import co2run
 from co2run.cli import main
 from co2run.fixtures import fixture_path
-from co2run.frontend import parse_global
+from co2run.frontend import parse_global, trace_from_jsonl
 
 
 TRIO = str(fixture_path("store_trio.ctr"))
@@ -118,6 +123,38 @@ def test_check_tampered_trace(tmp_path, capsys):
     tampered = tmp_path / "tampered.trace.jsonl"
     tampered.write_text("\n".join(lines) + "\n")
     assert main(["check", str(tampered), ROBUST]) == 5
+
+
+def test_replay_divergence_names_step_label_and_digests(tmp_path, capsys):
+    good = tmp_path / "good.trace.jsonl"
+    assert main(["run", ROBUST, "--seed", "5", "--trace", str(good)]) == 0
+    lines = good.read_text().splitlines()
+    record = json.loads(lines[3])
+    true_digest = record["stateDigest"]
+    record["stateDigest"] = "0123456789abcdef"
+    lines[3] = json.dumps(record, sort_keys=True)
+    tampered = tmp_path / "tampered.trace.jsonl"
+    tampered.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["check", str(tampered), ROBUST]) == 5
+    err = capsys.readouterr().err
+    label = trace_from_jsonl(good.read_text())[0][3]
+    for part in ("step 4:", str(label), "expected 0123456789abcdef", true_digest):
+        assert part in err
+
+
+def test_honesty_text_output_does_not_depend_on_the_hash_seed():
+    env = dict(os.environ, PYTHONPATH=str(Path(co2run.__file__).parents[1]))
+    outs = set()
+    for seed in ("1", "4"):
+        done = subprocess.run(
+            [sys.executable, "-m", "co2run.cli", "honesty", S1, "--participant", "B1"],
+            env={**env, "PYTHONHASHSEED": seed}, capture_output=True, text=True,
+        )
+        assert done.returncode == 3
+        outs.add(done.stdout)
+    assert len(outs) == 1
+    assert "[[('B2', 'bye')], [('B2', 'ok')]]" in outs.pop()
 
 
 def test_fuse_min_flag_restricts_sessions(capsys):

@@ -1,9 +1,12 @@
-"""Hash-consed contract and global-type nodes: sharing, equality, depth."""
+"""Hash-consed contract, global-type and process nodes: sharing, equality,
+depth, cached reprs and normal forms."""
 import copy
+import hashlib
 import pickle
 
 import pytest
 
+from co2run.analysis import _replay_one
 from co2run.choreo import GEND, GMsg, gchoice, gmsg
 from co2run.contracts import (
     END,
@@ -17,7 +20,28 @@ from co2run.contracts import (
     send,
     unfold,
 )
-from co2run.frontend import parse_contract
+from co2run.fixtures import FIXTURES, fixture_text
+from co2run.frontend import parse_contract, parse_system
+from co2run.runtime import (
+    DEFAULT_POLICY,
+    NIL,
+    Call,
+    Delim,
+    FusePolicy,
+    Par,
+    PDo,
+    PFuse,
+    PNil,
+    PTau,
+    PTell,
+    Sum,
+    normalize,
+    normalize_proc,
+    run,
+    system_digest,
+)
+
+from corpus import reference_repr
 
 DEPTH = 20_000
 
@@ -106,3 +130,71 @@ def test_deep_chain_needs_no_recursion():
     assert open_.free_participant_vars == frozenset(["b"])
     with pytest.raises(ContractError, match="participant variables"):
         make_system({"A": open_, "B": d})
+
+
+# -- process nodes -------------------------------------------------------------
+
+def test_equal_processes_share_one_instance():
+    a = parse_system(fixture_text("pingpong.co2"))
+    b = parse_system(fixture_text("pingpong.co2"))
+    assert a.process("A") is b.process("A")
+    assert a.definition("Pong").body is b.definition("Pong").body
+    assert PTau() is PTau() and PNil() is NIL
+    assert Call("P", ("u",), ()) is Call(name="P", session_args=("u",), part_args=())
+    assert PFuse(DEFAULT_POLICY) is PFuse(policy=DEFAULT_POLICY)
+    prefix = PDo("s", "B", "ping", "send")
+    assert Sum(((prefix, NIL),)) is Sum(((PDo("s", "B", "ping", "send"), PNil()),))
+
+
+def test_process_hash_and_equality_are_those_of_the_plain_dataclasses():
+    tell = PTell("A", "x", send("B", "m"))
+    p = Par((Sum(((tell, NIL),)), Call("P", ("x",), ())))
+    assert hash(tell) == hash(("A", "x", send("B", "m")))
+    assert hash(p) == hash(((Sum(((tell, NIL),)), Call("P", ("x",), ())),))
+    assert p == Par((Sum(((PTell("A", "x", send("B", "m")), NIL),)), Call("P", ("x",), ())))
+    assert p != Par((Call("P", ("x",), ()), Sum(((tell, NIL),))))
+    assert Delim(("x",), (), p) != Delim((), ("x",), p)
+    assert repr(p) == (
+        "Par(parts=(Sum(branches=((PTell(target='A', session_var='x', "
+        "contract=SendChoice(branches=(('B', 'm', End()),))), PNil()),)), "
+        "Call(name='P', session_args=('x',), part_args=())))"
+    )
+    assert repr(PFuse(FusePolicy(3))) == (
+        "PFuse(policy=FusePolicy(min_participants=3, mode='plain', prefer_smallest=False))"
+    )
+
+
+def test_process_pickle_and_copy_return_the_shared_instance():
+    system = parse_system(fixture_text("store_s12.co2"))
+    for _, p in system.processes:
+        for term in (p, Delim(("x",), ("y",), p), PFuse(FusePolicy(3, "terminating"))):
+            assert pickle.loads(pickle.dumps(term)) is term
+            assert copy.deepcopy(term) is term
+            assert copy.copy(term) is term
+    assert pickle.loads(pickle.dumps(system)) == system
+
+
+def test_normal_forms_are_cached_and_normal():
+    a = Sum(((PDo("s", "B", "m", "send"), NIL),))
+    b = Call("P", (), ())
+    p = Par((Par((b, NIL)), a))
+    n = normalize_proc(p)
+    assert n == Par((a, b))  # sums sort before calls
+    assert normalize_proc(p) is n and normalize_proc(n) is n
+    assert normalize_proc(Par((NIL, NIL))) is NIL
+
+
+def test_digest_is_sha256_of_the_plain_repr_at_every_state_of_every_fixture():
+    for name in FIXTURES:
+        system = parse_system(fixture_text(name))
+        trace = run(system, seed=0, max_steps=300)
+        state = normalize(system)
+        assert system_digest(state) == _reference_digest(state)
+        for i, (label, digest) in enumerate(zip(trace.steps, trace.digests)):
+            state = _replay_one(state, label, digest, i + 1)
+            assert _reference_digest(state) == digest, (name, i)
+        assert state == trace.terminal
+
+
+def _reference_digest(system):
+    return hashlib.sha256(reference_repr(system).encode()).hexdigest()[:16]

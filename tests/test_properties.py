@@ -23,6 +23,23 @@ from co2run.contracts import (  # noqa: E402
     unfold,
 )
 from co2run.frontend import parse_contract, render_contract  # noqa: E402
+from co2run.runtime import (  # noqa: E402
+    NIL,
+    Call,
+    Delim,
+    FusePolicy,
+    Par,
+    PDo,
+    PFuse,
+    PNil,
+    PTau,
+    PTell,
+    Sum,
+    _proc_key,
+    normalize_proc,
+)
+
+from corpus import reference_repr  # noqa: E402
 
 PEERS = st.sampled_from(["A", "B", "C", "a", "b"])
 SORTS = st.sampled_from(["p", "q", "r"])
@@ -53,6 +70,30 @@ def _global_layer(children):
 
 global_types = st.recursive(st.just(GEnd()) | st.builds(GRecVar, REC_VARS), _global_layer,
                             max_leaves=12)
+
+
+VARS = st.sampled_from(["x", "y"])
+prefixes = (
+    st.just(PTau())
+    | st.builds(PTell, NAMES, VARS, contracts)
+    | st.builds(PFuse, st.builds(FusePolicy, st.integers(2, 3),
+                                 st.sampled_from(["plain", "terminating", "recursive"]),
+                                 st.booleans()))
+    | st.builds(PDo, st.sampled_from(["s", "x"]), PEERS, SORTS, st.sampled_from(["send", "recv"]))
+)
+
+
+def _process_layer(children):
+    many = st.lists(children, max_size=3).map(tuple)
+    sums = st.lists(st.tuples(prefixes, children), max_size=3).map(lambda bs: Sum(tuple(bs)))
+    delims = st.builds(Delim, st.lists(VARS, max_size=2).map(tuple),
+                       st.lists(VARS, max_size=2).map(tuple), children)
+    return sums | many.map(Par) | delims
+
+
+calls = st.builds(Call, st.sampled_from(["P", "Q"]), st.lists(VARS, max_size=2).map(tuple),
+                  st.lists(PEERS, max_size=2).map(tuple))
+processes = st.recursive(st.just(PNil()) | calls, _process_layer, max_leaves=12)
 
 
 # -- reference walkers: recompute every cached value from scratch ----------
@@ -155,7 +196,64 @@ def ref_subst_rec(c, var, replacement):
     return c
 
 
+def ref_prefix_key(pr):
+    if isinstance(pr, PTau):
+        return (0,)
+    if isinstance(pr, PTell):
+        return (1, pr.target, pr.session_var, reference_repr(pr.contract))
+    if isinstance(pr, PFuse):
+        return (2, pr.policy.min_participants, pr.policy.mode, pr.policy.prefer_smallest)
+    return (3, pr.session, pr.peer, pr.sort, pr.dir)
+
+
+def ref_proc_key(p):
+    if isinstance(p, PNil):
+        return (0,)
+    if isinstance(p, Sum):
+        return (1, tuple((ref_prefix_key(pr), ref_proc_key(c)) for pr, c in p.branches))
+    if isinstance(p, Par):
+        return (2, tuple(ref_proc_key(q) for q in p.parts))
+    if isinstance(p, Call):
+        return (3, p.name, p.session_args, p.part_args)
+    return (4, reference_repr(p))
+
+
+def ref_normalize(p):
+    """normalize_proc as a plain recursion: nothing read from a node's cache."""
+    if isinstance(p, Par):
+        parts = []
+        for q in map(ref_normalize, p.parts):
+            if isinstance(q, Par):
+                parts.extend(q.parts)
+            elif not isinstance(q, PNil):
+                parts.append(q)
+        if len(parts) < 2:
+            return parts[0] if parts else NIL
+        return Par(tuple(sorted(parts, key=ref_proc_key)))
+    if isinstance(p, Sum):
+        branches = sorted(((pr, ref_normalize(c)) for pr, c in p.branches),
+                          key=lambda b: (ref_prefix_key(b[0]), ref_proc_key(b[1])))
+        return Sum(tuple(branches)) if branches else NIL
+    return p
+
+
 # -- properties ---------------------------------------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(contracts, global_types, processes, prefixes))
+def test_cached_repr_is_the_dataclass_repr(term):
+    assert repr(term) == reference_repr(term)
+    assert repr(term) is repr(term)
+
+
+@settings(max_examples=100, deadline=None)
+@given(processes)
+def test_cached_normal_form_and_sort_key_match_the_plain_recursion(p):
+    n = normalize_proc(p)
+    assert n == ref_normalize(p)
+    assert normalize_proc(n) is n and normalize_proc(p) is n
+    assert _proc_key(p) == ref_proc_key(p) and _proc_key(n) == ref_proc_key(n)
+
 
 @settings(max_examples=100, deadline=None)
 @given(contracts)
@@ -181,7 +279,7 @@ def test_parse_of_render_is_the_same_node(c):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(contracts, global_types))
+@given(st.one_of(contracts, global_types, processes))
 def test_pickle_and_deepcopy_round_trips_compare_and_hash_equal(term):
     for twin in (pickle.loads(pickle.dumps(term)), copy.deepcopy(term)):
         assert twin == term and hash(twin) == hash(term)
