@@ -272,15 +272,14 @@ def _replay_one(
     """Fire the enabled step carrying this label, the trace's step `number`.
 
     Distinct branches can produce identical labels (two internal steps,
-    say); when a digest is recorded it picks the right one.
+    say); when a digest is recorded it picks the right one. When no
+    enabled step carries the label, the error lists the labels that do.
     """
-    candidates = []
-    for step in _steps(state):
-        nxt, produced = _after(state, step)
-        if produced == label:
-            candidates.append(nxt)
+    successors = [_after(state, step) for step in _steps(state)]
+    candidates = [nxt for nxt, produced in successors if produced == label]
     if not candidates:
-        raise ReplayError(f"step {number}: no enabled step matches {label}")
+        enabled = ", ".join(str(produced) for _, produced in successors) or "none"
+        raise ReplayError(f"step {number}: no enabled step matches {label}; enabled: {enabled}")
     for nxt in candidates:
         if expected_digest is None or system_digest(nxt) == expected_digest:
             return nxt

@@ -4,11 +4,17 @@ A global type records every interaction of a session in one term. The key
 operations are projection (extracting one participant's contract) and
 well-formedness (every parallel composition splits the participants, every
 choice has a single decider, and every participant is projectable).
+
+Global-type nodes are hash-consed like contracts (`contracts.Interned`) and
+carry facts computed once from their children's: `participants`,
+`has_recursion` (a recursion variable occurs: the session can loop),
+`has_end` (the end term occurs: some path terminates), the private `_first`
+(see `_Global`) and, on a choice, its `decider`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 from .contracts import (
     Contract,
@@ -31,24 +37,35 @@ class ProjectionError(Exception):
 
 
 class _Global(Interned):
-    """Global-type nodes are hash-consed like contracts (see `contracts`);
-    each caches the set of its `participants`."""
+    """`_first` is the sender and (peer, sort) selections of the first
+    interaction layer, recursion binders skipped; None when there is no
+    immediate interaction (end, a bare recursion variable) or the layer is
+    ambiguous (a parallel term, or branches led by different senders)."""
 
-    __slots__ = ("participants",)
+    __slots__ = ("participants", "has_recursion", "has_end", "_first")
 
-    def _derive(self) -> None:
-        object.__setattr__(self, "participants", frozenset())
+    def _facts(self, participants, has_recursion, has_end, first=None) -> None:
+        object.__setattr__(self, "participants", participants)
+        object.__setattr__(self, "has_recursion", has_recursion)
+        object.__setattr__(self, "has_end", has_end)
+        object.__setattr__(self, "_first", first)
 
 
 @dataclass(frozen=True, eq=False, init=False, repr=False)
 class GEnd(_Global):
     __slots__ = ()
 
+    def _derive(self) -> None:
+        self._facts(frozenset(), False, True)
+
 
 @dataclass(frozen=True, eq=False, init=False, repr=False)
 class GRecVar(_Global):
     __slots__ = ("var",)
     var: str
+
+    def _derive(self) -> None:
+        self._facts(frozenset(), True, False)
 
 
 @dataclass(frozen=True, eq=False, init=False, repr=False)
@@ -58,7 +75,8 @@ class GRec(_Global):
     body: "GlobalType"
 
     def _derive(self) -> None:
-        object.__setattr__(self, "participants", self.body.participants)
+        b = self.body
+        self._facts(b.participants, b.has_recursion, b.has_end, b._first)
 
 
 @dataclass(frozen=True, eq=False, init=False, repr=False)
@@ -70,17 +88,31 @@ class GMsg(_Global):
     cont: "GlobalType"
 
     def _derive(self) -> None:
-        parts = frozen_union(self.cont.participants, frozenset([self.src, self.dst]))
-        object.__setattr__(self, "participants", parts)
+        c = self.cont
+        parts = frozen_union(c.participants, frozenset([self.src, self.dst]))
+        first = (self.src, frozenset([(self.dst, self.sort)]))
+        self._facts(parts, c.has_recursion, c.has_end, first)
 
 
 @dataclass(frozen=True, eq=False, init=False, repr=False)
 class GChoice(_Global):
-    __slots__ = ("branches",)
+    """`decider` is the unique participant whose sends separate the
+    branches: the one sender of every branch's first layer, when no two
+    branches start with the same selection; None when there is none."""
+
+    __slots__ = ("branches", "decider")
     branches: tuple["GlobalType", ...]
 
     def _derive(self) -> None:
-        _derive_branches(self)
+        firsts = [b._first for b in self.branches]
+        first = decider = None
+        if None not in firsts and len({f[0] for f in firsts}) == 1:
+            selections = frozenset().union(*(f[1] for f in firsts))
+            first = (firsts[0][0], selections)
+            if len(selections) == sum(len(f[1]) for f in firsts):
+                decider = first[0]
+        _derive_branches(self, first)
+        object.__setattr__(self, "decider", decider)
 
 
 @dataclass(frozen=True, eq=False, init=False, repr=False)
@@ -89,14 +121,13 @@ class GPar(_Global):
     branches: tuple["GlobalType", ...]
 
     def _derive(self) -> None:
-        _derive_branches(self)
+        _derive_branches(self, None)
 
 
-def _derive_branches(node: GChoice | GPar) -> None:
-    parts: frozenset[str] = frozenset()
-    for b in node.branches:
-        parts = frozen_union(parts, b.participants)
-    object.__setattr__(node, "participants", parts)
+def _derive_branches(node: GChoice | GPar, first) -> None:
+    bs = node.branches
+    parts = frozen_union(*(b.participants for b in bs))
+    node._facts(parts, any(b.has_recursion for b in bs), any(b.has_end for b in bs), first)
 
 
 GlobalType = Union[GEnd, GRecVar, GRec, GMsg, GChoice, GPar]
@@ -139,82 +170,6 @@ def gpar(branches: Iterable[GlobalType]) -> GlobalType:
 
 
 # --------------------------------------------------------------------------
-# Structural predicates
-# --------------------------------------------------------------------------
-
-def has_recursion(g: GlobalType) -> bool:
-    """True iff a recursion variable occurs (the session can loop)."""
-    if isinstance(g, GRecVar):
-        return True
-    if isinstance(g, GMsg):
-        return has_recursion(g.cont)
-    if isinstance(g, (GChoice, GPar)):
-        return any(has_recursion(b) for b in g.branches)
-    if isinstance(g, GRec):
-        return has_recursion(g.body)
-    return False
-
-
-def has_end(g: GlobalType) -> bool:
-    """True iff the end term occurs syntactically (some path terminates)."""
-    if isinstance(g, GEnd):
-        return True
-    if isinstance(g, GMsg):
-        return has_end(g.cont)
-    if isinstance(g, (GChoice, GPar)):
-        return any(has_end(b) for b in g.branches)
-    if isinstance(g, GRec):
-        return has_end(g.body)
-    return False
-
-
-# --------------------------------------------------------------------------
-# Choice deciders
-# --------------------------------------------------------------------------
-
-def first_interactions(g: GlobalType) -> Optional[tuple[str, frozenset[tuple[str, str]]]]:
-    """Sender and (peer, sort) selections of the first interaction layer.
-
-    Skips recursion binders. Returns None when the term carries no immediate
-    interaction (end, a bare recursion variable) or when the first layer is
-    ambiguous (a parallel term or branches led by different senders).
-    """
-    if isinstance(g, GMsg):
-        return g.src, frozenset([(g.dst, g.sort)])
-    if isinstance(g, GRec):
-        return first_interactions(g.body)
-    if isinstance(g, GChoice):
-        parts = [first_interactions(b) for b in g.branches]
-        if any(p is None for p in parts):
-            return None
-        senders = {p[0] for p in parts}  # type: ignore[index]
-        if len(senders) != 1:
-            return None
-        sels: frozenset[tuple[str, str]] = frozenset()
-        for p in parts:
-            sels |= p[1]  # type: ignore[index]
-        return senders.pop(), sels
-    return None
-
-
-def choice_decider(node: GChoice) -> Optional[str]:
-    """The unique participant whose sends separate the branches, if any."""
-    firsts = [first_interactions(b) for b in node.branches]
-    if any(f is None for f in firsts):
-        return None
-    senders = {f[0] for f in firsts}  # type: ignore[index]
-    if len(senders) != 1:
-        return None
-    selections: list[frozenset[tuple[str, str]]] = [f[1] for f in firsts]  # type: ignore[index]
-    seen: set[tuple[str, str]] = set()
-    for sel in selections:
-        if sel & seen:
-            return None  # two branches start with the same selection
-        seen |= sel
-    return senders.pop()
-
-
-# --------------------------------------------------------------------------
 # Projection
 # --------------------------------------------------------------------------
 
@@ -254,11 +209,10 @@ def project(g: GlobalType, who: str) -> Contract:
             raise ProjectionError(f"{who} appears in more than one parallel branch")
         return project(sides[0], who)
     if isinstance(g, GChoice):
-        decider = choice_decider(g)
-        if decider is None:
+        if g.decider is None:
             raise ProjectionError("choice without a unique decider")
         projs = [project(b, who) for b in g.branches]
-        if who == decider:
+        if who == g.decider:
             return _merge_internal(projs, who)
         return _merge_external(projs, who)
     raise ProjectionError(f"cannot project {type(g).__name__}")
@@ -327,7 +281,7 @@ def well_formed(g: GlobalType) -> tuple[bool, tuple[str, ...]]:
                 seen |= ps
                 walk(b)
         elif isinstance(node, GChoice):
-            if choice_decider(node) is None:
+            if node.decider is None:
                 diags.append("choice without a unique deciding participant")
             for b in node.branches:
                 walk(b)

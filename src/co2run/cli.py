@@ -20,7 +20,6 @@ from .analysis import (
     check_trace_properties,
     culpable,
 )
-from .choreo import canonicalize
 from .contracts import ContractError, is_terminated, make_system
 from .frontend import (
     ParseError,
@@ -32,7 +31,7 @@ from .frontend import (
     trace_from_jsonl,
     trace_to_jsonl,
 )
-from .runtime import DEFAULT_POLICY, FusePolicy, PFuse, Par, Sum, Trace, run, system_digest
+from .runtime import DEFAULT_POLICY, Delim, FusePolicy, PFuse, Par, Sum, Trace, run, system_digest
 from .synthesis import synthesize
 
 EXIT_OK = 0
@@ -65,33 +64,26 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _override_policies(system, args):
-    """Replace default fuse policies with the flags' policy."""
-    if (
-        args.fuse_min == DEFAULT_POLICY.min_participants
-        and args.fuse_mode == DEFAULT_POLICY.mode
-        and not args.prefer_smallest
-    ):
-        return system
+    """Replace default fuse policies with the flags' policy, in definitions too."""
     override = FusePolicy(args.fuse_min, args.fuse_mode, args.prefer_smallest)
+    if override == DEFAULT_POLICY:
+        return system
+    swap = {PFuse(DEFAULT_POLICY): PFuse(override)}
 
     def rewrite(p):
         if isinstance(p, Sum):
-            return Sum(
-                tuple(
-                    (
-                        PFuse(override)
-                        if isinstance(pre, PFuse) and pre.policy == DEFAULT_POLICY
-                        else pre,
-                        rewrite(cont),
-                    )
-                    for pre, cont in p.branches
-                )
-            )
+            return Sum(tuple((swap.get(pre, pre), rewrite(cont)) for pre, cont in p.branches))
         if isinstance(p, Par):
             return Par(tuple(rewrite(q) for q in p.parts))
+        if isinstance(p, Delim):
+            return Delim(p.session_vars, p.part_vars, rewrite(p.body))
         return p
 
-    return replace(system, processes=tuple((n, rewrite(p)) for n, p in system.processes))
+    return replace(
+        system,
+        processes=tuple((n, rewrite(p)) for n, p in system.processes),
+        definitions=tuple((n, replace(d, body=rewrite(d.body))) for n, d in system.definitions),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -123,7 +115,7 @@ def cmd_synth(args) -> int:
         return EXIT_PARSE
     result = synthesize(system, max_configs=args.max_configs)
     if result.ok:
-        g = canonicalize(result.global_type)
+        g = result.global_type
         if args.format == "json":
             _emit(json.dumps({"globalType": global_to_json(g), "text": render_global(g)},
                              sort_keys=True, indent=2), args.output)

@@ -17,7 +17,9 @@ nodes of `runtime`) are hash-consed:
     when it is built: its hash, `mentioned_participants` (every peer
     reference, names and variables), `free_participant_vars`,
     `free_rec_vars` and `is_guarded`; a `Rec` also memoises its one-step
-    unfolding;
+    unfolding. Global-type nodes carry `participants`, `has_recursion`,
+    `has_end`, their first interaction layer and, on a choice, the
+    `decider`; prefix and process nodes carry `names`;
   * every node caches its `repr` on first use, built from its children's
     and byte-identical to the dataclass repr, so a repr-based digest
     formats only the nodes that are new;
@@ -129,14 +131,14 @@ class Interned:
         return type(self), self._key
 
 
-def frozen_union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
-    """a | b, reusing an operand that already holds the union, so the nodes
-    of a long chain share one set object."""
-    if b <= a:
-        return a
-    if a <= b:
-        return b
-    return a | b
+def frozen_union(*sets: frozenset[str]) -> frozenset[str]:
+    """The union of sets, reusing an operand that already holds it, so the
+    nodes of a long chain share one set object."""
+    out = _NONE
+    for s in sets:
+        if not s <= out:
+            out = s if out <= s else out | s
+    return out
 
 
 # --------------------------------------------------------------------------

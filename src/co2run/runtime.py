@@ -14,9 +14,11 @@ Systems are immutable; every reduction returns a fresh value. Delimitation
 is compiled away: loading renames all bound and block-local variables to
 globally unique identifiers, so substitutions can be applied globally.
 
-Process nodes are hash-consed like contracts (`contracts.Interned`) and also
-cache their sort key and normal form, so the repr-based state digest, state
-hashing and renormalization after a step cost time only for new nodes.
+Process and prefix nodes are hash-consed like contracts (`contracts.Interned`)
+and carry `names`, the identifiers they mention, built from their children's;
+process nodes also cache their sort key and normal form. So minting fresh
+names, substitution, the repr-based state digest, state hashing and
+renormalization after a step cost time only for new nodes.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .choreo import GlobalType, has_recursion, has_end
+from .choreo import GlobalType
 from .contracts import (
     Contract,
     ContractError,
@@ -36,6 +38,7 @@ from .contracts import (
     MoveLabel,
     enabled_moves,
     contract_step,
+    frozen_union,
     is_part_name,
     is_part_var,
     make_system,
@@ -50,7 +53,7 @@ RECURSIVE = "recursive"
 _MODES = (PLAIN, TERMINATING, RECURSIVE)
 
 
-class RuntimeError_(Exception):
+class ReductionError(Exception):
     """An ill-formed system or a reduction that is not enabled."""
 
 
@@ -74,38 +77,55 @@ DEFAULT_POLICY = FusePolicy()
 # Process syntax
 # --------------------------------------------------------------------------
 
+class _Named(Interned):
+    """Prefix and process nodes keep `names`: every identifier they mention
+    (participant and session names and variables, sorts, called definitions)."""
+
+    __slots__ = ("names",)
+
+    def _derive(self) -> None:
+        object.__setattr__(self, "names", frozenset())
+
+
 @dataclass(frozen=True, eq=False, init=False, repr=False)
-class PTau(Interned):
+class PTau(_Named):
     __slots__ = ()
 
 
 @dataclass(frozen=True, eq=False, init=False, repr=False)
-class PTell(Interned):
+class PTell(_Named):
     __slots__ = ("target", "session_var", "contract")
     target: str
     session_var: str
     contract: Contract
 
+    def _derive(self) -> None:
+        own = frozenset((self.target, self.session_var))
+        object.__setattr__(self, "names", frozen_union(self.contract.mentioned_participants, own))
+
 
 @dataclass(frozen=True, eq=False, init=False, repr=False)
-class PFuse(Interned):
+class PFuse(_Named):
     __slots__ = ("policy",)
     policy: FusePolicy
 
 
 @dataclass(frozen=True, eq=False, init=False, repr=False)
-class PDo(Interned):
+class PDo(_Named):
     __slots__ = ("session", "peer", "sort", "dir")
     session: str
     peer: str
     sort: str
     dir: str  # contracts.SEND or contracts.RECV
 
+    def _derive(self) -> None:
+        object.__setattr__(self, "names", frozenset((self.session, self.peer, self.sort)))
+
 
 Prefix = Union[PTau, PTell, PFuse, PDo]
 
 
-class _Proc(Interned):
+class _Proc(_Named):
     """Process nodes also keep their sort key and normal form, unset until used."""
 
     __slots__ = ("_sort_key", "_normal")
@@ -121,11 +141,18 @@ class Sum(_Proc):
     __slots__ = ("branches",)
     branches: tuple[tuple[Prefix, "Process"], ...]
 
+    def _derive(self) -> None:
+        names = frozen_union(*(frozen_union(pr.names, c.names) for pr, c in self.branches))
+        object.__setattr__(self, "names", names)
+
 
 @dataclass(frozen=True, eq=False, init=False, repr=False)
 class Par(_Proc):
     __slots__ = ("parts",)
     parts: tuple["Process", ...]
+
+    def _derive(self) -> None:
+        object.__setattr__(self, "names", frozen_union(*(q.names for q in self.parts)))
 
 
 @dataclass(frozen=True, eq=False, init=False, repr=False)
@@ -135,6 +162,10 @@ class Delim(_Proc):
     part_vars: tuple[str, ...]
     body: "Process"
 
+    def _derive(self) -> None:
+        own = frozenset(self.session_vars + self.part_vars)
+        object.__setattr__(self, "names", frozen_union(self.body.names, own))
+
 
 @dataclass(frozen=True, eq=False, init=False, repr=False)
 class Call(_Proc):
@@ -142,6 +173,10 @@ class Call(_Proc):
     name: str
     session_args: tuple[str, ...]
     part_args: tuple[str, ...]
+
+    def _derive(self) -> None:
+        names = frozenset((self.name, *self.session_args, *self.part_args))
+        object.__setattr__(self, "names", names)
 
 
 Process = Union[PNil, Sum, Par, Delim, Call]
@@ -205,7 +240,7 @@ def make_co2(
 ) -> Co2System:
     for name in processes:
         if not is_part_name(name):
-            raise RuntimeError_(f"{name!r} is not a participant name")
+            raise ReductionError(f"{name!r} is not a participant name")
     return Co2System(
         tuple(sorted(processes.items())),
         _pools(pools or {}),
@@ -270,36 +305,11 @@ def system_digest(system: Co2System) -> str:
 # Identifier bookkeeping
 # --------------------------------------------------------------------------
 
-def _proc_identifiers(p: Process, out: set[str]) -> None:
-    if isinstance(p, Sum):
-        for prefix, cont in p.branches:
-            if isinstance(prefix, PTell):
-                out.add(prefix.target)
-                out.add(prefix.session_var)
-                out |= prefix.contract.mentioned_participants
-            elif isinstance(prefix, PDo):
-                out.add(prefix.session)
-                out.add(prefix.peer)
-                out.add(prefix.sort)
-            _proc_identifiers(cont, out)
-    elif isinstance(p, Par):
-        for part in p.parts:
-            _proc_identifiers(part, out)
-    elif isinstance(p, Delim):
-        out.update(p.session_vars)
-        out.update(p.part_vars)
-        _proc_identifiers(p.body, out)
-    elif isinstance(p, Call):
-        out.add(p.name)
-        out.update(p.session_args)
-        out.update(p.part_args)
-
-
 def collect_identifiers(system: Co2System) -> set[str]:
     out: set[str] = set()
     for name, p in system.processes:
         out.add(name)
-        _proc_identifiers(p, out)
+        out |= p.names
     for host, pool in system.pools:
         out.add(host)
         for k in pool:
@@ -404,11 +414,15 @@ def _rename(
             tuple(sref(u) for u in p.session_args),
             tuple(pref(a) for a in p.part_args),
         )
-    raise RuntimeError_(f"cannot rename {type(p).__name__}")
+    raise ReductionError(f"cannot rename {type(p).__name__}")
 
 
 def proc_subst(p: Process, smap: Mapping[str, str], pmap: Mapping[str, str]) -> Process:
-    """Plain substitution over globally unique variables (no scoping)."""
+    """Plain substitution over globally unique variables (no scoping).
+
+    A process that mentions no key of either map is returned as it is."""
+    if smap.keys().isdisjoint(p.names) and pmap.keys().isdisjoint(p.names):
+        return p
     if isinstance(p, Sum):
         branches = []
         for prefix, cont in p.branches:
@@ -511,7 +525,6 @@ def normalize(system: Co2System) -> Co2System:
     unique, so loading a rendered system reproduces it exactly.
     """
     session_names = system.session_names
-    taken = collect_identifiers(system) - _all_variables(system)
     # variables already advertised into a pool are allocated: process
     # occurrences of the same variable must keep referring to them
     pool_sessions: dict[str, str] = {}
@@ -521,8 +534,11 @@ def normalize(system: Co2System) -> Co2System:
             pool_sessions[k.session_var] = k.session_var
             for v in k.contract.free_participant_vars:
                 pool_parts[v] = v
-    taken |= set(pool_sessions) | set(pool_parts)
-    namer = _Namer(set(taken))
+    # renaming keeps participant, session and definition names and the pool
+    # variables, and may rebind every other variable
+    taken = {i for i in collect_identifiers(system) if is_part_name(i)} | session_names
+    taken |= {n for n, _ in system.definitions} | pool_sessions.keys() | pool_parts.keys()
+    namer = _Namer(taken)
     processes = {}
     for name, p in sorted(system.processes):
         processes[name] = normalize_proc(
@@ -537,15 +553,6 @@ def normalize(system: Co2System) -> Co2System:
         dict(system.sessions),
         dict(system.definitions),
     )
-
-
-def _all_variables(system: Co2System) -> set[str]:
-    """Identifiers that the renaming pass may rebind (variables only)."""
-    session_names = system.session_names
-    ids = collect_identifiers(system)
-    fixed = {i for i in ids if is_part_name(i) or i in session_names}
-    fixed |= {n for n, _ in system.definitions}
-    return ids - fixed
 
 
 # --------------------------------------------------------------------------
@@ -626,9 +633,9 @@ def policy_check(g: GlobalType, policy: FusePolicy) -> bool:
     """Does the synthesised choreography satisfy the broker's policy?"""
     if len(g.participants) < policy.min_participants:
         return False
-    if policy.mode == TERMINATING and has_recursion(g):
+    if policy.mode == TERMINATING and g.has_recursion:
         return False
-    if policy.mode == RECURSIVE and has_end(g):
+    if policy.mode == RECURSIVE and g.has_end:
         return False
     return True
 
@@ -717,9 +724,9 @@ def apply_step(system: Co2System, step: Step) -> tuple[Co2System, StepLabel]:
     elif isinstance(item, Sum) and step.branch is not None and step.branch < len(item.branches):
         prefix, cont = item.branches[step.branch]
     else:
-        raise RuntimeError_(f"{actor} has no branch {step.branch} at item {step.item}")
+        raise ReductionError(f"{actor} has no branch {step.branch} at item {step.item}")
     if _KINDS[type(prefix)] != step.kind:
-        raise RuntimeError_(f"item {step.item} of {actor} is not a {step.kind} step")
+        raise ReductionError(f"item {step.item} of {actor} is not a {step.kind} step")
 
     def advance(replacement: Process) -> tuple[tuple[str, Process], ...]:
         new = _replace_item(proc, step.item, replacement)
@@ -730,7 +737,7 @@ def apply_step(system: Co2System, step: Step) -> tuple[Co2System, StepLabel]:
 
     if isinstance(prefix, PTell):
         if not is_part_name(prefix.target):
-            raise RuntimeError_(f"tell target {prefix.target!r} is unresolved")
+            raise ReductionError(f"tell target {prefix.target!r} is unresolved")
         latent = LatentContract(actor, prefix.session_var, prefix.contract)
         pools = {**dict(system.pools), prefix.target: (*system.pool(prefix.target), latent)}
         out = replace(system, processes=advance(cont), pools=_pools(pools))
@@ -741,7 +748,7 @@ def apply_step(system: Co2System, step: Step) -> tuple[Co2System, StepLabel]:
         s = next_session_name(system)
         agreement = find_agreement(system.pool(actor), prefix.policy, s)
         if agreement is None:
-            raise RuntimeError_(f"fuse of {actor} is not enabled: no agreement in the pool")
+            raise ReductionError(f"fuse of {actor} is not enabled: no agreement in the pool")
         sigma = dict(agreement.sigma)
         pi = dict(agreement.pi)
         fused = set(agreement.latents)
@@ -772,12 +779,12 @@ def apply_step(system: Co2System, step: Step) -> tuple[Co2System, StepLabel]:
 
     if isinstance(prefix, PDo):
         if prefix.session not in system.session_names:
-            raise RuntimeError_(f"session {prefix.session!r} is not installed")
+            raise ReductionError(f"session {prefix.session!r} is not installed")
         move = MoveLabel(actor, prefix.peer, prefix.sort, prefix.dir)
         try:
             t = contract_step(system.session(prefix.session), move)
         except ContractError as exc:
-            raise RuntimeError_(f"do of {actor} not permitted by the session: {exc}") from exc
+            raise ReductionError(f"do of {actor} not permitted by the session: {exc}") from exc
         sessions = tuple((n, t if n == prefix.session else u) for n, u in system.sessions)
         out = replace(system, processes=advance(cont), sessions=sessions)
         label = StepLabel(
@@ -788,11 +795,11 @@ def apply_step(system: Co2System, step: Step) -> tuple[Co2System, StepLabel]:
     try:
         d = system.definition(prefix.name)
     except KeyError:
-        raise RuntimeError_(f"undefined process {prefix.name!r}")
+        raise ReductionError(f"undefined process {prefix.name!r}")
     if len(d.session_params) != len(prefix.session_args) or len(d.part_params) != len(
         prefix.part_args
     ):
-        raise RuntimeError_(f"arity mismatch calling {prefix.name}")
+        raise ReductionError(f"arity mismatch calling {prefix.name}")
     namer = _Namer(collect_identifiers(system))
     smap = dict(zip(d.session_params, prefix.session_args))
     pmap = dict(zip(d.part_params, prefix.part_args))

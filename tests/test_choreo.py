@@ -12,8 +12,6 @@ from co2run.choreo import (
     canonicalize,
     gchoice,
     gpar,
-    has_end,
-    has_recursion,
     project,
     well_formed,
 )
@@ -40,17 +38,17 @@ def test_participants_store_choreographies():
 
 
 def test_has_recursion():
-    assert has_recursion(parse_global("rec x . A -> B : ping ; x"))
-    assert not has_recursion(parse_global(G_STORE3_TEXT))
-    assert not has_recursion(GEND)
+    assert parse_global("rec x . A -> B : ping ; x").has_recursion
+    assert not parse_global(G_STORE3_TEXT).has_recursion
+    assert not GEND.has_recursion
     # a binder without occurrences is not recursive behaviour
-    assert not has_recursion(GRec("x", GMsg("A", "B", "p", GEND)))
+    assert not GRec("x", GMsg("A", "B", "p", GEND)).has_recursion
 
 
 def test_has_end():
-    assert has_end(parse_global(G_STORE2_TEXT))
-    assert not has_end(parse_global("rec x . A -> B : ping ; B -> A : pong ; x"))
-    assert has_end(GEND)
+    assert parse_global(G_STORE2_TEXT).has_end
+    assert not parse_global("rec x . A -> B : ping ; B -> A : pong ; x").has_end
+    assert GEND.has_end
 
 
 def test_projection_store_pair():
@@ -132,8 +130,8 @@ def test_canonicalize_idempotent_and_preserving():
         c = canonicalize(g)
         assert canonicalize(c) == c
         assert c.participants == g.participants
-        assert has_recursion(c) == has_recursion(g)
-        assert has_end(c) == has_end(g)
+        assert c.has_recursion == g.has_recursion
+        assert c.has_end == g.has_end
         for who in sorted(g.participants):
             assert rename_rec_vars(project(c, who)) == rename_rec_vars(project(g, who))
 

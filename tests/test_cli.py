@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import co2run
 from co2run.cli import main
 from co2run.fixtures import fixture_path
@@ -143,6 +145,27 @@ def test_replay_divergence_names_step_label_and_digests(tmp_path, capsys):
         assert part in err
 
 
+def test_replay_divergence_lists_the_enabled_labels(tmp_path, capsys):
+    good = tmp_path / "good.trace.jsonl"
+    assert main(["run", ROBUST, "--seed", "5", "--trace", str(good)]) == 0
+    lines = good.read_text().splitlines()
+    first = json.loads(lines[0])
+    labels = trace_from_jsonl(good.read_text())[0]
+    tampered = tmp_path / "tampered.trace.jsonl"
+    tampered.write_text("\n".join([json.dumps({**first, "kind": "tau"})] + lines[1:]) + "\n")
+    capsys.readouterr()
+    assert main(["check", str(tampered), ROBUST]) == 5
+    err = capsys.readouterr().err
+    assert "step 1: no enabled step matches" in err
+    assert str(labels[0]) in err.split("; enabled: ")[1]
+    # one step past the terminal state, where nothing is enabled
+    extra = json.dumps({**json.loads(lines[-1]), "step": len(lines) + 1})
+    tampered.write_text("\n".join(lines + [extra]) + "\n")
+    assert main(["check", str(tampered), ROBUST]) == 5
+    err = capsys.readouterr().err
+    assert f"step {len(lines) + 1}: no enabled step matches {labels[-1]}; enabled: none" in err
+
+
 def test_honesty_text_output_does_not_depend_on_the_hash_seed():
     env = dict(os.environ, PYTHONPATH=str(Path(co2run.__file__).parents[1]))
     outs = set()
@@ -165,3 +188,17 @@ def test_fuse_min_flag_restricts_sessions(capsys):
         ]) == 0
         data = json.loads(capsys.readouterr().out)
         assert len(data["sessions"]) == 1
+
+
+@pytest.mark.parametrize("body", ["fuse", "(u) (fuse | tau . tell A @u { B!bool })"])
+def test_fuse_policy_flags_reach_fuse_in_definition_bodies(body, tmp_path, capsys):
+    path = tmp_path / "def_fuse.co2"
+    path.write_text(
+        "participant A { tell A @x { B!int } . F() }\n"
+        "participant B { tell A @y { a?int } . do y a?int }\n"
+        f"def F() = {body}\n"
+    )
+    assert main(["run", str(path)]) == 0
+    assert "session s1" in capsys.readouterr().out
+    assert main(["run", str(path), "--fuse-min", "3"]) == 0
+    assert "no sessions were created" in capsys.readouterr().out

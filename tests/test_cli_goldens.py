@@ -1,8 +1,9 @@
 """CLI goldens: exit codes and stdout of every bundled fixture, pinned.
 
 Covers `synth` on each contract file, `run --seed 0 --max-steps 300` on
-each system (with the sha256 of its trace file), `check` of that trace,
-and `honesty --format json` for every participant of every system. The
+each system (with the sha256 of its trace file), the same run under each
+of the fuse-policy flags in FLAGS, `check` of that trace, and
+`honesty --format json` for every participant of every system. The
 expected values live in cli_goldens.json. Regenerate it only for an
 intended change of behaviour:
 
@@ -26,6 +27,8 @@ from co2run.frontend import parse_system
 
 GOLDENS = Path(__file__).with_name("cli_goldens.json")
 RUN = ["--seed", "0", "--max-steps", "300"]
+# broker policies that make some fixture fuse differently from the default
+FLAGS = (["--fuse-min", "3"], ["--fuse-mode", "terminating"])
 
 
 def _cases() -> dict[str, list[list[str]]]:
@@ -38,6 +41,8 @@ def _cases() -> dict[str, list[list[str]]]:
         path = str(fixture_path(name))
         run = ["run", path, *RUN, "--trace", "{trace}"]
         cases[f"run {name}"] = [run]
+        for flag in FLAGS:
+            cases[f"run {' '.join(flag)} {name}"] = [[*run, *flag]]
         cases[f"check {name}"] = [run, ["check", "{trace}", path]]
         for who, _ in parse_system(fixture_text(name)).processes:
             cases[f"honesty {name} {who}"] = [

@@ -1,13 +1,14 @@
 """Property tests: the values cached on term nodes against plain walkers."""
 import copy
 import pickle
+from typing import Optional
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from co2run.choreo import GChoice, GEnd, GMsg, GPar, GRec, GRecVar  # noqa: E402
+from co2run.choreo import GChoice, GEnd, GlobalType, GMsg, GPar, GRec, GRecVar  # noqa: E402
 from co2run.contracts import (  # noqa: E402
     END,
     End,
@@ -70,6 +71,9 @@ def _global_layer(children):
 
 global_types = st.recursive(st.just(GEnd()) | st.builds(GRecVar, REC_VARS), _global_layer,
                             max_leaves=12)
+# branches all led by A's sends: A decides unless two start with the same selection
+one_sender_choices = st.lists(st.builds(GMsg, st.just("A"), NAMES, SORTS, global_types),
+                              min_size=2, max_size=3).map(lambda bs: GChoice(tuple(bs)))
 
 
 VARS = st.sampled_from(["x", "y"])
@@ -237,6 +241,113 @@ def ref_normalize(p):
     return p
 
 
+# -- the walkers the cached `names`, `has_recursion`, `has_end`, `_first` and
+# `decider` replaced, kept verbatim as oracles ---------------------------------
+
+def _proc_identifiers(p, out: set[str]) -> None:
+    if isinstance(p, Sum):
+        for prefix, cont in p.branches:
+            if isinstance(prefix, PTell):
+                out.add(prefix.target)
+                out.add(prefix.session_var)
+                out |= prefix.contract.mentioned_participants
+            elif isinstance(prefix, PDo):
+                out.add(prefix.session)
+                out.add(prefix.peer)
+                out.add(prefix.sort)
+            _proc_identifiers(cont, out)
+    elif isinstance(p, Par):
+        for part in p.parts:
+            _proc_identifiers(part, out)
+    elif isinstance(p, Delim):
+        out.update(p.session_vars)
+        out.update(p.part_vars)
+        _proc_identifiers(p.body, out)
+    elif isinstance(p, Call):
+        out.add(p.name)
+        out.update(p.session_args)
+        out.update(p.part_args)
+
+
+def has_recursion(g: GlobalType) -> bool:
+    """True iff a recursion variable occurs (the session can loop)."""
+    if isinstance(g, GRecVar):
+        return True
+    if isinstance(g, GMsg):
+        return has_recursion(g.cont)
+    if isinstance(g, (GChoice, GPar)):
+        return any(has_recursion(b) for b in g.branches)
+    if isinstance(g, GRec):
+        return has_recursion(g.body)
+    return False
+
+
+def has_end(g: GlobalType) -> bool:
+    """True iff the end term occurs syntactically (some path terminates)."""
+    if isinstance(g, GEnd):
+        return True
+    if isinstance(g, GMsg):
+        return has_end(g.cont)
+    if isinstance(g, (GChoice, GPar)):
+        return any(has_end(b) for b in g.branches)
+    if isinstance(g, GRec):
+        return has_end(g.body)
+    return False
+
+
+def first_interactions(g: GlobalType) -> Optional[tuple[str, frozenset[tuple[str, str]]]]:
+    """Sender and (peer, sort) selections of the first interaction layer.
+
+    Skips recursion binders. Returns None when the term carries no immediate
+    interaction (end, a bare recursion variable) or when the first layer is
+    ambiguous (a parallel term or branches led by different senders).
+    """
+    if isinstance(g, GMsg):
+        return g.src, frozenset([(g.dst, g.sort)])
+    if isinstance(g, GRec):
+        return first_interactions(g.body)
+    if isinstance(g, GChoice):
+        parts = [first_interactions(b) for b in g.branches]
+        if any(p is None for p in parts):
+            return None
+        senders = {p[0] for p in parts}  # type: ignore[index]
+        if len(senders) != 1:
+            return None
+        sels: frozenset[tuple[str, str]] = frozenset()
+        for p in parts:
+            sels |= p[1]  # type: ignore[index]
+        return senders.pop(), sels
+    return None
+
+
+def choice_decider(node: GChoice) -> Optional[str]:
+    """The unique participant whose sends separate the branches, if any."""
+    firsts = [first_interactions(b) for b in node.branches]
+    if any(f is None for f in firsts):
+        return None
+    senders = {f[0] for f in firsts}  # type: ignore[index]
+    if len(senders) != 1:
+        return None
+    selections: list[frozenset[tuple[str, str]]] = [f[1] for f in firsts]  # type: ignore[index]
+    seen: set[tuple[str, str]] = set()
+    for sel in selections:
+        if sel & seen:
+            return None  # two branches start with the same selection
+        seen |= sel
+    return senders.pop()
+
+
+def _global_subterms(g):
+    yield g
+    if isinstance(g, (GChoice, GPar)):
+        for b in g.branches:
+            yield from _global_subterms(b)
+    elif isinstance(g, GMsg):
+        yield from _global_subterms(g.cont)
+    elif isinstance(g, GRec):
+        yield from _global_subterms(g.body)
+
+
 # -- properties ---------------------------------------------------------------
 
 @settings(max_examples=100, deadline=None)
@@ -270,6 +381,25 @@ def test_cached_contract_values_match_the_walkers(c):
 def test_cached_global_values_match_the_walkers(g):
     assert g.participants == ref_participants(g)
     assert hash(g) == ref_hash(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(processes)
+def test_cached_process_names_match_the_walker(p):
+    out: set[str] = set()
+    _proc_identifiers(p, out)
+    assert p.names == out
+
+
+@settings(max_examples=100, deadline=None)
+@given(global_types | one_sender_choices)
+def test_cached_global_facts_match_the_walkers(g):
+    for node in _global_subterms(g):
+        assert node.has_recursion == has_recursion(node)
+        assert node.has_end == has_end(node)
+        assert node._first == first_interactions(node)
+        if isinstance(node, GChoice):
+            assert node.decider == choice_decider(node)
 
 
 @settings(max_examples=100, deadline=None)

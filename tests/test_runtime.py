@@ -12,7 +12,7 @@ from co2run.runtime import (
     proc_items,
     NIL,
     Par,
-    RuntimeError_,
+    ReductionError,
     Step,
     Sum,
     apply_step,
@@ -248,7 +248,7 @@ def test_fuse_blocked_without_agreement():
     s = _load("store_s1.co2")
     s2, _ = _drive(s, [("tell", "A")])
     assert not any(st.kind == "fuse" for st in enabled_steps(s2))
-    with pytest.raises(RuntimeError_):
+    with pytest.raises(ReductionError):
         apply_step(s2, Step("A", 0, 0, "fuse"))
 
 
@@ -256,7 +256,7 @@ def test_step_kind_must_match_its_prefix():
     s = normalize(_load("store_s1.co2"))
     tell = next(st for st in enabled_steps(s) if st.actor == "A")
     assert tell.kind == "tell"
-    with pytest.raises(RuntimeError_):
+    with pytest.raises(ReductionError):
         apply_step(s, Step("A", tell.item, tell.branch, "tau"))
 
 
@@ -367,14 +367,12 @@ def test_call_unfolds_one_level():
 
 
 def test_pingpong_runs_forever_but_deterministically():
-    from co2run.choreo import has_end
-
     s = _load("pingpong.co2")
     t = run(s, seed=5, max_steps=50)
     assert len(t.steps) == 50
     fuses = [l for l in t.steps if l.kind == "fuse"]
     assert len(fuses) == 1
-    assert not has_end(fuses[0].fuse.global_type)
+    assert not fuses[0].fuse.global_type.has_end
     # the session satisfies the policy it was created under
     assert policy_check(fuses[0].fuse.global_type, FusePolicy(mode="recursive"))
 
@@ -421,7 +419,7 @@ def test_fairness_serves_persistent_step():
 
 
 def test_make_co2_rejects_lowercase_participant():
-    with pytest.raises(RuntimeError_):
+    with pytest.raises(ReductionError):
         make_co2({"a": NIL})
 
 

@@ -214,6 +214,18 @@ def test_oracle_accepts_late_join_of_finished_participant():
     assert project(result.global_type, "C") == parse_contract("B?p")
 
 
+def test_synthesize_returns_canonical_global_types():
+    # the CLI prints synthesize's global type without canonicalizing it again
+    rng = random.Random(17)
+    found = 0
+    for _ in range(150):
+        result = synthesize(make_system(corpus_system(rng)))
+        if result.ok:
+            found += 1
+            assert canonicalize(result.global_type) == result.global_type
+    assert found
+
+
 def test_corpus_equivalence_small():
     rng = random.Random(99)
     for _ in range(150):
