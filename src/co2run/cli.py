@@ -63,9 +63,8 @@ def _emit(text: str, out: str | None) -> None:
         print(text)
 
 
-def _override_policies(system, args):
+def _override_policies(system, override: FusePolicy):
     """Replace default fuse policies with the flags' policy, in definitions too."""
-    override = FusePolicy(args.fuse_min, args.fuse_mode, args.prefer_smallest)
     if override == DEFAULT_POLICY:
         return system
     swap = {PFuse(DEFAULT_POLICY): PFuse(override)}
@@ -148,7 +147,7 @@ def _load_system(path: str, args):
     except OSError as exc:
         print(f"cannot read {path}: {exc}", file=sys.stderr)
         return None
-    return _override_policies(system, args)
+    return _override_policies(system, args.policy)
 
 
 def _terminal_summary(trace: Trace) -> dict:
@@ -347,7 +346,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if hasattr(args, "fuse_min"):  # synth takes no fuse-policy flags
+        try:
+            args.policy = FusePolicy(args.fuse_min, args.fuse_mode, args.prefer_smallest)
+        except ValueError as exc:
+            parser.error(str(exc))
     return args.fn(args)
 
 

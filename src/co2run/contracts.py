@@ -19,7 +19,8 @@ nodes of `runtime`) are hash-consed:
     `free_rec_vars` and `is_guarded`; a `Rec` also memoises its one-step
     unfolding. Global-type nodes carry `participants`, `has_recursion`,
     `has_end`, their first interaction layer and, on a choice, the
-    `decider`; prefix and process nodes carry `names`;
+    `decider`; prefix and process nodes carry `names`, their free session
+    and participant variables and the calls they make;
   * every node caches its `repr` on first use, built from its children's
     and byte-identical to the dataclass repr, so a repr-based digest
     formats only the nodes that are new;
@@ -332,32 +333,6 @@ def unfold(c: Contract) -> Contract:
     if c._unfolded is None:
         _set(c, "_unfolded", subst_rec(c.body, c.var, c))
     return c._unfolded
-
-
-def rename_rec_vars(c: Contract) -> Contract:
-    """Rename recursion binders to x0, x1, ... in traversal order."""
-    counter = [0]
-
-    def walk(node: Contract, env: dict[str, str]) -> Contract:
-        if isinstance(node, RecVar):
-            return RecVar(env.get(node.var, node.var))
-        if isinstance(node, Rec):
-            fresh = f"x{counter[0]}"
-            counter[0] += 1
-            inner = dict(env)
-            inner[node.var] = fresh
-            return Rec(fresh, walk(node.body, inner))
-        if isinstance(node, SendChoice):
-            return SendChoice(
-                tuple((to, sort, walk(cont, env)) for to, sort, cont in node.branches)
-            )
-        if isinstance(node, RecvChoice):
-            return RecvChoice(
-                node.source, tuple((sort, walk(cont, env)) for sort, cont in node.branches)
-            )
-        return node
-
-    return walk(c, {})
 
 
 def head_normal(c: Contract) -> Contract:

@@ -254,22 +254,17 @@ def render_system(system: Co2System) -> str:
 # Traces
 # --------------------------------------------------------------------------
 
+# the optional `StepLabel` fields a trace record carries, with their JSON keys
+_LABEL_FIELDS = (("session", "session"), ("peer", "peer"), ("sort", "sort"), ("dir", "dir"),
+                 ("target", "target"), ("session_var", "sessionVar"), ("callee", "callee"))
+
+
 def _label_to_json(step: int, label: StepLabel, digest: str) -> dict:
     record: dict = {"step": step, "actor": label.actor, "kind": label.kind}
-    if label.session is not None:
-        record["session"] = label.session
-    if label.peer is not None:
-        record["peer"] = label.peer
-    if label.sort is not None:
-        record["sort"] = label.sort
-    if label.dir is not None:
-        record["dir"] = label.dir
-    if label.target is not None:
-        record["target"] = label.target
-    if label.session_var is not None:
-        record["sessionVar"] = label.session_var
-    if label.callee is not None:
-        record["callee"] = label.callee
+    for field, key in _LABEL_FIELDS:
+        value = getattr(label, field)
+        if value is not None:
+            record[key] = value
     if label.fuse is not None:
         record["fuseReport"] = {
             "session": label.fuse.session,
@@ -314,14 +309,8 @@ def trace_from_jsonl(text: str) -> tuple[tuple[StepLabel, ...], tuple[str, ...]]
             StepLabel(
                 actor=record["actor"],
                 kind=record["kind"],
-                session=record.get("session"),
-                peer=record.get("peer"),
-                sort=record.get("sort"),
-                dir=record.get("dir"),
-                target=record.get("target"),
-                session_var=record.get("sessionVar"),
-                callee=record.get("callee"),
                 fuse=fuse,
+                **{field: record.get(key) for field, key in _LABEL_FIELDS},
             )
         )
         digests.append(record["stateDigest"])

@@ -522,69 +522,25 @@ class _Parser:
             self.fail(str(exc), header.span)
 
     def _validate_calls(self, processes, definitions) -> None:
-        def walk(p: Process, where: str):
-            if isinstance(p, Sum):
-                for prefix, cont in p.branches:
-                    walk(cont, where)
-            elif isinstance(p, Par):
-                for q in p.parts:
-                    walk(q, where)
-            elif isinstance(p, Delim):
-                walk(p.body, where)
-            elif isinstance(p, Call):
-                if p.name not in definitions:
-                    self.fail(f"call to undefined process {p.name} in {where}")
-                d = definitions[p.name]
-                if len(d.session_params) != len(p.session_args) or len(
-                    d.part_params
-                ) != len(p.part_args):
-                    self.fail(f"arity mismatch calling {p.name} in {where}")
+        def check(p: Process, where: str):
+            for callee, n_session, n_part in p.calls:
+                if callee not in definitions:
+                    self.fail(f"call to undefined process {callee} in {where}")
+                d = definitions[callee]
+                if len(d.session_params) != n_session or len(d.part_params) != n_part:
+                    self.fail(f"arity mismatch calling {callee} in {where}")
 
         for name, proc in processes.items():
-            walk(proc, f"participant {name}")
+            check(proc, f"participant {name}")
         for name, d in definitions.items():
-            walk(d.body, f"def {name}")
-            free = _free_proc_vars(d.body, frozenset(d.session_params), frozenset(d.part_params))
+            check(d.body, f"def {name}")
+            free = d.body.free_session_vars.difference(d.session_params)
+            free |= d.body.free_participant_vars.difference(d.part_params)
             if free:
                 self.fail(
                     f"def {name} uses {sorted(free)[0]!r} which is neither a parameter "
                     f"nor delimited"
                 )
-
-
-def _free_proc_vars(
-    p: Process, bound_s: frozenset[str], bound_p: frozenset[str]
-) -> set[str]:
-    out: set[str] = set()
-    if isinstance(p, Sum):
-        for prefix, cont in p.branches:
-            if isinstance(prefix, PTell):
-                if not is_part_name(prefix.target) and prefix.target not in bound_p:
-                    out.add(prefix.target)
-                if prefix.session_var not in bound_s:
-                    out.add(prefix.session_var)
-                out |= {
-                    v for v in prefix.contract.free_participant_vars if v not in bound_p
-                }
-            elif isinstance(prefix, PDo):
-                if prefix.session not in bound_s:
-                    out.add(prefix.session)
-                if not is_part_name(prefix.peer) and prefix.peer not in bound_p:
-                    out.add(prefix.peer)
-            out |= _free_proc_vars(cont, bound_s, bound_p)
-    elif isinstance(p, Par):
-        for q in p.parts:
-            out |= _free_proc_vars(q, bound_s, bound_p)
-    elif isinstance(p, Delim):
-        out |= _free_proc_vars(
-            p.body, bound_s | frozenset(p.session_vars), bound_p | frozenset(p.part_vars)
-        )
-    elif isinstance(p, Call):
-        out |= {u for u in p.session_args if u not in bound_s}
-        out |= {
-            a for a in p.part_args if not is_part_name(a) and a not in bound_p
-        }
-    return out
 
 
 # --------------------------------------------------------------------------

@@ -15,10 +15,13 @@ is compiled away: loading renames all bound and block-local variables to
 globally unique identifiers, so substitutions can be applied globally.
 
 Process and prefix nodes are hash-consed like contracts (`contracts.Interned`)
-and carry `names`, the identifiers they mention, built from their children's;
-process nodes also cache their sort key and normal form. So minting fresh
-names, substitution, the repr-based state digest, state hashing and
-renormalization after a step cost time only for new nodes.
+and carry, built from their children's, `names` (the identifiers they
+mention), their free session and participant variables and the calls they
+make; process nodes also cache their sort key and normal form. So minting
+fresh names, substitution, the repr-based state digest, state hashing and
+renormalization after a step cost time only for new nodes. This module alone
+knows the binding rules: `_rename` resolves scopes, and substitution and the
+parser's call checks read the cached facts.
 """
 from __future__ import annotations
 
@@ -77,14 +80,47 @@ DEFAULT_POLICY = FusePolicy()
 # Process syntax
 # --------------------------------------------------------------------------
 
-class _Named(Interned):
-    """Prefix and process nodes keep `names`: every identifier they mention
-    (participant and session names and variables, sorts, called definitions)."""
+_NONE: frozenset[str] = frozenset()
+_set = object.__setattr__
 
-    __slots__ = ("names",)
+
+class _Named(Interned):
+    """Prefix and process nodes keep, computed from their children's,
+    `names` (every identifier they mention: participant and session names
+    and variables, sorts, called definitions), `free_session_vars` (the
+    session references, names included, that no enclosing `Delim` binds),
+    `free_participant_vars` (the same for lowercase participant references,
+    a told contract's too) and `calls` (one `(definition, session arity,
+    participant arity)` entry per call, in pre-order, first occurrences)."""
+
+    __slots__ = ("names", "free_session_vars", "free_participant_vars", "calls")
 
     def _derive(self) -> None:
-        object.__setattr__(self, "names", frozenset())
+        self._facts(_NONE, _NONE, _NONE, ())
+
+    def _facts(self, names, session_vars, participant_vars, calls) -> None:
+        _set(self, "names", names)
+        _set(self, "free_session_vars", session_vars)
+        _set(self, "free_participant_vars", participant_vars)
+        _set(self, "calls", calls)
+
+    def _join(self, nodes: Sequence["_Named"]) -> None:
+        """Attach the union of the nodes' facts, reusing a node's set or tuple
+        when the others add nothing to it (`frozen_union`, inlined for speed)."""
+        for slot in ("names", "free_session_vars", "free_participant_vars"):
+            out = _NONE
+            for q in nodes:
+                s = getattr(q, slot)
+                if not s <= out:
+                    out = s if out <= s else out | s
+            _set(self, slot, out)
+        calls: tuple = ()
+        for q in nodes:
+            if not calls:
+                calls = q.calls
+            elif q.calls and q.calls is not calls:
+                calls += tuple(c for c in q.calls if c not in calls)
+        _set(self, "calls", calls)
 
 
 @dataclass(frozen=True, eq=False, init=False, repr=False)
@@ -101,7 +137,10 @@ class PTell(_Named):
 
     def _derive(self) -> None:
         own = frozenset((self.target, self.session_var))
-        object.__setattr__(self, "names", frozen_union(self.contract.mentioned_participants, own))
+        target = _NONE if is_part_name(self.target) else frozenset((self.target,))
+        parts = frozen_union(self.contract.free_participant_vars, target)
+        names = frozen_union(self.contract.mentioned_participants, own)
+        self._facts(names, frozenset((self.session_var,)), parts, ())
 
 
 @dataclass(frozen=True, eq=False, init=False, repr=False)
@@ -119,7 +158,9 @@ class PDo(_Named):
     dir: str  # contracts.SEND or contracts.RECV
 
     def _derive(self) -> None:
-        object.__setattr__(self, "names", frozenset((self.session, self.peer, self.sort)))
+        peer = _NONE if is_part_name(self.peer) else frozenset((self.peer,))
+        self._facts(frozenset((self.session, self.peer, self.sort)), frozenset((self.session,)),
+                    peer, ())
 
 
 Prefix = Union[PTau, PTell, PFuse, PDo]
@@ -142,8 +183,7 @@ class Sum(_Proc):
     branches: tuple[tuple[Prefix, "Process"], ...]
 
     def _derive(self) -> None:
-        names = frozen_union(*(frozen_union(pr.names, c.names) for pr, c in self.branches))
-        object.__setattr__(self, "names", names)
+        self._join(sum(self.branches, ()))  # every prefix and continuation
 
 
 @dataclass(frozen=True, eq=False, init=False, repr=False)
@@ -152,7 +192,7 @@ class Par(_Proc):
     parts: tuple["Process", ...]
 
     def _derive(self) -> None:
-        object.__setattr__(self, "names", frozen_union(*(q.names for q in self.parts)))
+        self._join(self.parts)
 
 
 @dataclass(frozen=True, eq=False, init=False, repr=False)
@@ -163,8 +203,10 @@ class Delim(_Proc):
     body: "Process"
 
     def _derive(self) -> None:
-        own = frozenset(self.session_vars + self.part_vars)
-        object.__setattr__(self, "names", frozen_union(self.body.names, own))
+        b = self.body
+        self._facts(frozen_union(b.names, frozenset(self.session_vars + self.part_vars)),
+                    b.free_session_vars.difference(self.session_vars),
+                    b.free_participant_vars.difference(self.part_vars), b.calls)
 
 
 @dataclass(frozen=True, eq=False, init=False, repr=False)
@@ -175,8 +217,10 @@ class Call(_Proc):
     part_args: tuple[str, ...]
 
     def _derive(self) -> None:
-        names = frozenset((self.name, *self.session_args, *self.part_args))
-        object.__setattr__(self, "names", names)
+        sargs, pargs = self.session_args, self.part_args
+        self._facts(frozenset((self.name, *sargs, *pargs)), frozenset(sargs),
+                    frozenset(a for a in pargs if not is_part_name(a)),
+                    ((self.name, len(sargs), len(pargs)),))
 
 
 Process = Union[PNil, Sum, Par, Delim, Call]
@@ -418,38 +462,19 @@ def _rename(
 
 
 def proc_subst(p: Process, smap: Mapping[str, str], pmap: Mapping[str, str]) -> Process:
-    """Plain substitution over globally unique variables (no scoping).
+    """Apply the substitutions of session variables (smap) and participant
+    variables (pmap) at once: a renaming whose maps send every other free
+    variable of p to itself, so no name is minted.
 
-    A process that mentions no key of either map is returned as it is."""
-    if smap.keys().isdisjoint(p.names) and pmap.keys().isdisjoint(p.names):
+    p must hold no `Delim`, as a normalized process does: every reference in
+    it is then free. A process whose free variables include no key of
+    either map is returned as it is."""
+    svars, pvars = p.free_session_vars, p.free_participant_vars
+    if smap.keys().isdisjoint(svars) and pmap.keys().isdisjoint(pvars):
         return p
-    if isinstance(p, Sum):
-        branches = []
-        for prefix, cont in p.branches:
-            if isinstance(prefix, PTell):
-                prefix = PTell(
-                    pmap.get(prefix.target, prefix.target),
-                    smap.get(prefix.session_var, prefix.session_var),
-                    subst_parts(prefix.contract, pmap),
-                )
-            elif isinstance(prefix, PDo):
-                prefix = PDo(
-                    smap.get(prefix.session, prefix.session),
-                    pmap.get(prefix.peer, prefix.peer),
-                    prefix.sort,
-                    prefix.dir,
-                )
-            branches.append((prefix, proc_subst(cont, smap, pmap)))
-        return Sum(tuple(branches))
-    if isinstance(p, Par):
-        return Par(tuple(proc_subst(q, smap, pmap) for q in p.parts))
-    if isinstance(p, Call):
-        return Call(
-            p.name,
-            tuple(smap.get(u, u) for u in p.session_args),
-            tuple(pmap.get(a, a) for a in p.part_args),
-        )
-    return p
+    smap = {u: smap.get(u, u) for u in svars}
+    pmap = {a: pmap.get(a, a) for a in pvars}
+    return _rename(p, smap, pmap, _Namer(set()), _NONE)
 
 
 # --------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from co2run.choreo import (
     project,
     well_formed,
 )
-from co2run.contracts import END, rename_rec_vars
+from co2run.contracts import END, Contract, Rec, RecVar, RecvChoice, SendChoice
 from co2run.frontend import parse_contract, parse_global
 
 from corpus import random_global
@@ -121,6 +121,32 @@ def test_canonicalize_sorts_choice_branches():
 def test_canonicalize_renames_binders():
     g = parse_global("rec y . A -> B : p ; y")
     assert canonicalize(g) == GRec("x0", GMsg("A", "B", "p", GRecVar("x0")))
+
+
+def rename_rec_vars(c: Contract) -> Contract:
+    """Rename recursion binders to x0, x1, ... in traversal order."""
+    counter = [0]
+
+    def walk(node: Contract, env: dict[str, str]) -> Contract:
+        if isinstance(node, RecVar):
+            return RecVar(env.get(node.var, node.var))
+        if isinstance(node, Rec):
+            fresh = f"x{counter[0]}"
+            counter[0] += 1
+            inner = dict(env)
+            inner[node.var] = fresh
+            return Rec(fresh, walk(node.body, inner))
+        if isinstance(node, SendChoice):
+            return SendChoice(
+                tuple((to, sort, walk(cont, env)) for to, sort, cont in node.branches)
+            )
+        if isinstance(node, RecvChoice):
+            return RecvChoice(
+                node.source, tuple((sort, walk(cont, env)) for sort, cont in node.branches)
+            )
+        return node
+
+    return walk(c, {})
 
 
 def test_canonicalize_idempotent_and_preserving():

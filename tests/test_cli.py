@@ -202,3 +202,13 @@ def test_fuse_policy_flags_reach_fuse_in_definition_bodies(body, tmp_path, capsy
     assert "session s1" in capsys.readouterr().out
     assert main(["run", str(path), "--fuse-min", "3"]) == 0
     assert "no sessions were created" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n", ["1", "0", "-3"])
+def test_fuse_min_below_two_is_a_usage_error(n, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(fixture_path("subset_fuse.co2")), "--fuse-min", n])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: co2run")
+    assert "sessions need at least two participants" in err

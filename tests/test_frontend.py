@@ -97,6 +97,25 @@ def test_undefined_call_rejected():
         parse_system("participant A { X() }")
 
 
+def test_call_arity_mismatch_rejected():
+    with pytest.raises(ParseError, match="arity mismatch calling X in participant A"):
+        parse_system("participant A { X(u) } def X() = tau")
+    with pytest.raises(ParseError, match="arity mismatch calling X in def Y"):
+        parse_system("participant A { Y() } def X(u; a) = 0 def Y() = (u) X(u)")
+
+
+def test_bad_calls_are_reported_in_source_order():
+    text = "participant A { tau . (Z() | X()) + do u b!p . X(u) } def X(u) = 0"
+    with pytest.raises(ParseError) as exc:
+        parse_system(text)
+    assert [d.message for d in exc.value.diagnostics] == [
+        "call to undefined process Z in participant A"
+    ]
+    text = "participant A { (u) (X(u, u) | Y()) } def X(u) = 0"
+    with pytest.raises(ParseError, match="arity mismatch calling X in participant A"):
+        parse_system(text)
+
+
 def test_def_free_variable_rejected():
     with pytest.raises(ParseError, match="neither a parameter"):
         parse_system("participant A { 0 } def X(u) = do u b!p . X(u)")

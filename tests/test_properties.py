@@ -1,7 +1,7 @@
 """Property tests: the values cached on term nodes against plain walkers."""
 import copy
 import pickle
-from typing import Optional
+from typing import Mapping, Optional
 
 import pytest
 
@@ -16,6 +16,7 @@ from co2run.contracts import (  # noqa: E402
     RecVar,
     RecvChoice,
     SendChoice,
+    is_part_name,
     is_part_var,
     recv_choice,
     send_choice,
@@ -35,9 +36,11 @@ from co2run.runtime import (  # noqa: E402
     PNil,
     PTau,
     PTell,
+    Process,
     Sum,
     _proc_key,
     normalize_proc,
+    proc_subst,
 )
 
 from corpus import reference_repr  # noqa: E402
@@ -79,7 +82,7 @@ one_sender_choices = st.lists(st.builds(GMsg, st.just("A"), NAMES, SORTS, global
 VARS = st.sampled_from(["x", "y"])
 prefixes = (
     st.just(PTau())
-    | st.builds(PTell, NAMES, VARS, contracts)
+    | st.builds(PTell, PEERS, VARS, contracts)
     | st.builds(PFuse, st.builds(FusePolicy, st.integers(2, 3),
                                  st.sampled_from(["plain", "terminating", "recursive"]),
                                  st.booleans()))
@@ -87,17 +90,29 @@ prefixes = (
 )
 
 
-def _process_layer(children):
+def _delim_free_layer(children):
     many = st.lists(children, max_size=3).map(tuple)
     sums = st.lists(st.tuples(prefixes, children), max_size=3).map(lambda bs: Sum(tuple(bs)))
+    return sums | many.map(Par)
+
+
+def _process_layer(children):
+    # delimited participant variables include the lowercase peers, so they bind,
+    # and "x", which may also be a session reference the delimitation leaves free
     delims = st.builds(Delim, st.lists(VARS, max_size=2).map(tuple),
-                       st.lists(VARS, max_size=2).map(tuple), children)
-    return sums | many.map(Par) | delims
+                       st.lists(st.sampled_from(["a", "b", "x"]), max_size=2).map(tuple),
+                       children)
+    return _delim_free_layer(children) | delims
 
 
 calls = st.builds(Call, st.sampled_from(["P", "Q"]), st.lists(VARS, max_size=2).map(tuple),
                   st.lists(PEERS, max_size=2).map(tuple))
 processes = st.recursive(st.just(PNil()) | calls, _process_layer, max_leaves=12)
+delim_free_processes = st.recursive(st.just(PNil()) | calls, _delim_free_layer, max_leaves=12)
+# substitutions of the session references ("s" plays a session name) and of
+# the participant variables the generated processes use
+sigmas = st.dictionaries(st.sampled_from(["s", "x", "y"]), st.sampled_from(["s1", "y"]))
+pis = st.dictionaries(st.sampled_from(["a", "b"]), st.sampled_from(["A", "D", "b"]))
 
 
 # -- reference walkers: recompute every cached value from scratch ----------
@@ -241,8 +256,10 @@ def ref_normalize(p):
     return p
 
 
-# -- the walkers the cached `names`, `has_recursion`, `has_end`, `_first` and
-# `decider` replaced, kept verbatim as oracles ---------------------------------
+# -- the walkers that the cached `names`, `free_session_vars`,
+# `free_participant_vars`, `calls`, `has_recursion`, `has_end`, `_first` and
+# `decider`, and the renaming inside `proc_subst`, replaced; kept verbatim as
+# oracles ---------------------------------------------------------------------
 
 def _proc_identifiers(p, out: set[str]) -> None:
     if isinstance(p, Sum):
@@ -267,6 +284,90 @@ def _proc_identifiers(p, out: set[str]) -> None:
         out.add(p.name)
         out.update(p.session_args)
         out.update(p.part_args)
+
+
+def _free_proc_vars(
+    p: Process, bound_s: frozenset[str], bound_p: frozenset[str]
+) -> set[str]:
+    out: set[str] = set()
+    if isinstance(p, Sum):
+        for prefix, cont in p.branches:
+            if isinstance(prefix, PTell):
+                if not is_part_name(prefix.target) and prefix.target not in bound_p:
+                    out.add(prefix.target)
+                if prefix.session_var not in bound_s:
+                    out.add(prefix.session_var)
+                out |= {
+                    v for v in prefix.contract.free_participant_vars if v not in bound_p
+                }
+            elif isinstance(prefix, PDo):
+                if prefix.session not in bound_s:
+                    out.add(prefix.session)
+                if not is_part_name(prefix.peer) and prefix.peer not in bound_p:
+                    out.add(prefix.peer)
+            out |= _free_proc_vars(cont, bound_s, bound_p)
+    elif isinstance(p, Par):
+        for q in p.parts:
+            out |= _free_proc_vars(q, bound_s, bound_p)
+    elif isinstance(p, Delim):
+        out |= _free_proc_vars(
+            p.body, bound_s | frozenset(p.session_vars), bound_p | frozenset(p.part_vars)
+        )
+    elif isinstance(p, Call):
+        out |= {u for u in p.session_args if u not in bound_s}
+        out |= {
+            a for a in p.part_args if not is_part_name(a) and a not in bound_p
+        }
+    return out
+
+
+def _proc_calls(p: Process, out: dict) -> None:
+    """The parser's call walk: every call, in pre-order, as a dict key."""
+    if isinstance(p, Sum):
+        for prefix, cont in p.branches:
+            _proc_calls(cont, out)
+    elif isinstance(p, Par):
+        for q in p.parts:
+            _proc_calls(q, out)
+    elif isinstance(p, Delim):
+        _proc_calls(p.body, out)
+    elif isinstance(p, Call):
+        out.setdefault((p.name, len(p.session_args), len(p.part_args)))
+
+
+def proc_subst_walker(p: Process, smap: Mapping[str, str], pmap: Mapping[str, str]) -> Process:
+    """Plain substitution over globally unique variables (no scoping).
+
+    A process that mentions no key of either map is returned as it is."""
+    if smap.keys().isdisjoint(p.names) and pmap.keys().isdisjoint(p.names):
+        return p
+    if isinstance(p, Sum):
+        branches = []
+        for prefix, cont in p.branches:
+            if isinstance(prefix, PTell):
+                prefix = PTell(
+                    pmap.get(prefix.target, prefix.target),
+                    smap.get(prefix.session_var, prefix.session_var),
+                    subst_parts(prefix.contract, pmap),
+                )
+            elif isinstance(prefix, PDo):
+                prefix = PDo(
+                    smap.get(prefix.session, prefix.session),
+                    pmap.get(prefix.peer, prefix.peer),
+                    prefix.sort,
+                    prefix.dir,
+                )
+            branches.append((prefix, proc_subst_walker(cont, smap, pmap)))
+        return Sum(tuple(branches))
+    if isinstance(p, Par):
+        return Par(tuple(proc_subst_walker(q, smap, pmap) for q in p.parts))
+    if isinstance(p, Call):
+        return Call(
+            p.name,
+            tuple(smap.get(u, u) for u in p.session_args),
+            tuple(pmap.get(a, a) for a in p.part_args),
+        )
+    return p
 
 
 def has_recursion(g: GlobalType) -> bool:
@@ -389,6 +490,18 @@ def test_cached_process_names_match_the_walker(p):
     out: set[str] = set()
     _proc_identifiers(p, out)
     assert p.names == out
+    # binding every reference of the other kind leaves the free ones of one kind
+    assert p.free_session_vars == _free_proc_vars(p, frozenset(), p.names)
+    assert p.free_participant_vars == _free_proc_vars(p, p.names, frozenset())
+    calls: dict = {}
+    _proc_calls(p, calls)
+    assert p.calls == tuple(calls)
+
+
+@settings(max_examples=100, deadline=None)
+@given(delim_free_processes, sigmas, pis)
+def test_proc_subst_agrees_with_the_walker(p, smap, pmap):
+    assert proc_subst(p, smap, pmap) == proc_subst_walker(p, smap, pmap)
 
 
 @settings(max_examples=100, deadline=None)
