@@ -144,7 +144,6 @@ def ready(
     None when the exploration bound was hit before the sets could cover.
     """
     reports = []
-    verdicts: list[Optional[bool]] = []
     for sname, t in system.sessions:
         if who not in t.participants:
             continue
@@ -159,7 +158,6 @@ def ready(
             verdict = None
         else:
             verdict = False
-        verdicts.append(verdict)
         reports.append(
             ReadySetReport(
                 participant=who,
@@ -171,12 +169,8 @@ def ready(
                 ready=verdict,
             )
         )
-    if any(v is False for v in verdicts):
-        overall: Optional[bool] = False
-    elif any(v is None for v in verdicts):
-        overall = None
-    else:
-        overall = True
+    verdicts = {r.ready for r in reports}
+    overall = False if False in verdicts else (None if None in verdicts else True)
     return overall, tuple(reports)
 
 
@@ -203,7 +197,6 @@ class HonestyVerdict:
     state_bound: int
     depth_bound: int
     unknown_states: int
-    context: str = ""
     witness: Optional[Trace] = None
     witness_reports: tuple[ReadySetReport, ...] = ()
 
@@ -223,9 +216,6 @@ def check_honesty(
     root = normalize(system)
     if not is_initial_for(root, who):
         raise AnalysisError(f"system is not {who}-initial")
-    context = f"context {system_digest(root)} of " + ", ".join(
-        name for name, _ in root.processes
-    )
     seen = {root}
     queue = deque([(root, (), ())])  # state, labels from root, digests
     explored = 0
@@ -243,7 +233,6 @@ def check_honesty(
                 state_bound=state_bound,
                 depth_bound=depth_bound,
                 unknown_states=unknown,
-                context=context,
                 witness=witness,
                 witness_reports=reports,
             )
@@ -262,7 +251,6 @@ def check_honesty(
         state_bound=state_bound,
         depth_bound=depth_bound,
         unknown_states=unknown,
-        context=context,
     )
 
 

@@ -149,6 +149,8 @@ def global_to_json(g: GlobalType) -> dict:
 
 
 def global_from_json(data: dict) -> GlobalType:
+    if not isinstance(data, dict):
+        raise ValueError(f"a global-type node is not an object: {data!r}")
     kind = data["kind"]
     if kind == "end":
         return GEND
@@ -158,10 +160,11 @@ def global_from_json(data: dict) -> GlobalType:
         return GRec(data["var"], global_from_json(data["body"]))
     if kind == "msg":
         return GMsg(data["from"], data["to"], data["sort"], global_from_json(data["cont"]))
-    if kind == "choice":
-        return GChoice(tuple(global_from_json(b) for b in data["branches"]))
-    if kind == "par":
-        return GPar(tuple(global_from_json(b) for b in data["branches"]))
+    if kind in ("choice", "par"):
+        branches = data["branches"]
+        if not isinstance(branches, list):
+            raise ValueError(f"global-type branches are not a list: {branches!r}")
+        return (GChoice if kind == "choice" else GPar)(tuple(map(global_from_json, branches)))
     raise ValueError(f"unknown global-type node {kind!r}")
 
 
@@ -295,23 +298,42 @@ def trace_from_jsonl(text: str) -> tuple[tuple[StepLabel, ...], tuple[str, ...]]
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"trace line {lineno} is not valid JSON: {exc}") from exc
-        fuse: Optional[FuseReport] = None
-        if "fuseReport" in record:
-            fr = record["fuseReport"]
-            fuse = FuseReport(
-                session=fr["session"],
-                participants=tuple(fr["participants"]),
-                sigma=tuple(sorted(fr["sigma"].items())),
-                pi=tuple(sorted(fr["pi"].items())),
-                global_type=global_from_json(fr["globalType"]),
-            )
-        steps.append(
-            StepLabel(
-                actor=record["actor"],
-                kind=record["kind"],
-                fuse=fuse,
-                **{field: record.get(key) for field, key in _LABEL_FIELDS},
-            )
-        )
+        try:
+            steps.append(_label_from_json(record))
+        except ValueError as exc:
+            raise ValueError(f"trace line {lineno}: {exc}") from None
         digests.append(record["stateDigest"])
     return tuple(steps), tuple(digests)
+
+
+def _require(ok: bool, what: str, value) -> None:
+    if not ok:
+        raise ValueError(f"{what}: {value!r}")
+
+
+def _label_from_json(record) -> StepLabel:
+    _require(isinstance(record, dict), "a record is not an object", record)
+    fuse: Optional[FuseReport] = None
+    if "fuseReport" in record:
+        fr = record["fuseReport"]
+        _require(isinstance(fr, dict), "fuseReport is not an object", fr)
+        parts = fr["participants"]
+        _require(isinstance(parts, list) and all(isinstance(p, str) for p in parts),
+                 "fuseReport participants are not a list of names", parts)
+        for key in ("sigma", "pi"):
+            names = fr[key]
+            _require(isinstance(names, dict) and all(isinstance(v, str) for v in names.values()),
+                     f"fuseReport {key} is not an object of names", names)
+        fuse = FuseReport(
+            session=fr["session"],
+            participants=tuple(parts),
+            sigma=tuple(sorted(fr["sigma"].items())),
+            pi=tuple(sorted(fr["pi"].items())),
+            global_type=global_from_json(fr["globalType"]),
+        )
+    return StepLabel(
+        actor=record["actor"],
+        kind=record["kind"],
+        fuse=fuse,
+        **{field: record.get(key) for field, key in _LABEL_FIELDS},
+    )

@@ -35,9 +35,9 @@ _PUNCT2 = ("->", "\\/", "||")
 _PUNCT1 = "{}()[];:,.!?+|@="
 
 
-def tokenize(text: str, start_line: int = 1) -> list[Token]:
+def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line = start_line
+    line = 1
     col = 1
     i = 0
     n = len(text)

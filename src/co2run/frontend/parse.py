@@ -1,4 +1,6 @@
-"""Recursive-descent parsers for contracts, global types and system files.
+"""Recursive-descent parsers for contracts, global types, `.ctr` files of
+named contracts and system files. Every choice is decided by the next token
+or two; nothing backtracks.
 
 Case separates the lexical classes: participant names start uppercase,
 variables (participant, session and recursion alike) and sorts lowercase.
@@ -13,7 +15,6 @@ stipulated contracts and queue contents.
 """
 from __future__ import annotations
 
-import re
 from typing import Optional
 
 from ..contracts import (
@@ -51,6 +52,9 @@ from ..runtime import (
     normalize,
 )
 from .lex import Diagnostic, ParseError, Token, tokenize
+
+# words that open a process or a contract, so never a delimited name
+_KEYWORDS = frozenset(("tau", "tell", "fuse", "do", "end", "rec"))
 
 
 class _Parser:
@@ -180,6 +184,24 @@ class _Parser:
             self.fail("a bare identifier here is a recursion variable (lowercase)", var.span)
         return RecVar(var.text)
 
+    def named_contracts(self) -> dict[str, Contract]:
+        """`Name: contract` entries; a header is the first token on its line."""
+        out: dict[str, Contract] = {}
+        while not self.done():
+            name = self.peek()
+            starts_line = self.pos == 0 or self.tokens[self.pos - 1].span[0] < name.span[0]
+            if name.kind != "ident" or self.peek(1).text != ":" or not starts_line:
+                if out:
+                    self.fail(f"trailing input after contract: {name.text!r}")
+                self.fail("expected 'Name: contract' entries")
+            if not is_part_name(name.text):
+                self.fail("participant names start uppercase", name.span)
+            if name.text in out:
+                self.fail(f"duplicate contract for {name.text}", name.span)
+            self.pos += 2  # the name and ':'
+            out[name.text] = self.contract()
+        return out
+
     # -- global types ----------------------------------------------------------
 
     def global_type(self) -> GlobalType:
@@ -261,12 +283,19 @@ class _Parser:
             self.eat()
             return NIL
         if self.at("("):
-            saved = self.pos
-            delim = self._try_delim()
-            if delim is not None:
-                return delim
-            self.pos = saved
             self.eat()
+            if self.at(";") or self._binder(self.peek()):
+                # a delimitation `(x, y; a) P`: no process starts this way. Its
+                # names are lowercase variables, and unlike an argument list it
+                # has no `;` after a `,` or a `;`
+                start = self.pos
+                sess, parts = self._arg_lists()
+                for before, tok in zip(self.tokens[start - 1 :], self.tokens[start : self.pos]):
+                    stray = tok.text == ";" and before.text in (",", ";")
+                    if stray or tok.kind == "ident" and not self._binder(tok):
+                        self.fail(f"expected a delimited variable, found {tok.text!r}", tok.span)
+                self.expect(")")
+                return Delim(tuple(sess), tuple(parts), self.proc_term())
             p = self.process()
             self.expect(")")
             return p
@@ -324,20 +353,19 @@ class _Parser:
         if free:
             self.fail(f"unbound recursion variable {sorted(free)[0]!r}", span)
 
+    @staticmethod
+    def _binder(t: Token) -> bool:
+        return t.kind == "ident" and not is_part_name(t.text) and t.text not in _KEYWORDS
+
     def _policy(self) -> FusePolicy:
-        if not self.at("("):
+        if not self.accept("("):
             return FusePolicy()
-        # distinguish `fuse (x) P`-style grouping? a policy list holds only
-        # known option words, so probe and backtrack otherwise
-        saved = self.pos
-        self.eat()
         minimum = 2
         mode = "plain"
         smallest = False
         while True:
-            t = self.peek()
+            t = self.eat()
             if t.text == "min":
-                self.eat()
                 self.expect("=")
                 num = self.peek()
                 if num.kind != "number":
@@ -346,64 +374,16 @@ class _Parser:
                 minimum = int(num.text)
                 if minimum < 2:
                     self.fail("sessions need at least two participants", num.span)
-            elif t.text == "terminating":
-                self.eat()
-                mode = "terminating"
-            elif t.text == "recursive":
-                self.eat()
-                mode = "recursive"
+            elif t.text in ("terminating", "recursive"):
+                mode = t.text
             elif t.text == "smallest":
-                self.eat()
                 smallest = True
             else:
-                self.pos = saved
-                return FusePolicy()
+                self.fail(f"unknown fuse option {t.text or 'end of input'!r}", t.span)
             if self.accept(","):
                 continue
             self.expect(")")
             return FusePolicy(minimum, mode, smallest)
-
-    def _try_delim(self) -> Optional[Process]:
-        # pure lookahead: never emits diagnostics, restores position on failure
-        saved = self.pos
-        self.eat()  # (
-        first: list[str] = []
-        second: list[str] = []
-        current = first
-        while True:
-            if current is first and not first and self.at(";"):
-                self.eat()  # participant-only delimitation: (; a, b)
-                current = second
-                continue
-            t = self.peek()
-            if (
-                t.kind != "ident"
-                or is_part_name(t.text)
-                or t.text in ("tau", "tell", "fuse", "do", "end", "rec")
-            ):
-                self.pos = saved
-                return None
-            current.append(self.eat().text)
-            if self.accept(","):
-                continue
-            if self.at(";"):
-                self.eat()
-                if current is second:
-                    self.pos = saved
-                    return None
-                current = second
-                continue
-            if self.at(")"):
-                self.eat()
-                break
-            self.pos = saved
-            return None
-        nxt = self.peek()
-        if nxt.kind == "ident" or nxt.text in ("(", "0"):
-            body = self.proc_term()
-            return Delim(tuple(first), tuple(second), body)
-        self.pos = saved
-        return None
 
     def _arg_lists(self) -> tuple[list[str], list[str]]:
         sess: list[str] = []
@@ -547,8 +527,8 @@ class _Parser:
 # Entry points
 # --------------------------------------------------------------------------
 
-def parse_contract(text: str, start_line: int = 1) -> Contract:
-    p = _Parser(tokenize(text, start_line))
+def parse_contract(text: str) -> Contract:
+    p = _Parser(tokenize(text))
     c = p.contract()
     if not p.done():
         p.fail(f"trailing input after contract: {p.peek().text!r}")
@@ -568,35 +548,6 @@ def parse_system(text: str) -> Co2System:
     return p.system_file()
 
 
-_HEADER = re.compile(r"^\s*([A-Z][A-Za-z0-9_']*)\s*:", re.M)
-
-
 def parse_named_contracts(text: str) -> dict[str, Contract]:
-    """Parse `Name: contract` entries; a contract runs until the next header."""
-    headers = list(_HEADER.finditer(text))
-    if not headers:
-        stripped = [
-            ln for ln in text.splitlines() if ln.strip() and not ln.strip().startswith("#")
-        ]
-        if not stripped:
-            return {}
-        raise ParseError(
-            [Diagnostic("error", "expected 'Name: contract' entries", (1, 1, 1, 1))]
-        )
-    leading = text[: headers[0].start()]
-    if any(ln.strip() and not ln.strip().startswith("#") for ln in leading.splitlines()):
-        raise ParseError(
-            [Diagnostic("error", "text before the first 'Name:' header", (1, 1, 1, 1))]
-        )
-    out: dict[str, Contract] = {}
-    for i, m in enumerate(headers):
-        name = m.group(1)
-        end = headers[i + 1].start() if i + 1 < len(headers) else len(text)
-        body = text[m.end() : end]
-        line = text[: m.end()].count("\n") + 1
-        if name in out:
-            raise ParseError(
-                [Diagnostic("error", f"duplicate contract for {name}", (line, 1, line, 1))]
-            )
-        out[name] = parse_contract(body, start_line=line)
-    return out
+    """Parse a `.ctr` file: `Name: contract` entries, each header starting a line."""
+    return _Parser(tokenize(text)).named_contracts()

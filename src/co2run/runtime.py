@@ -648,7 +648,6 @@ def enabled_steps(system: Co2System) -> tuple[Step, ...]:
 @dataclass(frozen=True)
 class Agreement:
     latents: tuple[LatentContract, ...]
-    sigma: tuple[tuple[str, str], ...]  # session variables -> the one fresh name
     pi: tuple[tuple[str, str], ...]  # participant variables -> names
     system: ContractSystem
     global_type: GlobalType
@@ -698,20 +697,13 @@ def _search_agreement(
                     continue
                 result = synthesize(t)
                 if result.ok and policy_check(result.global_type, policy):
-                    return Agreement(
-                        latents,
-                        (),
-                        tuple(sorted(pi.items())),
-                        t,
-                        result.global_type,
-                    )
+                    return Agreement(latents, tuple(sorted(pi.items())), t, result.global_type)
     return None
 
 
 def find_agreement(
     pool: tuple[LatentContract, ...],
     policy: FusePolicy = DEFAULT_POLICY,
-    session_name: str = "s",
 ) -> Optional[Agreement]:
     """Search the pool for a fusable subset.
 
@@ -722,11 +714,7 @@ def find_agreement(
     which makes fuse deterministic. Returns None when no agreement exists:
     the fuse prefix simply stays blocked.
     """
-    hit = _search_agreement(tuple(pool), policy)
-    if hit is None:
-        return None
-    sigma = tuple(sorted((k.session_var, session_name) for k in hit.latents))
-    return Agreement(hit.latents, sigma, hit.pi, hit.system, hit.global_type)
+    return _search_agreement(tuple(pool), policy)
 
 
 # --------------------------------------------------------------------------
@@ -771,10 +759,10 @@ def apply_step(system: Co2System, step: Step) -> tuple[Co2System, StepLabel]:
 
     if isinstance(prefix, PFuse):
         s = next_session_name(system)
-        agreement = find_agreement(system.pool(actor), prefix.policy, s)
+        agreement = find_agreement(system.pool(actor), prefix.policy)
         if agreement is None:
             raise ReductionError(f"fuse of {actor} is not enabled: no agreement in the pool")
-        sigma = dict(agreement.sigma)
+        sigma = {k.session_var: s for k in agreement.latents}  # each latent's variable -> s
         pi = dict(agreement.pi)
         fused = set(agreement.latents)
         pools = {

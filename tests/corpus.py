@@ -5,12 +5,14 @@ choreographies (compliant by construction), raw random contract systems
 (mostly non-compliant), and single-contract mutations of the projections
 (near-misses). All draws are driven by an explicit Random instance, so a
 fixed seed reproduces the corpus exactly. `reference_repr` recomputes the
-repr the term nodes cache.
+repr the term nodes cache, and `regex_named_contracts` is the regex-driven
+`.ctr` reader the grammar's `named_contracts` production replaced.
 """
 from __future__ import annotations
 
 import dataclasses
 import random
+import re
 
 from co2run.choreo import (
     GEND,
@@ -32,6 +34,7 @@ from co2run.contracts import (
     recv_choice,
     send_choice,
 )
+from co2run.frontend import Diagnostic, ParseError, parse_contract
 
 SORTS = ("p", "q")
 NAMES = ("A", "B", "C")
@@ -281,3 +284,40 @@ def reference_repr(value) -> str:
         items = [reference_repr(v) for v in value]
         return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
     return repr(value)
+
+
+_HEADER = re.compile(r"^\s*([A-Z][A-Za-z0-9_']*)\s*:", re.M)
+
+
+def regex_named_contracts(text: str) -> dict[str, Contract]:
+    """Parse `Name: contract` entries; a contract runs until the next header.
+
+    The former `parse_named_contracts`, kept verbatim except that each body
+    is parsed without a line offset, so its diagnostics carry no position."""
+    headers = list(_HEADER.finditer(text))
+    if not headers:
+        stripped = [
+            ln for ln in text.splitlines() if ln.strip() and not ln.strip().startswith("#")
+        ]
+        if not stripped:
+            return {}
+        raise ParseError(
+            [Diagnostic("error", "expected 'Name: contract' entries", (1, 1, 1, 1))]
+        )
+    leading = text[: headers[0].start()]
+    if any(ln.strip() and not ln.strip().startswith("#") for ln in leading.splitlines()):
+        raise ParseError(
+            [Diagnostic("error", "text before the first 'Name:' header", (1, 1, 1, 1))]
+        )
+    out: dict[str, Contract] = {}
+    for i, m in enumerate(headers):
+        name = m.group(1)
+        end = headers[i + 1].start() if i + 1 < len(headers) else len(text)
+        body = text[m.end() : end]
+        line = text[: m.end()].count("\n") + 1
+        if name in out:
+            raise ParseError(
+                [Diagnostic("error", f"duplicate contract for {name}", (line, 1, line, 1))]
+            )
+        out[name] = parse_contract(body)
+    return out

@@ -166,6 +166,31 @@ def test_replay_divergence_lists_the_enabled_labels(tmp_path, capsys):
     assert f"step {len(lines) + 1}: no enabled step matches {labels[-1]}; enabled: none" in err
 
 
+@pytest.mark.parametrize("path, value", [
+    ((), [1, 2]), ((), "hello"), (("fuseReport",), 5), (("fuseReport", "sigma"), 5),
+    (("fuseReport", "pi"), [1]), (("fuseReport", "globalType"), 5),
+    (("fuseReport", "participants"), 5),
+])
+def test_check_rejects_malformed_trace_records(path, value, tmp_path, capsys):
+    good = tmp_path / "good.trace.jsonl"
+    assert main(["run", S1, "--seed", "0", "--trace", str(good)]) == 0
+    lines = good.read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if '"fuseReport"' in line)
+    record = json.loads(lines[at])
+    if not path:
+        record = value
+    elif len(path) == 1:
+        record[path[0]] = value
+    else:
+        record[path[0]][path[1]] = value
+    lines[at] = json.dumps(record)
+    tampered = tmp_path / "bad.trace.jsonl"
+    tampered.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["check", str(tampered), S1]) == 2
+    assert capsys.readouterr().err.startswith(f"cannot read trace: trace line {at + 1}: ")
+
+
 def test_honesty_text_output_does_not_depend_on_the_hash_seed():
     env = dict(os.environ, PYTHONPATH=str(Path(co2run.__file__).parents[1]))
     outs = set()

@@ -1,88 +1,15 @@
-"""CLI goldens: exit codes and stdout of every bundled fixture, pinned.
-
-Covers `synth` on each contract file, `run --seed 0 --max-steps 300` on
-each system (with the sha256 of its trace file), the same run under each
-of the fuse-policy flags in FLAGS, `check` of that trace, and
-`honesty --format json` for every participant of every system. The
-expected values live in cli_goldens.json. Regenerate it only for an
-intended change of behaviour:
-
-    PYTHONPATH=src python tests/test_cli_goldens.py
-"""
+"""CLI goldens under pytest; the cases and the recorder live in goldens.py."""
 from __future__ import annotations
-
-import hashlib
-import io
-import json
-import sys
-import tempfile
-from contextlib import redirect_stderr, redirect_stdout
-from pathlib import Path
 
 import pytest
 
-from co2run.cli import main
-from co2run.fixtures import CONTRACT_FILES, FIXTURES, fixture_path, fixture_text
-from co2run.frontend import parse_system
-
-GOLDENS = Path(__file__).with_name("cli_goldens.json")
-RUN = ["--seed", "0", "--max-steps", "300"]
-# broker policies that make some fixture fuse differently from the default
-FLAGS = (["--fuse-min", "3"], ["--fuse-mode", "terminating"])
-
-
-def _cases() -> dict[str, list[list[str]]]:
-    """Case name -> the CLI calls it makes; the last call's output counts.
-    "{trace}" stands for a trace file private to the case."""
-    cases = {}
-    for name in CONTRACT_FILES:
-        cases[f"synth {name}"] = [["synth", str(fixture_path(name))]]
-    for name in FIXTURES:
-        path = str(fixture_path(name))
-        run = ["run", path, *RUN, "--trace", "{trace}"]
-        cases[f"run {name}"] = [run]
-        for flag in FLAGS:
-            cases[f"run {' '.join(flag)} {name}"] = [[*run, *flag]]
-        cases[f"check {name}"] = [run, ["check", "{trace}", path]]
-        for who, _ in parse_system(fixture_text(name)).processes:
-            cases[f"honesty {name} {who}"] = [
-                ["honesty", path, "--participant", who, "--format", "json"]
-            ]
-    return cases
-
-
-CASES = _cases()
-
-
-def observe(calls: list[list[str]], work: Path) -> dict:
-    trace = work / "out.trace.jsonl"
-    for argv in calls:
-        out = io.StringIO()
-        with redirect_stdout(out), redirect_stderr(io.StringIO()):
-            code = main([str(trace) if a == "{trace}" else a for a in argv])
-    seen = {"code": code, "stdout": out.getvalue()}
-    if calls[-1][0] == "run":
-        seen["trace_sha256"] = hashlib.sha256(trace.read_bytes()).hexdigest()
-    return seen
-
-
-def _goldens() -> dict:
-    return json.loads(GOLDENS.read_text())
+from goldens import CASES, load_goldens, observe
 
 
 def test_goldens_cover_every_case():
-    assert sorted(_goldens()) == sorted(CASES)
+    assert sorted(load_goldens()) == sorted(CASES)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_matches_golden(case, tmp_path):
-    assert observe(CASES[case], tmp_path) == _goldens()[case]
-
-
-if __name__ == "__main__":
-    recorded = {}
-    for case, calls in sorted(CASES.items()):
-        with tempfile.TemporaryDirectory() as work:
-            recorded[case] = observe(calls, Path(work))
-    GOLDENS.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(recorded)} cases to {GOLDENS}", file=sys.stderr)
+    assert observe(CASES[case], tmp_path) == load_goldens()[case]

@@ -23,7 +23,7 @@ from co2run.fixtures import CONTRACT_FILES, FIXTURES, fixture_text
 from co2run.runtime import run
 from co2run.analysis import check_trace_properties
 
-from corpus import random_contract, random_global
+from corpus import random_contract, random_global, regex_named_contracts
 
 
 def test_parse_store_contract_structure():
@@ -146,6 +146,43 @@ def test_all_fixtures_parse_cleanly():
 def test_named_contract_duplicate_rejected():
     with pytest.raises(ParseError, match="duplicate"):
         parse_named_contracts("A: end\nA: end\n")
+
+
+def test_named_contracts_agree_with_the_regex_reader_on_fixtures():
+    for name in CONTRACT_FILES:
+        text = fixture_text(name)
+        assert parse_named_contracts(text) == regex_named_contracts(text)
+
+
+@pytest.mark.parametrize("text, message, span", [
+    ("A: B!x . C?y . 5", "expected a contract", (1, 16, 1, 17)),
+    ("Alpha: B!x (+) B?y", "internal-choice branches must send", (1, 8, 1, 9)),
+    ("A: B!x\nB:   A?x . $", "unexpected character '$'", (2, 12, 2, 13)),
+    ("A: B!x\n  A: B?y", "duplicate contract for A", (2, 3, 2, 4)),
+    ("A: B!x\nb: A?x", "participant names start uppercase", (2, 1, 2, 2)),
+    ("# lead\nx\nA: B!x", "expected 'Name: contract' entries", (2, 1, 2, 2)),
+    ("A: B!x C: D!y", "trailing input after contract: 'C'", (1, 8, 1, 9)),
+])
+def test_named_contract_diagnostics_carry_the_true_position(text, message, span):
+    with pytest.raises(ParseError) as err:
+        parse_named_contracts(text)
+    (diag,) = err.value.diagnostics
+    assert message in diag.message and diag.span == span
+
+
+@pytest.mark.parametrize("body, message, span", [
+    ("(x, Y) 0", "expected a delimited variable, found 'Y'", (1, 21, 1, 22)),
+    ("(; a, tau) 0", "expected a delimited variable, found 'tau'", (1, 23, 1, 26)),
+    ("(x, ; a) 0", "expected a delimited variable, found ';'", (1, 21, 1, 22)),
+    ("(;; a) 0", "expected a delimited variable, found ';'", (1, 19, 1, 20)),
+    ("fuse(bogus)", "unknown fuse option 'bogus'", (1, 22, 1, 27)),
+    ("fuse(min=3, smallest, bogus)", "unknown fuse option 'bogus'", (1, 39, 1, 44)),
+])
+def test_bad_delimitation_or_fuse_option_is_reported_at_its_token(body, message, span):
+    with pytest.raises(ParseError) as err:
+        parse_system(f"participant A {{ {body} }}")
+    (diag,) = err.value.diagnostics
+    assert diag.message == message and diag.span == span
 
 
 def test_contract_round_trip_fixtures_and_random():

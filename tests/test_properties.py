@@ -1,4 +1,5 @@
-"""Property tests: the values cached on term nodes against plain walkers."""
+"""Property tests: the values cached on term nodes against plain walkers,
+and the parsers against the renderer and the former regex `.ctr` reader."""
 import copy
 import pickle
 from typing import Mapping, Optional
@@ -24,7 +25,14 @@ from co2run.contracts import (  # noqa: E402
     subst_rec,
     unfold,
 )
-from co2run.frontend import parse_contract, render_contract  # noqa: E402
+from co2run.frontend import (  # noqa: E402
+    ParseError,
+    parse_contract,
+    parse_named_contracts,
+    parse_system,
+    render_contract,
+    render_system,
+)
 from co2run.runtime import (  # noqa: E402
     NIL,
     Call,
@@ -39,11 +47,13 @@ from co2run.runtime import (  # noqa: E402
     Process,
     Sum,
     _proc_key,
+    make_co2,
+    normalize,
     normalize_proc,
     proc_subst,
 )
 
-from corpus import reference_repr  # noqa: E402
+from corpus import reference_repr, regex_named_contracts  # noqa: E402
 
 PEERS = st.sampled_from(["A", "B", "C", "a", "b"])
 SORTS = st.sampled_from(["p", "q", "r"])
@@ -113,6 +123,55 @@ delim_free_processes = st.recursive(st.just(PNil()) | calls, _delim_free_layer, 
 # the participant variables the generated processes use
 sigmas = st.dictionaries(st.sampled_from(["s", "x", "y"]), st.sampled_from(["s1", "y"]))
 pis = st.dictionaries(st.sampled_from(["a", "b"]), st.sampled_from(["A", "D", "b"]))
+
+# processes as a source file writes them: no calls (they need definitions), no
+# empty sum or parallel, closed guarded contracts, and only non-empty
+# delimitations, in both the `(x, y; a) P` and the `(; a) P` form
+source_prefixes = (
+    st.just(PTau())
+    | st.builds(PTell, PEERS, VARS, contracts.filter(lambda c: c.is_guarded and not c.free_rec_vars))
+    | prefixes.filter(lambda p: not isinstance(p, (PTau, PTell)))
+)
+
+
+def _delimited(bodies):
+    names = st.tuples(st.lists(VARS, max_size=2).map(tuple),
+                      st.lists(st.sampled_from(["a", "b", "x"]), max_size=2).map(tuple))
+    return st.builds(lambda n, body: Delim(*n, body), names.filter(any), bodies)
+
+
+def _source_layer(children):
+    sums = st.lists(st.tuples(source_prefixes, children), min_size=1, max_size=3)
+    pars = st.lists(children, min_size=2, max_size=3).map(tuple).map(Par)
+    return sums.map(tuple).map(Sum) | pars | _delimited(children)
+
+
+source_processes = _delimited(st.recursive(st.just(PNil()), _source_layer, max_leaves=10))
+
+# `.ctr` files: rendered contracts under uppercase headers (names may repeat),
+# with comment lines, blank lines, indentation and line breaks inside a contract
+ctr_gaps = st.sampled_from(["", "\n", "\n\n", "\n# note: A: B!x\n", "\n  \n"])
+ctr_entries = st.lists(
+    st.tuples(ctr_gaps, st.sampled_from(["", "  ", "\t"]), st.sampled_from(["A", "B1", "Cx'"]),
+              st.sampled_from([":", " : ", ":\n  "]), contracts,
+              st.sampled_from(["", "  # trailing", " ."])),
+    max_size=4,
+)
+
+
+def _ctr_text(entries, breaks) -> str:
+    lines = []
+    for gap, indent, name, colon, c, tail in entries:
+        body = render_contract(c).replace(" . ", " .\n    " if breaks else " . ")
+        lines.append(f"{gap}{indent}{name}{colon}{body}{tail}")
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError:
+        return ParseError
 
 
 # -- reference walkers: recompute every cached value from scratch ----------
@@ -542,3 +601,32 @@ def test_subst_rec_and_unfold_agree_with_the_walker(c, var, replacement):
     assert subst_rec(c, var, replacement) == ref_subst_rec(c, var, replacement)
     if isinstance(c, Rec):
         assert unfold(c) == ref_subst_rec(c.body, c.var, c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ctr_entries, st.booleans())
+def test_named_contracts_agree_with_the_regex_reader(entries, breaks):
+    text = _ctr_text(entries, breaks)
+    assert _outcome(parse_named_contracts, text) == _outcome(regex_named_contracts, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ctr_entries, st.booleans(), st.data())
+def test_named_contracts_agree_with_the_regex_reader_after_one_edit(entries, breaks, data):
+    text = _ctr_text(entries, breaks)
+    at = data.draw(st.integers(0, len(text)))
+    cut = data.draw(st.integers(0, 1))
+    # no "\r": before its first header the regex reader split lines at a lone
+    # "\r" (`str.splitlines`), so a comment ended there, while the tokenizer,
+    # and with it the grammar, ends a comment only at "\n"
+    insert = data.draw(st.sampled_from(["", " ", "\n", "\t", "#", ":", ".", "A", "b", "!", "?",
+                                        "(", ")", "+", "(+)", "0", "$"]))
+    text = text[:at] + insert + text[at + cut:]
+    assert _outcome(parse_named_contracts, text) == _outcome(regex_named_contracts, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(source_processes)
+def test_delimited_participant_body_survives_render_and_parse(p):
+    system = make_co2({"A": p})
+    assert parse_system(render_system(system)) == normalize(system)
