@@ -216,42 +216,48 @@ def check_honesty(
     root = normalize(system)
     if not is_initial_for(root, who):
         raise AnalysisError(f"system is not {who}-initial")
-    seen = {root}
-    queue = deque([(root, (), ())])  # state, labels from root, digests
+    parent = {root: None}  # state -> (previous state, label); also the seen set
+    queue = deque([root])
     explored = 0
     unknown = 0
+    witness, witness_reports = None, ()
     while queue:
-        state, path, digests = queue.popleft()
+        state = queue.popleft()
         explored += 1
         verdict, reports = ready(state, who, depth_bound)
         if verdict is False:
-            witness = Trace(path, digests, state)
-            return HonestyVerdict(
-                participant=who,
-                violation_found=True,
-                states_explored=explored,
-                state_bound=state_bound,
-                depth_bound=depth_bound,
-                unknown_states=unknown,
-                witness=witness,
-                witness_reports=reports,
-            )
+            witness, witness_reports = _trace_to(state, parent), reports
+            break
         if verdict is None:
             unknown += 1
         for step in _steps(state):
             nxt, label = _after(state, step)
-            if nxt in seen or len(seen) >= state_bound:
+            if nxt in parent or len(parent) >= state_bound:
                 continue
-            seen.add(nxt)
-            queue.append((nxt, path + (label,), digests + (system_digest(nxt),)))
+            parent[nxt] = (state, label)
+            queue.append(nxt)
     return HonestyVerdict(
         participant=who,
-        violation_found=False,
+        violation_found=witness is not None,
         states_explored=explored,
         state_bound=state_bound,
         depth_bound=depth_bound,
         unknown_states=unknown,
+        witness=witness,
+        witness_reports=witness_reports,
     )
+
+
+def _trace_to(state: Co2System, parent: dict) -> Trace:
+    """The trace from the search's root to `state`, read back through `parent`."""
+    labels: list[StepLabel] = []
+    digests: list[str] = []
+    at = state
+    while parent[at] is not None:
+        digests.append(system_digest(at))
+        at, label = parent[at]
+        labels.append(label)
+    return Trace(tuple(reversed(labels)), tuple(reversed(digests)), state)
 
 
 def _replay_one(

@@ -13,6 +13,7 @@ carry facts computed once from their children's: `participants`,
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -302,8 +303,8 @@ def well_formed(g: GlobalType) -> tuple[bool, tuple[str, ...]]:
 # --------------------------------------------------------------------------
 
 def _struct_key(g: GlobalType, env: dict[str, int]) -> tuple:
-    # Binder-name-free structural key, so branch sorting is stable under
-    # the alpha-renaming pass.
+    # Binder-name-free structural key, so branches sort the same however
+    # their binders are named.
     if isinstance(g, GEnd):
         return (0,)
     if isinstance(g, GRecVar):
@@ -320,46 +321,30 @@ def _struct_key(g: GlobalType, env: dict[str, int]) -> tuple:
 
 
 def canonicalize(g: GlobalType) -> GlobalType:
-    """Flatten and sort choices/parallels, rename binders to x0, x1, ...
+    """Sort choices/parallels and rename binders to x0, x1, ... in one walk.
 
-    Idempotent; preserves participants, recursion/end occurrence, and all
-    projections up to the contracts' own canonical branch order.
+    A choice's or parallel's branches are ordered by `_struct_key` under the
+    binder levels of the enclosing recursions, and binders are numbered in
+    pre-order of the sorted term. Idempotent on flattened terms (choices and
+    parallels built by `gchoice`/`gpar`, the parser or `synthesize`, none
+    directly inside another of its kind); preserves participants,
+    recursion/end occurrence, and all projections up to the contracts' own
+    canonical branch order.
     """
+    counter = itertools.count()
 
-    def sort_pass(node: GlobalType, env: dict[str, int]) -> GlobalType:
-        if isinstance(node, GMsg):
-            return GMsg(node.src, node.dst, node.sort, sort_pass(node.cont, env))
-        if isinstance(node, GRec):
-            inner = dict(env)
-            inner[node.var] = len(env)
-            return GRec(node.var, sort_pass(node.body, inner))
-        if isinstance(node, GChoice):
-            bs = [sort_pass(b, env) for b in node.branches]
-            bs.sort(key=lambda b: _struct_key(b, env))
-            return gchoice(bs)
-        if isinstance(node, GPar):
-            bs = [sort_pass(b, env) for b in node.branches]
-            bs.sort(key=lambda b: _struct_key(b, env))
-            return gpar(bs)
-        return node
-
-    counter = [0]
-
-    def rename(node: GlobalType, env: dict[str, str]) -> GlobalType:
+    def walk(node: GlobalType, levels: dict[str, int], names: dict[str, str]) -> GlobalType:
         if isinstance(node, GRecVar):
-            return GRecVar(env.get(node.var, node.var))
+            return GRecVar(names.get(node.var, node.var))
         if isinstance(node, GRec):
-            fresh = f"x{counter[0]}"
-            counter[0] += 1
-            inner = dict(env)
-            inner[node.var] = fresh
-            return GRec(fresh, rename(node.body, inner))
+            fresh = f"x{next(counter)}"
+            inner_levels = {**levels, node.var: len(levels)}
+            return GRec(fresh, walk(node.body, inner_levels, {**names, node.var: fresh}))
         if isinstance(node, GMsg):
-            return GMsg(node.src, node.dst, node.sort, rename(node.cont, env))
-        if isinstance(node, GChoice):
-            return GChoice(tuple(rename(b, env) for b in node.branches))
-        if isinstance(node, GPar):
-            return GPar(tuple(rename(b, env) for b in node.branches))
+            return GMsg(node.src, node.dst, node.sort, walk(node.cont, levels, names))
+        if isinstance(node, (GChoice, GPar)):
+            branches = sorted(node.branches, key=lambda b: _struct_key(b, levels))
+            return type(node)(tuple(walk(b, levels, names) for b in branches))
         return node
 
-    return rename(sort_pass(g, {}), {})
+    return walk(g, {}, {})

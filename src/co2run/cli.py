@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .analysis import (
@@ -31,7 +30,7 @@ from .frontend import (
     trace_from_jsonl,
     trace_to_jsonl,
 )
-from .runtime import DEFAULT_POLICY, Delim, FusePolicy, PFuse, Par, Sum, Trace, run, system_digest
+from .runtime import FusePolicy, Trace, run, system_digest
 from .synthesis import synthesize
 
 EXIT_OK = 0
@@ -61,28 +60,6 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text if text.endswith("\n") else text + "\n")
     else:
         print(text)
-
-
-def _override_policies(system, override: FusePolicy):
-    """Replace default fuse policies with the flags' policy, in definitions too."""
-    if override == DEFAULT_POLICY:
-        return system
-    swap = {PFuse(DEFAULT_POLICY): PFuse(override)}
-
-    def rewrite(p):
-        if isinstance(p, Sum):
-            return Sum(tuple((swap.get(pre, pre), rewrite(cont)) for pre, cont in p.branches))
-        if isinstance(p, Par):
-            return Par(tuple(rewrite(q) for q in p.parts))
-        if isinstance(p, Delim):
-            return Delim(p.session_vars, p.part_vars, rewrite(p.body))
-        return p
-
-    return replace(
-        system,
-        processes=tuple((n, rewrite(p)) for n, p in system.processes),
-        definitions=tuple((n, replace(d, body=rewrite(d.body))) for n, d in system.definitions),
-    )
 
 
 # --------------------------------------------------------------------------
@@ -140,14 +117,13 @@ def _load_system(path: str, args):
     """The system in the file with the flags' fuse policy, or None after
     printing why it could not be read."""
     try:
-        system = parse_system(Path(path).read_text())
+        return parse_system(Path(path).read_text(), args.policy)
     except ParseError as exc:
         _print_diagnostics(exc, path)
         return None
     except OSError as exc:
         print(f"cannot read {path}: {exc}", file=sys.stderr)
         return None
-    return _override_policies(system, args.policy)
 
 
 def _terminal_summary(trace: Trace) -> dict:
@@ -262,7 +238,7 @@ def cmd_check(args) -> int:
         return EXIT_PARSE
     try:
         steps, digests = trace_from_jsonl(Path(args.trace).read_text())
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"cannot read trace: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:

@@ -109,23 +109,17 @@ def render_global(g: GlobalType) -> str:
         if isinstance(g.cont, (GChoice, GPar)):
             tail = f"({tail})"
         return f"{head} ; {tail}"
-    if isinstance(g, GChoice):
-        bits = []
-        for i, b in enumerate(g.branches):
-            text = render_global(b)
-            if isinstance(b, GChoice) or (i + 1 < len(g.branches) and _dangling_rec(b)):
-                text = f"({text})"
-            bits.append(text)
-        return " \\/ ".join(bits)
+    # a choice brackets nested choices, a parallel nested choices and parallels,
+    # and both a branch before the last that ends in a recursion binder
+    sep, nested = (" \\/ ", GChoice) if isinstance(g, GChoice) else (" || ", (GChoice, GPar))
+    last = len(g.branches) - 1
     bits = []
     for i, b in enumerate(g.branches):
         text = render_global(b)
-        if isinstance(b, (GChoice, GPar)) or (
-            i + 1 < len(g.branches) and _dangling_rec(b)
-        ):
+        if isinstance(b, nested) or i < last and _dangling_rec(b):
             text = f"({text})"
         bits.append(text)
-    return " || ".join(bits)
+    return sep.join(bits)
 
 
 def global_to_json(g: GlobalType) -> dict:
@@ -151,15 +145,16 @@ def global_to_json(g: GlobalType) -> dict:
 def global_from_json(data: dict) -> GlobalType:
     if not isinstance(data, dict):
         raise ValueError(f"a global-type node is not an object: {data!r}")
-    kind = data["kind"]
+    kind = _text(data, "kind")
     if kind == "end":
         return GEND
     if kind == "var":
-        return GRecVar(data["var"])
+        return GRecVar(_text(data, "var"))
     if kind == "rec":
-        return GRec(data["var"], global_from_json(data["body"]))
+        return GRec(_text(data, "var"), global_from_json(data["body"]))
     if kind == "msg":
-        return GMsg(data["from"], data["to"], data["sort"], global_from_json(data["cont"]))
+        src, dst, sort = (_text(data, key) for key in ("from", "to", "sort"))
+        return GMsg(src, dst, sort, global_from_json(data["cont"]))
     if kind in ("choice", "par"):
         branches = data["branches"]
         if not isinstance(branches, list):
@@ -190,6 +185,21 @@ def render_prefix(p: Prefix) -> str:
     return f"do {p.session} {p.peer}{mark}{p.sort}"
 
 
+def _args(sess: tuple[str, ...], parts: tuple[str, ...]) -> str:
+    """`(s, t; a, b)`, the `;` only before participants."""
+    return f"({', '.join(sess)}; {', '.join(parts)})" if parts else f"({', '.join(sess)})"
+
+
+def _operand(p: Process, in_par: bool = False) -> str:
+    """p after a prefix or a delimitation, or as a part of a parallel
+    (`in_par`): a choice of several branches is bracketed, and so is a
+    parallel except inside a parallel."""
+    text = render_process(p)
+    if isinstance(p, Sum) and len(p.branches) > 1 or isinstance(p, Par) and not in_par:
+        return f"({text})"
+    return text
+
+
 def render_process(p: Process) -> str:
     if isinstance(p, PNil):
         return "0"
@@ -199,35 +209,14 @@ def render_process(p: Process) -> str:
             if isinstance(cont, PNil):
                 parts.append(render_prefix(prefix))
             else:
-                tail = render_process(cont)
-                if isinstance(cont, Sum) and len(cont.branches) > 1:
-                    tail = f"({tail})"
-                elif isinstance(cont, Par):
-                    tail = f"({tail})"
-                parts.append(f"{render_prefix(prefix)} . {tail}")
+                parts.append(f"{render_prefix(prefix)} . {_operand(cont)}")
         return " + ".join(parts)
     if isinstance(p, Par):
-        bits = []
-        for q in p.parts:
-            text = render_process(q)
-            if isinstance(q, Sum) and len(q.branches) > 1:
-                text = f"({text})"
-            bits.append(text)
-        return " | ".join(bits)
+        return " | ".join(_operand(q, in_par=True) for q in p.parts)
     if isinstance(p, Call):
-        sess = ", ".join(p.session_args)
-        parts = ", ".join(p.part_args)
-        return f"{p.name}({sess}; {parts})" if parts else f"{p.name}({sess})"
+        return p.name + _args(p.session_args, p.part_args)
     if isinstance(p, Delim):
-        sess = ", ".join(p.session_vars)
-        parts = ", ".join(p.part_vars)
-        head = f"({sess}; {parts})" if parts else f"({sess})"
-        body = render_process(p.body)
-        if isinstance(p.body, Par) or (
-            isinstance(p.body, Sum) and len(p.body.branches) > 1
-        ):
-            body = f"({body})"
-        return f"{head} {body}"
+        return f"{_args(p.session_vars, p.part_vars)} {_operand(p.body)}"
     raise ValueError(f"cannot render {type(p).__name__}")
 
 
@@ -246,10 +235,8 @@ def render_system(system: Co2System) -> str:
                 lines.append(f"  queue {frm} -> {to} : [{', '.join(msgs)}]")
         lines.append("}")
     for dname, d in system.definitions:
-        sess = ", ".join(d.session_params)
-        parts = ", ".join(d.part_params)
-        header = f"def {dname}({sess}; {parts})" if parts else f"def {dname}({sess})"
-        lines.append(f"{header} = {render_process(d.body)}")
+        lines.append(f"def {dname}{_args(d.session_params, d.part_params)} = "
+                     f"{render_process(d.body)}")
     return "\n".join(lines) + "\n"
 
 
@@ -300,15 +287,25 @@ def trace_from_jsonl(text: str) -> tuple[tuple[StepLabel, ...], tuple[str, ...]]
             raise ValueError(f"trace line {lineno} is not valid JSON: {exc}") from exc
         try:
             steps.append(_label_from_json(record))
+            digests.append(_text(record, "stateDigest"))
+        except KeyError as exc:
+            raise ValueError(f"trace line {lineno}: missing {exc.args[0]!r}") from None
         except ValueError as exc:
             raise ValueError(f"trace line {lineno}: {exc}") from None
-        digests.append(record["stateDigest"])
     return tuple(steps), tuple(digests)
 
 
 def _require(ok: bool, what: str, value) -> None:
     if not ok:
         raise ValueError(f"{what}: {value!r}")
+
+
+def _text(data: dict, key: str, optional: bool = False) -> Optional[str]:
+    """The string under `key`; KeyError when it is missing and not
+    `optional`, None when it is missing or null and `optional`."""
+    value = data.get(key) if optional else data[key]
+    _require(isinstance(value, str) or optional and value is None, f"{key} is not a string", value)
+    return value
 
 
 def _label_from_json(record) -> StepLabel:
@@ -325,15 +322,15 @@ def _label_from_json(record) -> StepLabel:
             _require(isinstance(names, dict) and all(isinstance(v, str) for v in names.values()),
                      f"fuseReport {key} is not an object of names", names)
         fuse = FuseReport(
-            session=fr["session"],
+            session=_text(fr, "session"),
             participants=tuple(parts),
             sigma=tuple(sorted(fr["sigma"].items())),
             pi=tuple(sorted(fr["pi"].items())),
             global_type=global_from_json(fr["globalType"]),
         )
     return StepLabel(
-        actor=record["actor"],
-        kind=record["kind"],
+        actor=_text(record, "actor"),
+        kind=_text(record, "kind"),
         fuse=fuse,
-        **{field: record.get(key) for field, key in _LABEL_FIELDS},
+        **{field: _text(record, key, optional=True) for field, key in _LABEL_FIELDS},
     )

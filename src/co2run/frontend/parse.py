@@ -37,6 +37,7 @@ from ..contracts import RECV, SEND
 from ..runtime import (
     Call,
     Co2System,
+    DEFAULT_POLICY,
     Delim,
     FusePolicy,
     NIL,
@@ -62,6 +63,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.diags: list[Diagnostic] = []
+        self.fuse_policy = DEFAULT_POLICY  # what a fuse with the default options gets
 
     # -- token plumbing ----------------------------------------------------
 
@@ -105,8 +107,7 @@ class _Parser:
     # -- contracts -----------------------------------------------------------
 
     def contract(self) -> Contract:
-        first_tok = self.peek()
-        units = [self.contract_unit()]
+        units = [(self.peek(), self.contract_unit())]  # each with its first token
         op = None
         while self.at("(+)") or self.at("+"):
             tok = self.eat()
@@ -114,35 +115,24 @@ class _Parser:
                 op = tok.text
             elif op != tok.text:
                 self.fail("cannot mix internal and external choice", tok.span)
-            units.append(self.contract_unit())
+            units.append((self.peek(), self.contract_unit()))
         if op is None:
-            return units[0]
-        if op == "(+)":
-            branches = []
-            for u in units:
-                if not isinstance(u, SendChoice):
-                    self.fail("internal-choice branches must send", first_tok.span)
-                branches.extend(u.branches)
-            try:
-                return send_choice(branches)
-            except ContractError as exc:
-                self.fail(str(exc), first_tok.span)
-        sources = set()
-        branches = []
-        for u in units:
-            if not isinstance(u, RecvChoice):
-                self.fail("external-choice branches must receive", first_tok.span)
-            sources.add(u.source)
-            branches.extend(u.branches)
-        if len(sources) != 1:
-            self.fail(
-                f"external choice must receive from one participant, got {sorted(sources)}",
-                first_tok.span,
-            )
+            return units[0][1]
+        internal = op == "(+)"
+        for tok, u in units:
+            if not isinstance(u, SendChoice if internal else RecvChoice):
+                self.fail("internal-choice branches must send" if internal
+                          else "external-choice branches must receive", tok.span)
+        sources = [None if internal else u.source for _, u in units]
+        for (tok, _), source in zip(units, sources):
+            if source != sources[0]:
+                self.fail("external choice must receive from one participant, "
+                          f"got {sorted(set(sources))}", tok.span)
+        branches = [b for _, u in units for b in u.branches]
         try:
-            return recv_choice(sources.pop(), branches)
+            return send_choice(branches) if internal else recv_choice(sources[0], branches)
         except ContractError as exc:
-            self.fail(str(exc), first_tok.span)
+            self.fail(str(exc), units[0][0].span)
 
     def contract_unit(self) -> Contract:
         t = self.peek()
@@ -285,14 +275,12 @@ class _Parser:
         if self.at("("):
             self.eat()
             if self.at(";") or self._binder(self.peek()):
-                # a delimitation `(x, y; a) P`: no process starts this way. Its
-                # names are lowercase variables, and unlike an argument list it
-                # has no `;` after a `,` or a `;`
+                # a delimitation `(x, y; a) P`: no process starts this way, and
+                # its names are lowercase variables
                 start = self.pos
-                sess, parts = self._arg_lists()
-                for before, tok in zip(self.tokens[start - 1 :], self.tokens[start : self.pos]):
-                    stray = tok.text == ";" and before.text in (",", ";")
-                    if stray or tok.kind == "ident" and not self._binder(tok):
+                sess, parts = self._arg_lists("a delimited variable")
+                for tok in self.tokens[start : self.pos]:
+                    if tok.kind == "ident" and not self._binder(tok):
                         self.fail(f"expected a delimited variable, found {tok.text!r}", tok.span)
                 self.expect(")")
                 return Delim(tuple(sess), tuple(parts), self.proc_term())
@@ -338,7 +326,7 @@ class _Parser:
             if not is_part_name(name.text):
                 self.fail("process definitions are named uppercase", name.span)
             self.eat()  # (
-            sess_args, part_args = self._arg_lists()
+            sess_args, part_args = self._arg_lists("argument")
             self.expect(")")
             return Call(name.text, tuple(sess_args), tuple(part_args))
         self.fail(f"expected a process, found {t.text!r}")
@@ -358,8 +346,10 @@ class _Parser:
         return t.kind == "ident" and not is_part_name(t.text) and t.text not in _KEYWORDS
 
     def _policy(self) -> FusePolicy:
+        """The options after `fuse`; options equal to the default ones, written
+        or not, give the parser's `fuse_policy`."""
         if not self.accept("("):
-            return FusePolicy()
+            return self.fuse_policy
         minimum = 2
         mode = "plain"
         smallest = False
@@ -383,20 +373,21 @@ class _Parser:
             if self.accept(","):
                 continue
             self.expect(")")
-            return FusePolicy(minimum, mode, smallest)
+            policy = FusePolicy(minimum, mode, smallest)
+            return self.fuse_policy if policy == DEFAULT_POLICY else policy
 
-    def _arg_lists(self) -> tuple[list[str], list[str]]:
+    def _arg_lists(self, noun: str) -> tuple[list[str], list[str]]:
+        """`sessions; participants` before a `)`: a `;` only before the
+        second list, and a `;` or `,` always followed by a name."""
         sess: list[str] = []
         parts: list[str] = []
         current = sess
-        if self.at(")"):
+        if self.accept(";"):
+            current = parts
+        elif self.at(")"):
             return sess, parts
         while True:
-            if self.at(";"):
-                self.eat()
-                current = parts
-                continue
-            t = self.ident("argument")
+            t = self.ident(noun)
             current.append(t.text)
             if self.accept(","):
                 continue
@@ -433,7 +424,7 @@ class _Parser:
                 if name.text in definitions:
                     self.fail(f"duplicate definition {name.text}", name.span)
                 self.expect("(")
-                sess_params, part_params = self._arg_lists()
+                sess_params, part_params = self._arg_lists("argument")
                 self.expect(")")
                 self.expect("=")
                 body = self.process()
@@ -543,8 +534,10 @@ def parse_global(text: str) -> GlobalType:
     return g
 
 
-def parse_system(text: str) -> Co2System:
+def parse_system(text: str, policy: FusePolicy = DEFAULT_POLICY) -> Co2System:
+    """Parse a system file; every `fuse` with the default options gets `policy`."""
     p = _Parser(tokenize(text))
+    p.fuse_policy = policy
     return p.system_file()
 
 

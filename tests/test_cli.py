@@ -166,10 +166,16 @@ def test_replay_divergence_lists_the_enabled_labels(tmp_path, capsys):
     assert f"step {len(lines) + 1}: no enabled step matches {labels[-1]}; enabled: none" in err
 
 
+MISSING = object()  # the key is deleted from the record
+
+
 @pytest.mark.parametrize("path, value", [
     ((), [1, 2]), ((), "hello"), (("fuseReport",), 5), (("fuseReport", "sigma"), 5),
     (("fuseReport", "pi"), [1]), (("fuseReport", "globalType"), 5),
     (("fuseReport", "participants"), 5),
+    (("actor",), 5), (("kind",), 5), (("stateDigest",), [1]),
+    (("actor",), MISSING), (("stateDigest",), MISSING),
+    (("fuseReport", "session"), 5), (("peer",), [1]), (("fuseReport", "globalType", "from"), 1),
 ])
 def test_check_rejects_malformed_trace_records(path, value, tmp_path, capsys):
     good = tmp_path / "good.trace.jsonl"
@@ -177,18 +183,24 @@ def test_check_rejects_malformed_trace_records(path, value, tmp_path, capsys):
     lines = good.read_text().splitlines()
     at = next(i for i, line in enumerate(lines) if '"fuseReport"' in line)
     record = json.loads(lines[at])
+    inner = record
+    for key in path[:-1]:
+        inner = inner[key]
     if not path:
         record = value
-    elif len(path) == 1:
-        record[path[0]] = value
+    elif value is MISSING:
+        del inner[path[-1]]
     else:
-        record[path[0]][path[1]] = value
+        inner[path[-1]] = value
     lines[at] = json.dumps(record)
     tampered = tmp_path / "bad.trace.jsonl"
     tampered.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert main(["check", str(tampered), S1]) == 2
-    assert capsys.readouterr().err.startswith(f"cannot read trace: trace line {at + 1}: ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot read trace: trace line {at + 1}: ")
+    if value is MISSING:
+        assert err.rstrip().endswith(f"missing {path[-1]!r}")
 
 
 def test_honesty_text_output_does_not_depend_on_the_hash_seed():

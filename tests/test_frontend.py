@@ -156,12 +156,18 @@ def test_named_contracts_agree_with_the_regex_reader_on_fixtures():
 
 @pytest.mark.parametrize("text, message, span", [
     ("A: B!x . C?y . 5", "expected a contract", (1, 16, 1, 17)),
-    ("Alpha: B!x (+) B?y", "internal-choice branches must send", (1, 8, 1, 9)),
+    ("Alpha: B!x (+) B?y", "internal-choice branches must send", (1, 16, 1, 17)),
     ("A: B!x\nB:   A?x . $", "unexpected character '$'", (2, 12, 2, 13)),
     ("A: B!x\n  A: B?y", "duplicate contract for A", (2, 3, 2, 4)),
     ("A: B!x\nb: A?x", "participant names start uppercase", (2, 1, 2, 2)),
     ("# lead\nx\nA: B!x", "expected 'Name: contract' entries", (2, 1, 2, 2)),
     ("A: B!x C: D!y", "trailing input after contract: 'C'", (1, 8, 1, 9)),
+    # a bad choice is reported at its first branch at fault
+    ("A: B?x + C?y", "external choice must receive from one participant, got ['B', 'C']",
+     (1, 10, 1, 11)),
+    ("A: B?x + B?y + (C?z)", "external choice must receive from one participant", (1, 16, 1, 17)),
+    ("A: B?x + B!y", "external-choice branches must receive", (1, 10, 1, 11)),
+    ("A: B!x (+) C!y (+) rec t . B?z", "internal-choice branches must send", (1, 20, 1, 23)),
 ])
 def test_named_contract_diagnostics_carry_the_true_position(text, message, span):
     with pytest.raises(ParseError) as err:
@@ -183,6 +189,19 @@ def test_bad_delimitation_or_fuse_option_is_reported_at_its_token(body, message,
         parse_system(f"participant A {{ {body} }}")
     (diag,) = err.value.diagnostics
     assert diag.message == message and diag.span == span
+
+
+@pytest.mark.parametrize("text, span", [
+    ("participant A { X(x,; a) } def X(u; b) = 0", (1, 21, 1, 22)),
+    ("participant A { X(;; a) } def X(u; b) = 0", (1, 20, 1, 21)),
+    ("participant A { X(x; a) } def X(u,; b) = 0", (1, 35, 1, 36)),
+    ("participant A { X(x; a) } def X(;; b) = 0", (1, 34, 1, 35)),
+])
+def test_stray_semicolon_in_an_argument_list_is_rejected_at_it(text, span):
+    with pytest.raises(ParseError) as err:
+        parse_system(text)
+    (diag,) = err.value.diagnostics
+    assert diag.message == "expected argument, found ';'" and diag.span == span
 
 
 def test_contract_round_trip_fixtures_and_random():

@@ -1,7 +1,12 @@
 """Property tests: the values cached on term nodes against plain walkers,
-and the parsers against the renderer and the former regex `.ctr` reader."""
+the parsers against the renderer and the former regex `.ctr` reader, and
+the parser's fuse policy, `canonicalize` and the renderers against the
+walkers they replaced."""
 import copy
 import pickle
+import random
+import re
+from dataclasses import replace
 from typing import Mapping, Optional
 
 import pytest
@@ -9,7 +14,20 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from co2run.choreo import GChoice, GEnd, GlobalType, GMsg, GPar, GRec, GRecVar  # noqa: E402
+from co2run import synthesis  # noqa: E402
+from co2run.choreo import (  # noqa: E402
+    GChoice,
+    GEnd,
+    GlobalType,
+    GMsg,
+    GPar,
+    GRec,
+    GRecVar,
+    _struct_key,
+    canonicalize,
+    gchoice,
+    gpar,
+)
 from co2run.contracts import (  # noqa: E402
     END,
     End,
@@ -19,21 +37,28 @@ from co2run.contracts import (  # noqa: E402
     SendChoice,
     is_part_name,
     is_part_var,
+    make_system,
     recv_choice,
     send_choice,
     subst_parts,
     subst_rec,
     unfold,
 )
+from co2run.fixtures import FIXTURES, fixture_text  # noqa: E402
 from co2run.frontend import (  # noqa: E402
     ParseError,
     parse_contract,
+    parse_global,
     parse_named_contracts,
     parse_system,
     render_contract,
+    render_global,
+    render_process,
     render_system,
 )
+from co2run.frontend.emit import _dangling_rec, render_prefix  # noqa: E402
 from co2run.runtime import (  # noqa: E402
+    DEFAULT_POLICY,
     NIL,
     Call,
     Delim,
@@ -44,6 +69,7 @@ from co2run.runtime import (  # noqa: E402
     PNil,
     PTau,
     PTell,
+    ProcDef,
     Process,
     Sum,
     _proc_key,
@@ -53,7 +79,7 @@ from co2run.runtime import (  # noqa: E402
     proc_subst,
 )
 
-from corpus import reference_repr, regex_named_contracts  # noqa: E402
+from corpus import corpus_system, random_global, reference_repr, regex_named_contracts  # noqa: E402
 
 PEERS = st.sampled_from(["A", "B", "C", "a", "b"])
 SORTS = st.sampled_from(["p", "q", "r"])
@@ -140,13 +166,22 @@ def _delimited(bodies):
     return st.builds(lambda n, body: Delim(*n, body), names.filter(any), bodies)
 
 
-def _source_layer(children):
-    sums = st.lists(st.tuples(source_prefixes, children), min_size=1, max_size=3)
+def _source_layer(children, prefixes=source_prefixes):
+    sums = st.lists(st.tuples(prefixes, children), min_size=1, max_size=3)
     pars = st.lists(children, min_size=2, max_size=3).map(tuple).map(Par)
     return sums.map(tuple).map(Sum) | pars | _delimited(children)
 
 
 source_processes = _delimited(st.recursive(st.just(PNil()), _source_layer, max_leaves=10))
+
+# the same, with many fuses that have the default options or min=3
+fuse_prefixes = st.sampled_from([PFuse(DEFAULT_POLICY), PFuse(FusePolicy(3))]) | source_prefixes
+fuse_source_processes = _delimited(st.recursive(
+    st.sampled_from([NIL, Sum(((PFuse(DEFAULT_POLICY), NIL),))]),
+    lambda children: _source_layer(children, fuse_prefixes), max_leaves=10))
+# every policy the CLI's fuse flags can build (--fuse-min 2 or 3)
+FLAG_POLICIES = [FusePolicy(n, mode, smallest) for n in (2, 3)
+                 for mode in ("plain", "terminating", "recursive") for smallest in (False, True)]
 
 # `.ctr` files: rendered contracts under uppercase headers (names may repeat),
 # with comment lines, blank lines, indentation and line breaks inside a contract
@@ -630,3 +665,217 @@ def test_named_contracts_agree_with_the_regex_reader_after_one_edit(entries, bre
 def test_delimited_participant_body_survives_render_and_parse(p):
     system = make_co2({"A": p})
     assert parse_system(render_system(system)) == normalize(system)
+
+
+# -- the CLI's fuse-policy rewrite, the two-pass `canonicalize` and the
+# renderers before the parser took the policy, `canonicalize` became one walk
+# and each renderer bracketed in one place; kept verbatim as oracles ---------
+
+def override_policies_walker(system, override: FusePolicy):
+    """Replace default fuse policies with the flags' policy, in definitions too."""
+    if override == DEFAULT_POLICY:
+        return system
+    swap = {PFuse(DEFAULT_POLICY): PFuse(override)}
+
+    def rewrite(p):
+        if isinstance(p, Sum):
+            return Sum(tuple((swap.get(pre, pre), rewrite(cont)) for pre, cont in p.branches))
+        if isinstance(p, Par):
+            return Par(tuple(rewrite(q) for q in p.parts))
+        if isinstance(p, Delim):
+            return Delim(p.session_vars, p.part_vars, rewrite(p.body))
+        return p
+
+    return replace(
+        system,
+        processes=tuple((n, rewrite(p)) for n, p in system.processes),
+        definitions=tuple((n, replace(d, body=rewrite(d.body))) for n, d in system.definitions),
+    )
+
+
+def canonicalize_two_pass(g: GlobalType) -> GlobalType:
+    """Flatten and sort choices/parallels, rename binders to x0, x1, ...
+
+    Idempotent; preserves participants, recursion/end occurrence, and all
+    projections up to the contracts' own canonical branch order.
+    """
+
+    def sort_pass(node: GlobalType, env: dict[str, int]) -> GlobalType:
+        if isinstance(node, GMsg):
+            return GMsg(node.src, node.dst, node.sort, sort_pass(node.cont, env))
+        if isinstance(node, GRec):
+            inner = dict(env)
+            inner[node.var] = len(env)
+            return GRec(node.var, sort_pass(node.body, inner))
+        if isinstance(node, GChoice):
+            bs = [sort_pass(b, env) for b in node.branches]
+            bs.sort(key=lambda b: _struct_key(b, env))
+            return gchoice(bs)
+        if isinstance(node, GPar):
+            bs = [sort_pass(b, env) for b in node.branches]
+            bs.sort(key=lambda b: _struct_key(b, env))
+            return gpar(bs)
+        return node
+
+    counter = [0]
+
+    def rename(node: GlobalType, env: dict[str, str]) -> GlobalType:
+        if isinstance(node, GRecVar):
+            return GRecVar(env.get(node.var, node.var))
+        if isinstance(node, GRec):
+            fresh = f"x{counter[0]}"
+            counter[0] += 1
+            inner = dict(env)
+            inner[node.var] = fresh
+            return GRec(fresh, rename(node.body, inner))
+        if isinstance(node, GMsg):
+            return GMsg(node.src, node.dst, node.sort, rename(node.cont, env))
+        if isinstance(node, GChoice):
+            return GChoice(tuple(rename(b, env) for b in node.branches))
+        if isinstance(node, GPar):
+            return GPar(tuple(rename(b, env) for b in node.branches))
+        return node
+
+    return rename(sort_pass(g, {}), {})
+
+
+def render_global_walker(g: GlobalType) -> str:
+    if isinstance(g, GEnd):
+        return "end"
+    if isinstance(g, GRecVar):
+        return g.var
+    if isinstance(g, GRec):
+        return f"rec {g.var} . {render_global_walker(g.body)}"
+    if isinstance(g, GMsg):
+        head = f"{g.src} -> {g.dst} : {g.sort}"
+        if isinstance(g.cont, GEnd):
+            return head
+        tail = render_global_walker(g.cont)
+        if isinstance(g.cont, (GChoice, GPar)):
+            tail = f"({tail})"
+        return f"{head} ; {tail}"
+    if isinstance(g, GChoice):
+        bits = []
+        for i, b in enumerate(g.branches):
+            text = render_global_walker(b)
+            if isinstance(b, GChoice) or (i + 1 < len(g.branches) and _dangling_rec(b)):
+                text = f"({text})"
+            bits.append(text)
+        return " \\/ ".join(bits)
+    bits = []
+    for i, b in enumerate(g.branches):
+        text = render_global_walker(b)
+        if isinstance(b, (GChoice, GPar)) or (
+            i + 1 < len(g.branches) and _dangling_rec(b)
+        ):
+            text = f"({text})"
+        bits.append(text)
+    return " || ".join(bits)
+
+
+def render_process_walker(p: Process) -> str:
+    if isinstance(p, PNil):
+        return "0"
+    if isinstance(p, Sum):
+        parts = []
+        for prefix, cont in p.branches:
+            if isinstance(cont, PNil):
+                parts.append(render_prefix(prefix))
+            else:
+                tail = render_process_walker(cont)
+                if isinstance(cont, Sum) and len(cont.branches) > 1:
+                    tail = f"({tail})"
+                elif isinstance(cont, Par):
+                    tail = f"({tail})"
+                parts.append(f"{render_prefix(prefix)} . {tail}")
+        return " + ".join(parts)
+    if isinstance(p, Par):
+        bits = []
+        for q in p.parts:
+            text = render_process_walker(q)
+            if isinstance(q, Sum) and len(q.branches) > 1:
+                text = f"({text})"
+            bits.append(text)
+        return " | ".join(bits)
+    if isinstance(p, Call):
+        sess = ", ".join(p.session_args)
+        parts = ", ".join(p.part_args)
+        return f"{p.name}({sess}; {parts})" if parts else f"{p.name}({sess})"
+    if isinstance(p, Delim):
+        sess = ", ".join(p.session_vars)
+        parts = ", ".join(p.part_vars)
+        head = f"({sess}; {parts})" if parts else f"({sess})"
+        body = render_process_walker(p.body)
+        if isinstance(p.body, Par) or (
+            isinstance(p.body, Sum) and len(p.body.branches) > 1
+        ):
+            body = f"({body})"
+        return f"{head} {body}"
+    raise ValueError(f"cannot render {type(p).__name__}")
+
+
+def _policy_outcomes(text: str, policy: FusePolicy):
+    """The parser's reading under `policy`, and the walker's rewrite of the
+    default reading, normalized as every consumer of a system does."""
+    rewritten = _outcome(lambda t: normalize(override_policies_walker(parse_system(t), policy)),
+                         text)
+    return _outcome(lambda t: parse_system(t, policy), text), rewritten
+
+
+def test_parser_policy_matches_the_rewrite_on_fixtures():
+    for name in FIXTURES:
+        for policy in FLAG_POLICIES:
+            parsed, rewritten = _policy_outcomes(fixture_text(name), policy)
+            assert parsed == rewritten, (name, policy)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fuse_source_processes, fuse_source_processes, fuse_source_processes, st.data())
+def test_parser_policy_matches_the_rewrite_on_generated_systems(a, b, body, data):
+    # the definition takes every variable the generated bodies may leave free
+    system = make_co2({"A": a, "B": b}, definitions={"F": ProcDef(("s", "x", "y"), ("a", "b"),
+                                                                   body)})
+    # a bare fuse becomes `fuse(min=2)` at random: the same options, written out
+    text = re.sub(r"\bfuse\b(?!\()",
+                  lambda m: "fuse(min=2)" if data.draw(st.booleans()) else m.group(),
+                  render_system(system))
+    for policy in FLAG_POLICIES:
+        parsed, rewritten = _policy_outcomes(text, policy)
+        assert parsed == rewritten, policy
+
+
+def test_canonicalize_matches_the_two_passes_on_random_and_synthesised_terms(monkeypatch):
+    rng = random.Random(31)
+    for _ in range(500):
+        g = random_global(rng)
+        assert canonicalize(g) == canonicalize_two_pass(g)
+    raw: list[GlobalType] = []
+
+    def capture(g):
+        raw.append(g)
+        return canonicalize(g)
+
+    monkeypatch.setattr(synthesis, "canonicalize", capture)
+    rng = random.Random(37)
+    for _ in range(300):
+        synthesis.synthesize(make_system(corpus_system(rng)))
+    assert len(raw) > 50
+    for g in raw:
+        assert canonicalize(g) == canonicalize_two_pass(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(global_types)
+def test_canonicalize_matches_the_two_passes_on_parsed_terms(g):
+    try:
+        g = parse_global(render_global(g))
+    except ParseError:
+        hypothesis.assume(False)
+    assert canonicalize(g) == canonicalize_two_pass(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(processes, global_types)
+def test_renderers_match_the_walkers(p, g):
+    assert render_process(p) == render_process_walker(p)
+    assert render_global(g) == render_global_walker(g)
