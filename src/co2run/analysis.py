@@ -21,7 +21,6 @@ from .contracts import End, head_normal, orphan_messages
 from .runtime import (
     Co2System,
     PDo,
-    Step,
     StepLabel,
     Sum,
     Trace,
@@ -80,16 +79,6 @@ def process_ready_set(system: Co2System, who: str, session: str) -> frozenset[tu
     return frozenset(pairs)
 
 
-def _step_session(system: Co2System, step: Step) -> Optional[str]:
-    if step.kind != "do":
-        return None
-    item = proc_items(system.process(step.actor))[step.item]
-    assert isinstance(item, Sum) and step.branch is not None
-    prefix = item.branches[step.branch][0]
-    assert isinstance(prefix, PDo)
-    return prefix.session
-
-
 def weak_process_ready_set(
     system: Co2System, who: str, session: str, bound: int = 2_000
 ) -> tuple[frozenset[tuple[str, str]], bool]:
@@ -108,10 +97,9 @@ def weak_process_ready_set(
         state = queue.popleft()
         pairs |= process_ready_set(state, who, session)
         for step in _steps(state):
-            if step.actor == who and step.kind == "do":
-                if _step_session(state, step) == session:
-                    continue
-            nxt, _ = _after(state, step)
+            nxt, label = _after(state, step)
+            if label.actor == who and label.kind == "do" and label.session == session:
+                continue
             if nxt in seen:
                 continue
             if len(seen) >= bound:
@@ -299,11 +287,10 @@ def exculpation_within(
             if step.actor != who:
                 continue
             if step.kind == "do":
-                if _step_session(state, step) != session:
+                nxt, label = _after(state, step)
+                if label.session != session:
                     continue
-                nxt, _ = _after(state, step)
-                t = nxt.session(session)
-                if who not in culpable(nxt, session) or is_terminated(t):
+                if who not in culpable(nxt, session) or is_terminated(nxt.session(session)):
                     return True
             elif step.kind in ("tau", "tell", "call") and depth + 1 < depth_bound:
                 nxt, _ = _after(state, step)

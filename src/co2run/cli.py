@@ -62,6 +62,17 @@ def _emit(text: str, out: str | None) -> None:
         print(text)
 
 
+def _report(payload: dict, args) -> bool:
+    """Write the JSON report to `-o` when given, and print it under
+    `--format json`; True when printed, so the caller prints no text."""
+    text = json.dumps(payload, sort_keys=True, indent=2)
+    if args.output:
+        Path(args.output).write_text(text + "\n")
+    if args.format == "json":
+        print(text)
+    return args.format == "json"
+
+
 # --------------------------------------------------------------------------
 # Subcommands
 # --------------------------------------------------------------------------
@@ -147,11 +158,7 @@ def cmd_run(args) -> int:
     if args.trace:
         Path(args.trace).write_text(trace_to_jsonl(trace))
     summary = _terminal_summary(trace)
-    if args.output:
-        Path(args.output).write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
-    if args.format == "json":
-        print(json.dumps(summary, sort_keys=True, indent=2))
-    else:
+    if not _report(summary, args):
         print(f"ran {summary['steps']} steps; terminal digest {system_digest(trace.terminal)}")
         if not summary["sessions"]:
             print("no sessions were created")
@@ -211,11 +218,7 @@ def cmd_honesty(args) -> int:
             payload["witnessTrace"] = args.trace
     else:
         payload["result"] = "NoViolationUpToBound"
-    if args.output:
-        Path(args.output).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
+    if not _report(payload, args):
         if verdict.violation_found:
             print(f"{args.participant} is NOT honest in this context: "
                   f"violation after exploring {verdict.states_explored} states")
@@ -252,11 +255,7 @@ def cmd_check(args) -> int:
         "terminatedSessions": list(report.terminated_sessions),
         "liveSessions": {s: list(c) for s, c in report.live_sessions},
     }
-    if args.output:
-        Path(args.output).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
+    if not _report(payload, args):
         print(f"replayed {report.steps_replayed} steps")
         for v in report.violations:
             print(f"violation: {v}")

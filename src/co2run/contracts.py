@@ -4,7 +4,8 @@ A contract promises the communication behaviour of one participant: internal
 choices of sends, external choices of receives, guarded recursion, or end.
 A session holds one stipulated contract per participant plus one FIFO queue
 per ordered pair of participants; sends append to a queue, receives pop the
-matching head.
+matching head. `next_moves` is that transition relation, written once:
+`enabled_moves` and `contract_step` are read off it.
 
 Contract nodes (and the global-type nodes of `choreo` and the process
 nodes of `runtime`) are hash-consed:
@@ -362,12 +363,7 @@ def contract_ready_sets(c: Contract) -> frozenset[ReadySet]:
     bad = c.free_participant_vars
     if bad:
         raise ContractError(f"unstipulated contract: free participant variables {sorted(bad)}")
-    node = c
-    for _ in range(_MAX_UNFOLD):
-        if isinstance(node, Rec):
-            node = node.body
-            continue
-        break
+    node = head_normal(c)
     if isinstance(node, SendChoice):
         return frozenset(frozenset([(to, sort)]) for to, sort, _ in node.branches)
     if isinstance(node, RecvChoice):
@@ -464,59 +460,43 @@ def make_system(
     )
 
 
-def enabled_moves(system: ContractSystem) -> tuple[MoveLabel, ...]:
-    """Every label under which the system can step.
+def next_moves(system: ContractSystem, name: str) -> tuple[tuple[MoveLabel, Contract], ...]:
+    """The moves `name` can make next, each with the contract it leaves.
 
-    Sends are always enabled (the queue accepts unboundedly) as long as the
-    peer is part of the session; a receive is enabled only when the matching
-    queue's head carries one of the expected sorts.
-    """
-    present = set(system.participants)
-    moves: list[MoveLabel] = []
-    for name, c in system.contracts:
-        head = head_normal(c)
-        if isinstance(head, SendChoice):
-            for to, sort, _ in head.branches:
-                if to in present:
-                    moves.append(MoveLabel(name, to, sort, SEND))
-        elif isinstance(head, RecvChoice):
-            if head.source in present:
-                q = system.queue(head.source, name)
-                if q and any(q[0] == sort for sort, _ in head.branches):
-                    moves.append(MoveLabel(name, head.source, q[0], RECV))
-    return tuple(moves)
+    A send is enabled as long as its peer is part of the session (the queue
+    accepts unboundedly); a receive only when the queue from its peer
+    carries one of the expected sorts at its head. A name outside the
+    session has no moves."""
+    contracts = dict(system.contracts)
+    if name not in contracts:
+        return ()
+    head = head_normal(contracts[name])
+    if isinstance(head, SendChoice):
+        return tuple((MoveLabel(name, to, sort, SEND), cont)
+                     for to, sort, cont in head.branches if to in contracts)
+    if isinstance(head, RecvChoice) and head.source in contracts:
+        q = system.queue(head.source, name)
+        for sort, cont in head.branches:
+            if q and q[0] == sort:
+                return ((MoveLabel(name, head.source, sort, RECV), cont),)
+    return ()
+
+
+def enabled_moves(system: ContractSystem) -> tuple[MoveLabel, ...]:
+    """Every label under which the system can step, participant by participant."""
+    return tuple(m for name, _ in system.contracts for m, _ in next_moves(system, name))
 
 
 def contract_step(system: ContractSystem, label: MoveLabel) -> ContractSystem:
-    """Apply one send or receive; raises ContractError on a move T forbids."""
-    head = head_normal(system.contract(label.actor))
-    if label.dir == SEND:
-        if not isinstance(head, SendChoice):
-            raise ContractError(f"illegal move: {label.actor} is not at an internal choice")
-        for to, sort, cont in head.branches:
-            if to == label.peer and sort == label.sort:
-                if to not in set(system.participants):
-                    raise ContractError(f"illegal move: {to} is not in the session")
+    """Apply one of the actor's `next_moves`; raises ContractError on any other move."""
+    for move, cont in next_moves(system, label.actor):
+        if move == label:
+            t = system.with_contract(label.actor, cont)
+            if label.dir == SEND:
                 q = system.queue(label.actor, label.peer)
-                return (
-                    system.with_contract(label.actor, cont)
-                    .with_queue(label.actor, label.peer, q + (label.sort,))
-                )
-        raise ContractError(f"illegal move: no branch {label.peer}!{label.sort}")
-    if label.dir == RECV:
-        if not isinstance(head, RecvChoice) or head.source != label.peer:
-            raise ContractError(f"illegal move: {label.actor} does not expect {label.peer}")
-        q = system.queue(label.peer, label.actor)
-        if not q or q[0] != label.sort:
-            raise ContractError(f"illegal move: queue {label.peer}->{label.actor} head mismatch")
-        for sort, cont in head.branches:
-            if sort == label.sort:
-                return (
-                    system.with_contract(label.actor, cont)
-                    .with_queue(label.peer, label.actor, q[1:])
-                )
-        raise ContractError(f"illegal move: sort {label.sort} not offered")
-    raise ContractError(f"illegal move direction {label.dir!r}")
+                return t.with_queue(label.actor, label.peer, q + (label.sort,))
+            return t.with_queue(label.peer, label.actor, system.queue(label.peer, label.actor)[1:])
+    raise ContractError(f"illegal move: {label} is not enabled")
 
 
 def is_terminated(system: ContractSystem) -> bool:

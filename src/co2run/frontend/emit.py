@@ -157,8 +157,8 @@ def global_from_json(data: dict) -> GlobalType:
         return GMsg(src, dst, sort, global_from_json(data["cont"]))
     if kind in ("choice", "par"):
         branches = data["branches"]
-        if not isinstance(branches, list):
-            raise ValueError(f"global-type branches are not a list: {branches!r}")
+        _require(isinstance(branches, list), "global-type branches are not a list", branches)
+        _require(len(branches) >= 2, f"a {kind} needs two or more branches", branches)
         return (GChoice if kind == "choice" else GPar)(tuple(map(global_from_json, branches)))
     raise ValueError(f"unknown global-type node {kind!r}")
 
@@ -276,6 +276,8 @@ def trace_to_jsonl(trace: Trace) -> str:
 
 
 def trace_from_jsonl(text: str) -> tuple[tuple[StepLabel, ...], tuple[str, ...]]:
+    """The labels and state digests of a trace; ValueError names the line of a
+    record that cannot be read or whose `step` is not its position from 1."""
     steps: list[StepLabel] = []
     digests: list[str] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -286,7 +288,11 @@ def trace_from_jsonl(text: str) -> tuple[tuple[StepLabel, ...], tuple[str, ...]]
         except json.JSONDecodeError as exc:
             raise ValueError(f"trace line {lineno} is not valid JSON: {exc}") from exc
         try:
-            steps.append(_label_from_json(record))
+            label = _label_from_json(record)
+            number = record["step"]
+            _require(type(number) is int and number == len(steps) + 1,
+                     f"step is not {len(steps) + 1}", number)
+            steps.append(label)
             digests.append(_text(record, "stateDigest"))
         except KeyError as exc:
             raise ValueError(f"trace line {lineno}: missing {exc.args[0]!r}") from None

@@ -39,12 +39,12 @@ from .contracts import (
     ContractSystem,
     Interned,
     MoveLabel,
-    enabled_moves,
     contract_step,
     frozen_union,
     is_part_name,
     is_part_var,
     make_system,
+    next_moves,
     subst_parts,
 )
 from .synthesis import synthesize
@@ -619,8 +619,8 @@ def _prefix_enabled(system: Co2System, actor: str, prefix: Prefix) -> bool:
     if isinstance(prefix, PDo):
         if prefix.session not in system.session_names or not is_part_name(prefix.peer):
             return False
-        t = system.session(prefix.session)
-        return MoveLabel(actor, prefix.peer, prefix.sort, prefix.dir) in enabled_moves(t)
+        move = MoveLabel(actor, prefix.peer, prefix.sort, prefix.dir)
+        return any(m == move for m, _ in next_moves(system.session(prefix.session), actor))
     return False
 
 

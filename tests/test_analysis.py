@@ -103,6 +103,27 @@ def test_shadowed_session_variable_is_not_ready():
     assert verdict is False  # A's contract demands (B, int) but A acts elsewhere
 
 
+def test_weak_ready_set_passes_through_a_do_on_another_session():
+    # A must first act on s2 before it can offer what s1 asks of it
+    s = parse_system("""
+    participant A { do s2 B!x . do s1 C!y }
+    participant B { do s2 A?x }
+    participant C { do s1 A?y }
+    session s1 {
+      A: C!y
+      C: A?y
+    }
+    session s2 {
+      A: B!x
+      B: A?x
+    }
+    """)
+    assert process_ready_set(s, "A", "s1") == frozenset()
+    assert weak_process_ready_set(s, "A", "s1") == (frozenset([("C", "y")]), False)
+    assert weak_process_ready_set(s, "A", "s2") == (frozenset([("B", "x")]), False)
+    assert ready(s, "A")[0] is True
+
+
 def test_weak_ready_set_of_terminated_system():
     s = _load("do_int_bool.co2")
     for _ in range(2):

@@ -124,6 +124,12 @@ def test_check_tampered_trace(tmp_path, capsys):
     lines[3], lines[4] = lines[4], lines[3]
     tampered = tmp_path / "tampered.trace.jsonl"
     tampered.write_text("\n".join(lines) + "\n")
+    # the swapped records are out of step order, so the trace cannot be read
+    assert main(["check", str(tampered), ROBUST]) == 2
+    # renumbered to their new positions, they diverge on replay
+    for i in (3, 4):
+        lines[i] = json.dumps({**json.loads(lines[i]), "step": i + 1})
+    tampered.write_text("\n".join(lines) + "\n")
     assert main(["check", str(tampered), ROBUST]) == 5
 
 
@@ -176,6 +182,12 @@ MISSING = object()  # the key is deleted from the record
     (("actor",), 5), (("kind",), 5), (("stateDigest",), [1]),
     (("actor",), MISSING), (("stateDigest",), MISSING),
     (("fuseReport", "session"), 5), (("peer",), [1]), (("fuseReport", "globalType", "from"), 1),
+    # the tampered record is step 5 of its trace: 5.0 and True are not integers
+    (("step",), MISSING), (("step",), 0), (("step",), 5.0), (("step",), True),
+    (("fuseReport", "globalType"), {"kind": "choice", "branches": []}),
+    (("fuseReport", "globalType"), {"kind": "choice", "branches": [{"kind": "end"}]}),
+    (("fuseReport", "globalType"), {"kind": "par", "branches": []}),
+    (("fuseReport", "globalType"), {"kind": "par", "branches": [{"kind": "end"}]}),
 ])
 def test_check_rejects_malformed_trace_records(path, value, tmp_path, capsys):
     good = tmp_path / "good.trace.jsonl"

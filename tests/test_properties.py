@@ -1,8 +1,10 @@
 """Property tests: the values cached on term nodes against plain walkers,
-the parsers against the renderer and the former regex `.ctr` reader, and
-the parser's fuse policy, `canonicalize` and the renderers against the
-walkers they replaced."""
+the parsers against the renderer and the former regex `.ctr` reader, the
+parser's fuse policy, `canonicalize` and the renderers against the walkers
+they replaced, and the move relation and ready sets against the former
+`enabled_moves`, `contract_step` and `contract_ready_sets`."""
 import copy
+import itertools
 import pickle
 import random
 import re
@@ -29,12 +31,24 @@ from co2run.choreo import (  # noqa: E402
     gpar,
 )
 from co2run.contracts import (  # noqa: E402
+    _MAX_UNFOLD,
     END,
+    RECV,
+    SEND,
+    Contract,
+    ContractError,
+    ContractSystem,
     End,
+    MoveLabel,
+    ReadySet,
     Rec,
     RecVar,
     RecvChoice,
     SendChoice,
+    contract_ready_sets,
+    contract_step,
+    enabled_moves,
+    head_normal,
     is_part_name,
     is_part_var,
     make_system,
@@ -79,6 +93,7 @@ from co2run.runtime import (  # noqa: E402
     proc_subst,
 )
 
+from corpus import SORTS as CORPUS_SORTS  # noqa: E402
 from corpus import corpus_system, random_global, reference_repr, regex_named_contracts  # noqa: E402
 
 PEERS = st.sampled_from(["A", "B", "C", "a", "b"])
@@ -879,3 +894,131 @@ def test_canonicalize_matches_the_two_passes_on_parsed_terms(g):
 def test_renderers_match_the_walkers(p, g):
     assert render_process(p) == render_process_walker(p)
     assert render_global(g) == render_global_walker(g)
+
+
+# The parent's move relation and ready sets, kept verbatim as oracles for
+# `next_moves` and the functions read off it.
+
+def enabled_moves_oracle(system: ContractSystem) -> tuple[MoveLabel, ...]:
+    """Every label under which the system can step.
+
+    Sends are always enabled (the queue accepts unboundedly) as long as the
+    peer is part of the session; a receive is enabled only when the matching
+    queue's head carries one of the expected sorts.
+    """
+    present = set(system.participants)
+    moves: list[MoveLabel] = []
+    for name, c in system.contracts:
+        head = head_normal(c)
+        if isinstance(head, SendChoice):
+            for to, sort, _ in head.branches:
+                if to in present:
+                    moves.append(MoveLabel(name, to, sort, SEND))
+        elif isinstance(head, RecvChoice):
+            if head.source in present:
+                q = system.queue(head.source, name)
+                if q and any(q[0] == sort for sort, _ in head.branches):
+                    moves.append(MoveLabel(name, head.source, q[0], RECV))
+    return tuple(moves)
+
+
+def contract_step_oracle(system: ContractSystem, label: MoveLabel) -> ContractSystem:
+    """Apply one send or receive; raises ContractError on a move T forbids."""
+    head = head_normal(system.contract(label.actor))
+    if label.dir == SEND:
+        if not isinstance(head, SendChoice):
+            raise ContractError(f"illegal move: {label.actor} is not at an internal choice")
+        for to, sort, cont in head.branches:
+            if to == label.peer and sort == label.sort:
+                if to not in set(system.participants):
+                    raise ContractError(f"illegal move: {to} is not in the session")
+                q = system.queue(label.actor, label.peer)
+                return (
+                    system.with_contract(label.actor, cont)
+                    .with_queue(label.actor, label.peer, q + (label.sort,))
+                )
+        raise ContractError(f"illegal move: no branch {label.peer}!{label.sort}")
+    if label.dir == RECV:
+        if not isinstance(head, RecvChoice) or head.source != label.peer:
+            raise ContractError(f"illegal move: {label.actor} does not expect {label.peer}")
+        q = system.queue(label.peer, label.actor)
+        if not q or q[0] != label.sort:
+            raise ContractError(f"illegal move: queue {label.peer}->{label.actor} head mismatch")
+        for sort, cont in head.branches:
+            if sort == label.sort:
+                return (
+                    system.with_contract(label.actor, cont)
+                    .with_queue(label.peer, label.actor, q[1:])
+                )
+        raise ContractError(f"illegal move: sort {label.sort} not offered")
+    raise ContractError(f"illegal move direction {label.dir!r}")
+
+
+def contract_ready_sets_oracle(c: Contract) -> frozenset[ReadySet]:
+    """The family of interaction sets the contract offers next.
+
+    An internal choice yields one singleton set per branch (the branches are
+    mutually exclusive); an external choice yields a single set holding every
+    (peer, sort) pair (all must be handled); a finished contract yields the
+    empty family, so it demands nothing.
+    """
+    bad = c.free_participant_vars
+    if bad:
+        raise ContractError(f"unstipulated contract: free participant variables {sorted(bad)}")
+    node = c
+    for _ in range(_MAX_UNFOLD):
+        if isinstance(node, Rec):
+            node = node.body
+            continue
+        break
+    if isinstance(node, SendChoice):
+        return frozenset(frozenset([(to, sort)]) for to, sort, _ in node.branches)
+    if isinstance(node, RecvChoice):
+        return frozenset([frozenset((node.source, sort) for sort, _ in node.branches)])
+    if isinstance(node, End):
+        return frozenset()
+    raise ContractError("ready sets of an open contract")
+
+
+def _result(f, *args):
+    """f's value, or ContractError when it raises one."""
+    try:
+        return f(*args)
+    except ContractError:
+        return ContractError
+
+
+def test_moves_and_steps_agree_with_the_oracles_on_driven_sessions():
+    rng = random.Random(41)
+    states = labels = 0
+    for i in range(350):
+        contracts = corpus_system(rng)
+        if i % 3 == 0:  # a session without one participant: moves towards it are not enabled
+            del contracts[rng.choice(sorted(contracts))]
+        t = make_system(contracts)
+        for _ in range(40):
+            states += 1
+            moves = enabled_moves(t)
+            assert moves == enabled_moves_oracle(t)
+            for _, c in t.contracts:
+                assert _result(contract_ready_sets, c) == _result(contract_ready_sets_oracle, c)
+            names = t.participants
+            for actor, peer, sort, direction in itertools.product(
+                    names, names, CORPUS_SORTS + ("r",), (SEND, RECV)):
+                label = MoveLabel(actor, peer, sort, direction)
+                labels += 1
+                if label in moves:
+                    assert contract_step(t, label) == contract_step_oracle(t, label)
+                else:
+                    assert _result(contract_step, t, label) is ContractError
+                    assert _result(contract_step_oracle, t, label) is ContractError
+            if not moves:
+                break
+            t = contract_step(t, rng.choice(moves))
+    assert states > 1500 and labels > 50_000
+
+
+@settings(max_examples=200, deadline=None)
+@given(contracts.filter(lambda c: not c.free_rec_vars and not c.free_participant_vars))
+def test_ready_sets_agree_with_the_oracle_on_closed_contracts(c):
+    assert _result(contract_ready_sets, c) == _result(contract_ready_sets_oracle, c)
