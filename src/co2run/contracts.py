@@ -444,6 +444,8 @@ def make_system(
             raise ContractError(
                 f"contract of {name} still mentions participant variables {sorted(bad)}"
             )
+        if name in c.mentioned_participants:
+            raise ContractError(f"contract of {name} names {name} as its own peer")
     names = sorted(contracts)
     grid = {}
     for a in names:

@@ -37,17 +37,21 @@ from .contracts import (
     Contract,
     ContractError,
     ContractSystem,
+    End,
     Interned,
     MoveLabel,
+    RecvChoice,
+    SendChoice,
     contract_step,
     frozen_union,
+    head_normal,
     is_part_name,
     is_part_var,
     make_system,
     next_moves,
     subst_parts,
 )
-from .synthesis import synthesize
+from .synthesis import can_start, synthesize
 
 PLAIN = "plain"
 TERMINATING = "terminating"
@@ -669,9 +673,22 @@ def _search_agreement(
     pool: tuple[LatentContract, ...], policy: FusePolicy
 ) -> Optional[Agreement]:
     n = len(pool)
+    kinds = [_head_kind(k.contract) for k in pool]
+    variables_of = [sorted(k.contract.free_participant_vars) for k in pool]
+    instances: dict[tuple, Contract] = {}  # (index, values of its variables) -> contract
+
+    def instance(i: int, pi: dict[str, str]) -> Contract:
+        key = (i, *(pi[v] for v in variables_of[i]))
+        c = instances.get(key)
+        if c is None:
+            c = instances[key] = subst_parts(pool[i].contract, pi)
+        return c
+
     sizes: Iterable[int] = range(2, n + 1) if policy.prefer_smallest else range(n, 1, -1)
     for size in sizes:
         for idxs in itertools.combinations(range(n), size):
+            if not _may_start({kinds[i] for i in idxs}):
+                continue
             latents = tuple(pool[i] for i in idxs)
             promisers = [k.promiser for k in latents]
             if len(set(promisers)) != size:
@@ -689,16 +706,33 @@ def _search_agreement(
                 continue
             for assignment in itertools.product(*candidates):
                 pi = dict(zip(variables, assignment))
+                contracts = {pool[i].promiser: instance(i, pi) for i in idxs}
+                if not can_start({p: head_normal(c) for p, c in contracts.items()}):
+                    continue
                 try:
-                    t = make_system(
-                        {k.promiser: subst_parts(k.contract, pi) for k in latents}
-                    )
+                    t = make_system(contracts)
                 except ContractError:
                     continue
                 result = synthesize(t)
                 if result.ok and policy_check(result.global_type, policy):
                     return Agreement(latents, tuple(sorted(pi.items())), t, result.global_type)
     return None
+
+
+def _head_kind(c: Contract) -> Optional[type]:
+    """The type of the contract's head-normal form, or None when
+    `make_system` refuses the contract whatever its variables become."""
+    if c.free_rec_vars or not c.is_guarded:
+        return None
+    return type(head_normal(c))
+
+
+def _may_start(kinds: set[Optional[type]]) -> bool:
+    """Can an assignment of a subset whose heads are of these kinds pass
+    `can_start`? Not when a contract is refused outright, nor when some head
+    is live but none sends or none receives: a fully matched sender needs a
+    receiver."""
+    return None not in kinds and (kinds <= {End} or {SendChoice, RecvChoice} <= kinds)
 
 
 def find_agreement(
@@ -713,6 +747,13 @@ def find_agreement(
     whose instantiated contracts admit a policy-abiding choreography wins,
     which makes fuse deterministic. Returns None when no agreement exists:
     the fuse prefix simply stays blocked.
+
+    Candidates that `synthesize` would reject at its first step are skipped
+    before any system is built (`synthesis.can_start`, the test the
+    synthesiser itself makes): a subset with a live contract but no send or
+    no receive at the head, and an assignment under which no sender has
+    every branch matched by its peer's head. Skipping never changes which
+    agreement wins, only how fast the search gets there.
     """
     return _search_agreement(tuple(pool), policy)
 

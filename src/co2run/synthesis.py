@@ -15,6 +15,8 @@ and nobody able to move, has no choreography. Whatever the descent produces
 must finally project back onto the original contracts (extra, never-used
 receive branches are tolerated — the receiver just offers more than the
 session exercises); this gate catches any over-approximation of the descent.
+`can_start` is the test of the first step on its own: the agreement search
+uses it to skip systems that would fail there, without building them.
 
 `execution_oracle` is the independent brute-force check used by the test
 suite: it explores every bounded-queue run of the raw FIFO semantics and
@@ -61,6 +63,8 @@ NOT_PROJECTABLE = "not-projectable"
 UNBOUNDED = "unbounded"
 
 Config = tuple[tuple[str, Contract], ...]
+# a matched send branch: (receiver, sort, sender's continuation, receiver's)
+Matched = tuple[str, str, Contract, Contract]
 
 
 @dataclass(frozen=True)
@@ -117,16 +121,15 @@ def _components(config: Config) -> list[Config]:
 
 
 def _matched_branches(
-    config: Config, sender: str, head: SendChoice
-) -> tuple[list[tuple[str, str, Contract, Contract]], list[tuple[str, str]]]:
+    heads: Mapping[str, Contract], sender: str, head: SendChoice
+) -> tuple[list[Matched], list[tuple[str, str]]]:
     """Split a send choice into branches a receiver is ready for and the rest.
 
     A branch (to, sort, cont) is matched when `to` currently sits at an
     external choice from `sender` offering `sort`; the matched tuple carries
     both continuations.
     """
-    heads = dict(config)
-    matched: list[tuple[str, str, Contract, Contract]] = []
+    matched: list[Matched] = []
     unmatched: list[tuple[str, str]] = []
     for to, sort, cont in head.branches:
         peer = heads.get(to)
@@ -140,6 +143,35 @@ def _matched_branches(
         if not ok:
             unmatched.append((to, sort))
     return matched, unmatched
+
+
+def _senders(
+    heads: Mapping[str, Contract],
+) -> tuple[list[tuple[str, list[Matched]]], list[tuple[str, list[tuple[str, str]]]]]:
+    """The senders whose every branch is matched, with those branches, and
+    the senders with some branches matched, with the unmatched ones."""
+    full: list[tuple[str, list[Matched]]] = []
+    partial: list[tuple[str, list[tuple[str, str]]]] = []
+    for name, c in heads.items():
+        if not isinstance(c, SendChoice):
+            continue
+        matched, unmatched = _matched_branches(heads, name, c)
+        if matched and not unmatched:
+            full.append((name, matched))
+        elif matched:
+            partial.append((name, unmatched))
+    return full, partial
+
+
+def can_start(heads: Mapping[str, Contract]) -> bool:
+    """Can `synthesize` get past its first step from these head-normal forms?
+
+    When some participant is live and no sender has every branch matched,
+    the first step of every component fails, so the synthesis does: callers
+    can skip building and synthesising such a system. True does not promise
+    a choreography.
+    """
+    return bool(_senders(heads)[0]) or all(isinstance(c, End) for c in heads.values())
 
 
 def synthesize(system: ContractSystem, max_configs: int = 10_000) -> SynthResult:
@@ -181,16 +213,7 @@ def synthesize(system: ContractSystem, max_configs: int = 10_000) -> SynthResult
         return g
 
     def _step(config: Config, env: dict[Config, str], used: set[str]) -> GlobalType:
-        full: list[tuple[str, list[tuple[str, str, Contract, Contract]]]] = []
-        partial: list[tuple[str, list[tuple[str, str]]]] = []
-        for name, c in config:
-            if not isinstance(c, SendChoice):
-                continue
-            matched, unmatched = _matched_branches(config, name, c)
-            if matched and not unmatched:
-                full.append((name, matched))
-            elif matched:
-                partial.append((name, unmatched))
+        full, partial = _senders(dict(config))
         if full:
             sender, matched = full[0]
             subs = []

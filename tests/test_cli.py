@@ -72,6 +72,27 @@ def test_run_parse_error(tmp_path):
     assert main(["run", str(f)]) == 2
 
 
+def test_synth_refuses_a_contract_naming_its_own_participant(tmp_path, capsys):
+    f = tmp_path / "self.ctr"
+    f.write_text("A: A!x\nB: end\n")
+    assert main(["synth", str(f)]) == 2
+    assert capsys.readouterr().err == "invalid contracts: contract of A names A as its own peer\n"
+
+
+@pytest.mark.parametrize("contract", ["A!x", "A?x"])
+@pytest.mark.parametrize("command", ["run", "honesty", "check"])
+def test_session_naming_its_own_participant_is_a_located_error(command, contract, tmp_path,
+                                                               capsys):
+    f = tmp_path / "self.co2"
+    f.write_text(f"session s {{ A: {contract}  B: end }}\nparticipant A {{ do s {contract} }}\n")
+    argv = {"run": ["run", str(f)],
+            "honesty": ["honesty", str(f), "--participant", "A"],
+            "check": ["check", str(tmp_path / "none.trace.jsonl"), str(f)]}[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"{f}:1:9-1:10: error: contract of A names A as its own peer\n")
+
+
 def test_honesty_violation(tmp_path, capsys):
     witness = tmp_path / "w.trace.jsonl"
     code = main(["honesty", S1, "--participant", "B1", "--trace", str(witness)])

@@ -210,6 +210,13 @@ def test_waiting_contract_blocks_termination():
     assert not is_terminated(make_system({"A": recv("B", "int"), "B": END}))
 
 
+@pytest.mark.parametrize("text", ["A!x", "A?x", "B!x . A!y", "B?x . A?y + B?z"])
+def test_make_system_refuses_a_contract_naming_its_own_participant(text):
+    # no queue joins a participant to itself, so the move could never fire
+    with pytest.raises(ContractError, match="contract of A names A as its own peer"):
+        make_system({"A": parse_contract(text), "B": END})
+
+
 # -- structure ---------------------------------------------------------------
 
 def test_free_participant_vars_of_store_contracts():

@@ -1,12 +1,28 @@
+import functools
 import hashlib
+import itertools
+import random
+from collections import Counter
+from typing import Iterable, Optional
 
 import pytest
 
+from co2run import runtime
 from co2run.choreo import canonicalize, well_formed
-from co2run.contracts import is_terminated
+from co2run.contracts import (
+    ContractError,
+    Rec,
+    RecVar,
+    is_part_var,
+    is_terminated,
+    make_system,
+    subst_parts,
+)
 from co2run.frontend import parse_contract, parse_global, parse_system
 from co2run.fixtures import fixture_text
 from co2run.runtime import (
+    DEFAULT_POLICY,
+    Agreement,
     FusePolicy,
     LatentContract,
     proc_items,
@@ -26,7 +42,9 @@ from co2run.runtime import (
     run,
     system_digest,
 )
+from co2run.synthesis import synthesize
 
+from corpus import corpus_system, random_contract
 from test_choreo import G_STORE2_TEXT, G_STORE3_TEXT
 
 
@@ -317,6 +335,136 @@ def test_s12_policy_and_order_select_the_session():
     # a three-participant floor can only ever build the big session
     floored = find_agreement(pool, FusePolicy(min_participants=3))
     assert set(k.promiser for k in floored.latents) == {"A", "B1", "B2"}
+
+
+# -- the pruned agreement search ---------------------------------------------
+
+def exhaustive_agreement(
+    pool: tuple[LatentContract, ...], policy: FusePolicy
+) -> Optional[Agreement]:
+    """The agreement search before it skipped candidates that `synthesize`
+    rejects at its first step: every subset, every assignment."""
+    n = len(pool)
+    sizes: Iterable[int] = range(2, n + 1) if policy.prefer_smallest else range(n, 1, -1)
+    for size in sizes:
+        for idxs in itertools.combinations(range(n), size):
+            latents = tuple(pool[i] for i in idxs)
+            promisers = [k.promiser for k in latents]
+            if len(set(promisers)) != size:
+                continue
+            if any(not is_part_var(k.session_var) for k in latents):
+                continue
+            owners: dict[str, set[str]] = {}
+            for k in latents:
+                for v in k.contract.free_participant_vars:
+                    owners.setdefault(v, set()).add(k.promiser)
+            names = set(promisers)
+            variables = sorted(owners)
+            candidates = [sorted(names - owners[v]) for v in variables]
+            if any(not c for c in candidates):
+                continue
+            for assignment in itertools.product(*candidates):
+                pi = dict(zip(variables, assignment))
+                try:
+                    t = make_system(
+                        {k.promiser: subst_parts(k.contract, pi) for k in latents}
+                    )
+                except ContractError:
+                    continue
+                result = synthesize(t)
+                if result.ok and policy_check(result.global_type, policy):
+                    return Agreement(latents, tuple(sorted(pi.items())), t, result.global_type)
+    return None
+
+
+_VARIABLES = ("u", "v", "w")
+
+
+def _latent(promiser, text, session_var=None):
+    return LatentContract(promiser, session_var or "x" + promiser.lower(), parse_contract(text))
+
+
+def _decoy(rng, names):
+    """A latent the search must get past: a random contract, sometimes on an
+    existing promiser, naming its own promiser, or never instantiable."""
+    roll = rng.random()
+    promiser = rng.choice(names) if roll < 0.15 else f"D{rng.randrange(3)}"
+    if roll < 0.25:
+        contract = RecVar("t") if rng.random() < 0.5 else Rec("t", RecVar("t"))
+    else:
+        peers = [p for p in names + list(_VARIABLES) if p != promiser or roll < 0.35]
+        contract = random_contract(rng, peers, depth=rng.randint(1, 2))
+    session_var = "X" if rng.random() < 0.05 else "x" + promiser.lower()
+    return LatentContract(promiser, session_var, contract)
+
+
+def _random_pool(rng):
+    """A corpus system with some peers turned into variables, plus decoys,
+    in random order: at most five latents."""
+    pool = []
+    contracts = corpus_system(rng)
+    for name, c in contracts.items():
+        hidden = [p for p in sorted(c.mentioned_participants) if rng.random() < 0.5]
+        c = subst_parts(c, {p: rng.choice(_VARIABLES) for p in hidden})
+        pool.append(LatentContract(name, "x" + name.lower(), c))
+    while len(pool) < 5 and rng.random() < 0.5:
+        pool.append(_decoy(rng, sorted(contracts)))
+    rng.shuffle(pool)
+    return tuple(pool)
+
+
+POLICIES = (
+    DEFAULT_POLICY,
+    FusePolicy(prefer_smallest=True),
+    FusePolicy(3, "terminating"),
+    FusePolicy(mode="recursive"),
+)
+
+
+def test_pruned_search_agrees_with_the_exhaustive_one(monkeypatch):
+    # synthesize is a pure function of the system: both searches share its
+    # results under all four policies, which halves the test's time
+    shared = functools.lru_cache(maxsize=None)(synthesize)
+    monkeypatch.setattr(runtime, "synthesize", shared)
+    monkeypatch.setitem(globals(), "synthesize", shared)
+    rng = random.Random(10)
+    found = Counter()
+    for _ in range(1_000):
+        pool = _random_pool(rng)
+        for policy in POLICIES:
+            expected = exhaustive_agreement(pool, policy)
+            assert find_agreement(pool, policy) == expected, (pool, policy)
+            found[policy, expected is not None] += 1
+    # every policy both finds agreements and comes up empty
+    assert all(found[policy, hit] for policy in POLICIES for hit in (True, False)), found
+
+
+def test_fuse_with_a_variable_bound_to_a_promiser_without_a_dual_action():
+    # v may only become A, although A never receives the a that P sends on v:
+    # the branch that sends it is never taken
+    pool = (_latent("P", "A?x . v!a + A?y"), _latent("A", "P!y"), _latent("Q", "end"))
+    agreement = find_agreement(pool)
+    assert tuple(k.promiser for k in agreement.latents) == ("P", "A", "Q")
+    assert dict(agreement.pi) == {"v": "A"}
+    assert agreement.global_type == parse_global("A -> P : y")
+
+
+def test_fuse_with_two_variables_bound_to_one_promiser():
+    # the assignment is no matching: both clients name the same server
+    pool = (_latent("C1", "s!a"), _latent("C2", "t!b"), _latent("S", "C1?a . C2?b"))
+    agreement = find_agreement(pool)
+    assert tuple(k.promiser for k in agreement.latents) == ("C1", "C2", "S")
+    assert dict(agreement.pi) == {"s": "S", "t": "S"}
+
+
+def test_no_agreement_pool_of_twelve_never_synthesises(monkeypatch):
+    # twelve clients that each send first on their variable peer, as in the
+    # benchmark's no-agreement pools: no subset has a receiver at its head
+    calls = []
+    monkeypatch.setattr(runtime, "synthesize", lambda *args: calls.append(args))
+    pool = tuple(_latent(f"C{i}", f"s!q{i} . s?r{i}") for i in range(12))
+    assert find_agreement(pool) is None
+    assert calls == []
 
 
 # -- do ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from co2run.choreo import canonicalize, project, well_formed
-from co2run.contracts import ContractError, END, make_system, recv, send
+from co2run.contracts import ContractError, END, head_normal, make_system, recv, send
 from co2run.frontend import parse_contract, parse_global, parse_named_contracts
 from co2run.fixtures import fixture_text
 from co2run.synthesis import (
@@ -12,6 +12,7 @@ from co2run.synthesis import (
     MIXED_RACE,
     STUCK,
     STUCK_CONFIG,
+    can_start,
     compliant,
     execution_oracle,
     projection_matches,
@@ -240,3 +241,19 @@ def test_corpus_equivalence_small():
             assert ok, diags
             for name, original in system.contracts:
                 assert projection_matches(project(g, name), original)
+
+
+def test_a_system_that_cannot_start_fails_at_its_first_step():
+    # the agreement search skips such systems without synthesising them
+    rng = random.Random(23)
+    refused = 0
+    for _ in range(300):
+        system = make_system(corpus_system(rng))
+        heads = {n: head_normal(c) for n, c in system.contracts}
+        if not can_start(heads):
+            refused += 1
+            result = synthesize(system)
+            assert result.reason in (STUCK, MIXED_RACE), system
+            # the failing configuration is (a component of) the initial one
+            assert set(result.config) <= set(heads.items()), system
+    assert refused
