@@ -131,14 +131,13 @@ one_sender_choices = st.lists(st.builds(GMsg, st.just("A"), NAMES, SORTS, global
 
 
 VARS = st.sampled_from(["x", "y"])
-prefixes = (
-    st.just(PTau())
-    | st.builds(PTell, PEERS, VARS, contracts)
-    | st.builds(PFuse, st.builds(FusePolicy, st.integers(2, 3),
-                                 st.sampled_from(["plain", "terminating", "recursive"]),
-                                 st.booleans()))
+fuse_and_do_prefixes = (
+    st.builds(PFuse, st.builds(FusePolicy, st.integers(2, 3),
+                               st.sampled_from(["plain", "terminating", "recursive"]),
+                               st.booleans()))
     | st.builds(PDo, st.sampled_from(["s", "x"]), PEERS, SORTS, st.sampled_from(["send", "recv"]))
 )
+prefixes = st.just(PTau()) | st.builds(PTell, PEERS, VARS, contracts) | fuse_and_do_prefixes
 
 
 def _delim_free_layer(children):
@@ -171,14 +170,20 @@ pis = st.dictionaries(st.sampled_from(["a", "b"]), st.sampled_from(["A", "D", "b
 source_prefixes = (
     st.just(PTau())
     | st.builds(PTell, PEERS, VARS, contracts.filter(lambda c: c.is_guarded and not c.free_rec_vars))
-    | prefixes.filter(lambda p: not isinstance(p, (PTau, PTell)))
+    | fuse_and_do_prefixes
 )
 
 
 def _delimited(bodies):
-    names = st.tuples(st.lists(VARS, max_size=2).map(tuple),
-                      st.lists(st.sampled_from(["a", "b", "x"]), max_size=2).map(tuple))
-    return st.builds(lambda n, body: Delim(*n, body), names.filter(any), bodies)
+    # built non-empty rather than filtered, so that three drawn processes
+    # do not trip Hypothesis's filter_too_much health check
+    def part_vars(min_size):
+        return st.lists(st.sampled_from(["a", "b", "x"]), min_size=min_size,
+                        max_size=2).map(tuple)
+
+    session_vars = st.lists(VARS, min_size=1, max_size=2).map(tuple)
+    names = st.tuples(session_vars, part_vars(0)) | st.tuples(st.just(()), part_vars(1))
+    return st.builds(lambda n, body: Delim(*n, body), names, bodies)
 
 
 def _source_layer(children, prefixes=source_prefixes):
