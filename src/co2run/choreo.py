@@ -14,7 +14,6 @@ carry facts computed once from their children's: `participants`,
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .contracts import (
@@ -52,7 +51,6 @@ class _Global(Interned):
         object.__setattr__(self, "_first", first)
 
 
-@dataclass(frozen=True, eq=False, init=False, repr=False)
 class GEnd(_Global):
     __slots__ = ()
 
@@ -60,7 +58,6 @@ class GEnd(_Global):
         self._facts(frozenset(), False, True)
 
 
-@dataclass(frozen=True, eq=False, init=False, repr=False)
 class GRecVar(_Global):
     __slots__ = ("var",)
     var: str
@@ -69,7 +66,6 @@ class GRecVar(_Global):
         self._facts(frozenset(), True, False)
 
 
-@dataclass(frozen=True, eq=False, init=False, repr=False)
 class GRec(_Global):
     __slots__ = ("var", "body")
     var: str
@@ -80,7 +76,6 @@ class GRec(_Global):
         self._facts(b.participants, b.has_recursion, b.has_end, b._first)
 
 
-@dataclass(frozen=True, eq=False, init=False, repr=False)
 class GMsg(_Global):
     __slots__ = ("src", "dst", "sort", "cont")
     src: str
@@ -95,7 +90,6 @@ class GMsg(_Global):
         self._facts(parts, c.has_recursion, c.has_end, first)
 
 
-@dataclass(frozen=True, eq=False, init=False, repr=False)
 class GChoice(_Global):
     """`decider` is the unique participant whose sends separate the
     branches: the one sender of every branch's first layer, when no two
@@ -116,7 +110,6 @@ class GChoice(_Global):
         object.__setattr__(self, "decider", decider)
 
 
-@dataclass(frozen=True, eq=False, init=False, repr=False)
 class GPar(_Global):
     __slots__ = ("branches",)
     branches: tuple["GlobalType", ...]

@@ -268,6 +268,17 @@ def cmd_check(args) -> int:
 # Argument parsing
 # --------------------------------------------------------------------------
 
+def _count(text: str) -> int:
+    """Argument type of the count flags: an int, refused when negative."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {n}")
+    return n
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--fuse-min", type=int, default=2, metavar="N",
@@ -291,14 +302,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("files", nargs="+", help=".ctr files with 'Name: contract' entries")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("-o", "--output", default=None)
-    p.add_argument("--max-configs", type=int, default=10_000)
+    p.add_argument("--max-configs", type=_count, default=10_000)
     p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("run", help="execute a system with the fair seeded scheduler")
     p.add_argument("system", help=".co2 system file")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-steps", type=int, default=10_000)
-    p.add_argument("--fairness-window", type=int, default=64)
+    p.add_argument("--max-steps", type=_count, default=10_000)
+    p.add_argument("--fairness-window", type=_count, default=64)
     p.add_argument("--trace", default=None, help="write the trace as JSON lines")
     _add_common(p)
     p.set_defaults(fn=cmd_run)
@@ -306,8 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("honesty", help="search for a readiness violation")
     p.add_argument("system", help=".co2 system file")
     p.add_argument("--participant", required=True)
-    p.add_argument("--state-bound", type=int, default=10_000)
-    p.add_argument("--depth-bound", type=int, default=2_000)
+    p.add_argument("--state-bound", type=_count, default=10_000)
+    p.add_argument("--depth-bound", type=_count, default=2_000)
     p.add_argument("--trace", default=None, help="write the witness trace here")
     _add_common(p)
     p.set_defaults(fn=cmd_honesty)

@@ -23,7 +23,7 @@ nodes of `runtime`) are hash-consed:
     `decider`; prefix and process nodes carry `names`, their free session
     and participant variables and the calls they make;
   * every node caches its `repr` on first use, built from its children's
-    and byte-identical to the dataclass repr, so a repr-based digest
+    and byte-identical to a plain dataclass's repr, so a repr-based digest
     formats only the nodes that are new;
   * equality never depends on sharing: identity is only a fast path, and a
     duplicate (made by two threads racing on the table, say) compares and
@@ -68,17 +68,17 @@ def is_part_var(ref: str) -> bool:
 # --------------------------------------------------------------------------
 
 class Interned:
-    """Base of hash-consed term nodes.
+    """Base of hash-consed term nodes. It alone gives them construction,
+    immutability, equality, hash, repr and pickling: they are not dataclasses.
 
-    A subclass is a frozen dataclass whose fields are its annotations, also
-    listed in its `__slots__`. Calling the class looks the field tuple up in
-    the class's weak table and returns the live node with those fields, or
-    builds one, runs `_derive` to attach the values it caches, and records
-    it. Pickling and copying rebuild through the constructor, so they
-    return the shared instance too.
-
-    Subclasses are declared with `repr=False`: the dataclass repr is built
-    on first use from the children's cached reprs and kept in `_repr`.
+    A subclass's fields are its annotations, listed in `_fields` and in its
+    `__slots__`. Calling the class looks the field tuple up in the class's
+    weak table and returns the live node with those fields, or builds one,
+    runs `_derive` to attach the values it caches (through
+    `object.__setattr__`: nodes refuse assignment and deletion), and records
+    it. Pickling and copying rebuild through the constructor, so they return
+    the shared instance too. The repr, `Class(field=value, ...)`, is built on
+    first use from the children's cached reprs and kept in `_repr`.
     """
 
     __slots__ = ("_key", "_hash", "_repr", "__weakref__")
@@ -88,8 +88,8 @@ class Interned:
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
         cls._table = weakref.WeakValueDictionary()
-        # the dataclass repr as a %-template over the field values: a first
-        # repr of a deep term then recurses no deeper than a dataclass's did
+        # the repr as a %-template over the field values: a first repr of a
+        # deep term then recurses no deeper than a dataclass's would
         cls._repr_template = f"{cls.__qualname__}({', '.join(f + '=%r' for f in cls._fields)})"
 
     def __new__(cls, *args, **kwargs):
@@ -111,6 +111,11 @@ class Interned:
 
     def _derive(self) -> None:
         """Attach the values the node caches, computed from its children's."""
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -176,7 +181,6 @@ class _Contract(Interned):
         _set(self, "_head_vars", _NONE)
 
 
-@dataclass(frozen=True, eq=False, init=False, repr=False)
 class End(_Contract):
     __slots__ = ()
 
@@ -184,7 +188,6 @@ class End(_Contract):
         self._derive_choice((), ())
 
 
-@dataclass(frozen=True, eq=False, init=False, repr=False)
 class RecVar(_Contract):
     __slots__ = ("var",)
     var: str
@@ -196,7 +199,6 @@ class RecVar(_Contract):
         _set(self, "_head_vars", free)
 
 
-@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Rec(_Contract):
     __slots__ = ("var", "body", "_unfolded")
     var: str
@@ -213,7 +215,6 @@ class Rec(_Contract):
         _set(self, "_unfolded", None)
 
 
-@dataclass(frozen=True, eq=False, init=False, repr=False)
 class SendChoice(_Contract):
     """Internal choice: each branch is (peer, sort, continuation)."""
 
@@ -224,7 +225,6 @@ class SendChoice(_Contract):
         self._derive_choice([b[0] for b in self.branches], [b[2] for b in self.branches])
 
 
-@dataclass(frozen=True, eq=False, init=False, repr=False)
 class RecvChoice(_Contract):
     """External choice: receive one of several sorts from a single peer."""
 

@@ -127,12 +127,10 @@ class _Named(Interned):
         _set(self, "calls", calls)
 
 
-@dataclass(frozen=True, eq=False, init=False, repr=False)
 class PTau(_Named):
     __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False, init=False, repr=False)
 class PTell(_Named):
     __slots__ = ("target", "session_var", "contract")
     target: str
@@ -147,13 +145,11 @@ class PTell(_Named):
         self._facts(names, frozenset((self.session_var,)), parts, ())
 
 
-@dataclass(frozen=True, eq=False, init=False, repr=False)
 class PFuse(_Named):
     __slots__ = ("policy",)
     policy: FusePolicy
 
 
-@dataclass(frozen=True, eq=False, init=False, repr=False)
 class PDo(_Named):
     __slots__ = ("session", "peer", "sort", "dir")
     session: str
@@ -176,12 +172,10 @@ class _Proc(_Named):
     __slots__ = ("_sort_key", "_normal")
 
 
-@dataclass(frozen=True, eq=False, init=False, repr=False)
 class PNil(_Proc):
     __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Sum(_Proc):
     __slots__ = ("branches",)
     branches: tuple[tuple[Prefix, "Process"], ...]
@@ -190,7 +184,6 @@ class Sum(_Proc):
         self._join(sum(self.branches, ()))  # every prefix and continuation
 
 
-@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Par(_Proc):
     __slots__ = ("parts",)
     parts: tuple["Process", ...]
@@ -199,7 +192,6 @@ class Par(_Proc):
         self._join(self.parts)
 
 
-@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Delim(_Proc):
     __slots__ = ("session_vars", "part_vars", "body")
     session_vars: tuple[str, ...]
@@ -213,7 +205,6 @@ class Delim(_Proc):
                     b.free_participant_vars.difference(self.part_vars), b.calls)
 
 
-@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Call(_Proc):
     __slots__ = ("name", "session_args", "part_args")
     name: str

@@ -27,6 +27,7 @@ from co2run.choreo import (
 from co2run.contracts import (
     Contract,
     END,
+    Interned,
     Rec,
     RecVar,
     RecvChoice,
@@ -273,17 +274,22 @@ def corpus_system(rng: random.Random) -> dict[str, Contract]:
 # --------------------------------------------------------------------------
 
 def reference_repr(value) -> str:
-    """The repr a plain dataclass gives, rebuilt field by field through
-    `dataclasses.fields`, never reading a cached string."""
+    """The repr a plain dataclass gives, rebuilt field by field, never reading
+    a cached string: a term node's fields are its `_fields`, a plain
+    dataclass's are read through `dataclasses.fields`."""
+    if isinstance(value, Interned):
+        return _fields_repr(value, value._fields)
     if dataclasses.is_dataclass(value):
-        fields = ", ".join(
-            f"{f.name}={reference_repr(getattr(value, f.name))}" for f in dataclasses.fields(value)
-        )
-        return f"{type(value).__qualname__}({fields})"
+        return _fields_repr(value, [f.name for f in dataclasses.fields(value)])
     if isinstance(value, tuple):
         items = [reference_repr(v) for v in value]
         return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
     return repr(value)
+
+
+def _fields_repr(value, names) -> str:
+    fields = ", ".join(f"{n}={reference_repr(getattr(value, n))}" for n in names)
+    return f"{type(value).__qualname__}({fields})"
 
 
 _HEADER = re.compile(r"^\s*([A-Z][A-Za-z0-9_']*)\s*:", re.M)

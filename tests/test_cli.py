@@ -282,3 +282,19 @@ def test_fuse_min_below_two_is_a_usage_error(n, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage: co2run")
     assert "sessions need at least two participants" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", PAIR, "--max-configs"],
+    ["run", S1, "--max-steps"],
+    ["run", S1, "--fairness-window"],
+    ["honesty", S1, "--participant", "B1", "--state-bound"],
+    ["honesty", S1, "--participant", "B1", "--depth-bound"],
+], ids=lambda argv: argv[-1])
+def test_negative_counts_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: co2run")
+    assert f"argument {argv[-1]}: must not be negative, got -1" in err

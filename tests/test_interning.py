@@ -7,10 +7,11 @@ import pickle
 import pytest
 
 from co2run.analysis import _replay_one
-from co2run.choreo import GEND, GMsg, gchoice, gmsg
+from co2run.choreo import GEND, GMsg, GPar, GRec, GRecVar, gchoice, gmsg
 from co2run.contracts import (
     END,
     ContractError,
+    Interned,
     Rec,
     RecVar,
     RecvChoice,
@@ -33,6 +34,7 @@ from co2run.runtime import (
     PFuse,
     PNil,
     PTau,
+    ProcDef,
     PTell,
     Sum,
     normalize,
@@ -74,12 +76,73 @@ def test_repr_and_hash_are_those_of_the_plain_dataclasses():
     )
 
 
+# one node of each hash-consed class
+NODES = (
+    END,
+    RecVar("x"),
+    Rec("x", send("B", "m", RecVar("x"))),
+    send("B", "m"),
+    recv("A", "int"),
+    GEND,
+    GRecVar("t"),
+    GRec("t", GMsg("A", "B", "m", GRecVar("t"))),
+    gmsg("A", "B", "m"),
+    gchoice([gmsg("A", "B", "p"), gmsg("A", "B", "q")]),
+    GPar((gmsg("A", "B", "m"), gmsg("C", "D", "n"))),
+    PTau(),
+    PTell("A", "x", send("B", "m")),
+    PFuse(DEFAULT_POLICY),
+    PDo("s", "B", "m", "send"),
+    NIL,
+    Sum(((PTau(), NIL),)),
+    Par((NIL, Call("P", (), ()))),
+    Delim(("x",), (), NIL),
+    Call("P", ("x",), ("a",)),
+)
+
+
+def _node_classes(cls=Interned):
+    subs = cls.__subclasses__()
+    return {cls} if not subs else set().union(*map(_node_classes, subs))
+
+
 def test_nodes_are_immutable_and_need_their_fields():
-    c = recv("A", "int")
-    with pytest.raises(AttributeError):
-        c.source = "B"
+    assert {type(n) for n in NODES} == _node_classes() and len(NODES) == 20
+    for node in NODES:
+        text, key = repr(node), node._key
+        field = node._fields[0] if node._fields else "_key"
+        facts = [slot for slot in ("names", "participants", "mentioned_participants", "_hash")
+                 if hasattr(node, slot)]
+        assert len(facts) == 2, node  # the class's own cached facts, and the hash
+        for name in (field, *facts):
+            with pytest.raises(AttributeError):
+                setattr(node, name, None)
+        with pytest.raises(AttributeError):
+            delattr(node, field)
+        with pytest.raises(AttributeError):
+            node.extra = None
+        assert repr(node) == text and node._key == key and hash(node) == hash(key)
     with pytest.raises(TypeError):
         Rec("x")
+
+
+def test_reference_repr_reads_no_cached_repr():
+    inner = recv("Tamper", "n")  # fresh: no other test builds it
+    node = send("Tamper", "m", inner)
+    texts = {n: repr(n) for n in (inner, node)}
+    definition = ProcDef((), (), Sum(((PTell("A", "x", node), NIL),)))
+    expected = reference_repr(definition)
+    try:
+        for n in texts:
+            object.__setattr__(n, "_repr", "junk")
+        assert repr(node) == "junk"
+        assert reference_repr(node) == texts[node]
+        assert reference_repr((inner,)) == f"({texts[inner]},)"
+        assert reference_repr(definition) == expected
+        assert texts[node] in expected
+    finally:
+        for n, text in texts.items():
+            object.__setattr__(n, "_repr", text)
 
 
 def test_pickle_and_copy_return_the_shared_instance():
