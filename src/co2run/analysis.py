@@ -8,12 +8,16 @@ offer every interaction of one of the contract's ready sets. Honesty asks
 for readiness in every reachable state; that is undecidable in general, so
 `check_honesty` explores one context up to a state bound and reports either
 a concrete counterexample trace or "no violation up to the bound".
+
+Every state a readiness question reaches is reachable from the context, so
+one `StateGraph` per search serves both: it expands each state once, stops
+expanding at its bound, and keeps each solved weak ready set. Nothing is
+cached between searches.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 from .contracts import contract_ready_sets, enabled_moves, is_part_name, is_terminated
@@ -30,12 +34,7 @@ from .runtime import (
     proc_items,
     system_digest,
 )
-
-# the explorations below revisit the same immutable states constantly
-# (the readiness search runs inside the honesty search), so memoise the
-# pure per-state step computations
-_steps = lru_cache(maxsize=100_000)(enabled_steps)
-_after = lru_cache(maxsize=100_000)(apply_step)
+from .synthesis import _sccs
 
 
 class AnalysisError(Exception):
@@ -44,6 +43,29 @@ class AnalysisError(Exception):
 
 class ReplayError(Exception):
     """A trace does not replay against the system it claims to come from."""
+
+
+class StateGraph:
+    """The states one search reaches, each expanded at most once.
+
+    Expanding a state fires each of its enabled steps; at most `bound`
+    states are expanded, and a state reached after that stays unexpanded:
+    what lies beyond it is unknown. The graph also keeps the solved weak
+    ready sets, keyed by (who, session, state). Build one per search.
+    """
+
+    def __init__(self, bound: int = 10_000):
+        self.bound = bound
+        self.edges: dict = {}  # expanded state -> its successors
+        self.weak: dict = {}  # (who, session, state) -> (pairs, cut)
+
+    def successors(self, state: Co2System) -> Optional[tuple[tuple[Co2System, StepLabel], ...]]:
+        """(successor, label) of each enabled step, in `enabled_steps` order;
+        None when the state lies beyond the bound."""
+        out = self.edges.get(state)
+        if out is None and len(self.edges) < self.bound:
+            out = self.edges[state] = tuple(apply_step(state, s) for s in enabled_steps(state))
+        return out
 
 
 def culpable(system: Co2System, session: str) -> frozenset[str]:
@@ -80,83 +102,82 @@ def process_ready_set(system: Co2System, who: str, session: str) -> frozenset[tu
 
 
 def weak_process_ready_set(
-    system: Co2System, who: str, session: str, bound: int = 2_000
+    system: Co2System, who: str, session: str, graph: Optional[StateGraph] = None
 ) -> tuple[frozenset[tuple[str, str]], bool]:
     """Interactions `who` can offer after steps that leave the session alone.
 
-    Explores every reduction in which either somebody else moves, or `who`
-    moves without performing a contractual action on this session, and
-    unions the immediate ready sets along the way. Returns the pairs plus
-    an exhausted flag telling whether the bound cut the exploration short.
+    W(s) is the immediate ready set of s united with W(s') over every step
+    s -> s' but `who`'s own actions on this session. The states not solved
+    yet are gathered, then solved one strongly connected component at a
+    time, successors first. Returns W(system) and a cut flag: whether some
+    state on the way lay beyond the graph's bound.
     """
-    pairs: set[tuple[str, str]] = set()
-    seen = {system}
-    queue = deque([system])
-    truncated = False
-    while queue:
-        state = queue.popleft()
-        pairs |= process_ready_set(state, who, session)
-        for step in _steps(state):
-            nxt, label = _after(state, step)
-            if label.actor == who and label.kind == "do" and label.session == session:
-                continue
-            if nxt in seen:
-                continue
-            if len(seen) >= bound:
-                truncated = True
-                continue
-            seen.add(nxt)
-            queue.append(nxt)
-    return frozenset(pairs), truncated
+    graph = StateGraph() if graph is None else graph
+    solved = graph.weak
+    if (who, session, system) in solved:
+        return solved[who, session, system]
+    kept: dict[Co2System, Optional[list[Co2System]]] = {}  # None: beyond the bound
+    todo = [system]
+    while todo:
+        state = todo.pop()
+        if state in kept:
+            continue
+        edges = graph.successors(state)
+        kept[state] = nexts = None if edges is None else [
+            nxt for nxt, label in edges
+            if not (label.actor == who and label.kind == "do" and label.session == session)
+        ]
+        todo.extend(n for n in nexts or () if (who, session, n) not in solved)
+    local = {s: [(None, n) for n in nexts or () if n in kept] for s, nexts in kept.items()}
+    for scc in _sccs(local):
+        pairs: set[tuple[str, str]] = set()
+        cut = False
+        for state in scc:
+            pairs |= process_ready_set(state, who, session)
+            cut |= kept[state] is None
+            for n in kept[state] or ():
+                if n not in scc:
+                    more, more_cut = solved[who, session, n]
+                    pairs |= more
+                    cut |= more_cut
+        result = (frozenset(pairs), cut)
+        for state in scc:
+            solved[who, session, state] = result
+    return solved[who, session, system]
 
 
 @dataclass(frozen=True)
 class ReadySetReport:
-    participant: str
     session: str
     contract_ready_sets: frozenset[frozenset[tuple[str, str]]]
     process_ready_set: frozenset[tuple[str, str]]
     weak_process_ready_set: frozenset[tuple[str, str]]
-    exhausted: bool
     ready: Optional[bool]  # None = unknown (bound hit before a verdict)
 
 
 def ready(
-    system: Co2System, who: str, bound: int = 2_000
+    system: Co2System, who: str, graph: Optional[StateGraph] = None
 ) -> tuple[Optional[bool], tuple[ReadySetReport, ...]]:
     """Is the participant ready in every session it is bound to?
 
     For each session holding a contract of `who`, some contract ready set
     must be covered by the weak process ready set. A finished contract has
     an empty family and demands nothing. The verdict is True, False, or
-    None when the exploration bound was hit before the sets could cover.
+    None when the graph's bound cut the search before the sets could cover.
     """
     reports = []
     for sname, t in system.sessions:
         if who not in t.participants:
             continue
         family = contract_ready_sets(t.contract(who))
-        rdo = process_ready_set(system, who, sname)
-        wrdo, truncated = weak_process_ready_set(system, who, sname, bound)
-        if not family:
+        wrdo, cut = weak_process_ready_set(system, who, sname, graph)
+        if not family or any(x <= wrdo for x in family):
             verdict: Optional[bool] = True
-        elif any(x <= wrdo for x in family):
-            verdict = True
-        elif truncated:
-            verdict = None
         else:
-            verdict = False
-        reports.append(
-            ReadySetReport(
-                participant=who,
-                session=sname,
-                contract_ready_sets=family,
-                process_ready_set=rdo,
-                weak_process_ready_set=wrdo,
-                exhausted=truncated,
-                ready=verdict,
-            )
-        )
+            verdict = None if cut else False
+        reports.append(ReadySetReport(
+            session=sname, contract_ready_sets=family, weak_process_ready_set=wrdo,
+            process_ready_set=process_ready_set(system, who, sname), ready=verdict))
     verdicts = {r.ready for r in reports}
     overall = False if False in verdicts else (None if None in verdicts else True)
     return overall, tuple(reports)
@@ -179,61 +200,50 @@ def is_initial_for(system: Co2System, who: str) -> bool:
 
 @dataclass(frozen=True)
 class HonestyVerdict:
-    participant: str
     violation_found: bool
     states_explored: int
-    state_bound: int
-    depth_bound: int
-    unknown_states: int
+    unknown_states: int  # reached states whose readiness the bound left open
     witness: Optional[Trace] = None
     witness_reports: tuple[ReadySetReport, ...] = ()
 
 
-def check_honesty(
-    system: Co2System,
-    who: str,
-    state_bound: int = 10_000,
-    depth_bound: int = 2_000,
-) -> HonestyVerdict:
+def check_honesty(system: Co2System, who: str, state_bound: int = 10_000) -> HonestyVerdict:
     """Search this context for a reachable state where `who` is not ready.
 
     The input must contain no latent or stipulated contract of `who` yet.
-    A violation comes with the trace that reaches it, replayable from the
-    normalized input; absence of one is only conclusive up to the bounds.
+    The search is breadth-first and stops at the first state where `who`
+    is not ready; at most `state_bound` states are expanded, for the search
+    and its readiness questions together. A violation comes with the trace
+    that reaches it, replayable from the normalized input; absence of one
+    is only conclusive when no state was left unknown.
     """
     root = normalize(system)
     if not is_initial_for(root, who):
         raise AnalysisError(f"system is not {who}-initial")
+    graph = StateGraph(state_bound)
     parent = {root: None}  # state -> (previous state, label); also the seen set
     queue = deque([root])
-    explored = 0
-    unknown = 0
+    explored = unknown = 0
     witness, witness_reports = None, ()
     while queue:
         state = queue.popleft()
+        edges = graph.successors(state)
+        if edges is None:  # reached, but beyond the bound
+            unknown += 1
+            continue
         explored += 1
-        verdict, reports = ready(state, who, depth_bound)
+        verdict, reports = ready(state, who, graph)
         if verdict is False:
             witness, witness_reports = _trace_to(state, parent), reports
             break
         if verdict is None:
             unknown += 1
-        for step in _steps(state):
-            nxt, label = _after(state, step)
-            if nxt in parent or len(parent) >= state_bound:
-                continue
-            parent[nxt] = (state, label)
-            queue.append(nxt)
-    return HonestyVerdict(
-        participant=who,
-        violation_found=witness is not None,
-        states_explored=explored,
-        state_bound=state_bound,
-        depth_bound=depth_bound,
-        unknown_states=unknown,
-        witness=witness,
-        witness_reports=witness_reports,
-    )
+        for nxt, label in edges:
+            if nxt not in parent:
+                parent[nxt] = (state, label)
+                queue.append(nxt)
+    return HonestyVerdict(violation_found=witness is not None, states_explored=explored,
+                          unknown_states=unknown, witness=witness, witness_reports=witness_reports)
 
 
 def _trace_to(state: Co2System, parent: dict) -> Trace:
@@ -248,16 +258,15 @@ def _trace_to(state: Co2System, parent: dict) -> Trace:
     return Trace(tuple(reversed(labels)), tuple(reversed(digests)), state)
 
 
-def _replay_one(
-    state: Co2System, label: StepLabel, expected_digest: Optional[str], number: int
-) -> Co2System:
+def _replay_one(graph: StateGraph, state: Co2System, label: StepLabel,
+                expected_digest: Optional[str], number: int) -> Co2System:
     """Fire the enabled step carrying this label, the trace's step `number`.
 
     Distinct branches can produce identical labels (two internal steps,
     say); when a digest is recorded it picks the right one. When no
     enabled step carries the label, the error lists the labels that do.
     """
-    successors = [_after(state, step) for step in _steps(state)]
+    successors = graph.successors(state)
     candidates = [nxt for nxt, produced in successors if produced == label]
     if not candidates:
         enabled = ", ".join(str(produced) for _, produced in successors) or "none"
@@ -270,33 +279,32 @@ def _replay_one(
                       f"expected {expected_digest}, candidate successors have {got}")
 
 
-def exculpation_within(
-    system: Co2System, who: str, session: str, depth_bound: int = 100
-) -> bool:
+def exculpation_within(system: Co2System, who: str, session: str, max_moves: int = 100) -> bool:
     """Can the culpable participant discharge itself by its own moves?
 
-    Looks for a sequence of internal/advertisement steps by `who` alone,
-    followed by one contractual action of `who` on the session, after which
-    `who` is no longer culpable there (or the session finished).
+    Looks for a sequence of fewer than `max_moves` internal/advertisement
+    steps by `who` alone, followed by one contractual action of `who` on the
+    session, after which `who` is no longer culpable there (or the session
+    finished).
     """
     seen = {system}
     queue = deque([(system, 0)])
     while queue:
-        state, depth = queue.popleft()
-        for step in _steps(state):
+        state, moves = queue.popleft()
+        for step in enabled_steps(state):
             if step.actor != who:
                 continue
             if step.kind == "do":
-                nxt, label = _after(state, step)
+                nxt, label = apply_step(state, step)
                 if label.session != session:
                     continue
                 if who not in culpable(nxt, session) or is_terminated(nxt.session(session)):
                     return True
-            elif step.kind in ("tau", "tell", "call") and depth + 1 < depth_bound:
-                nxt, _ = _after(state, step)
+            elif step.kind in ("tau", "tell", "call") and moves + 1 < max_moves:
+                nxt, _ = apply_step(state, step)
                 if nxt not in seen:
                     seen.add(nxt)
-                    queue.append((nxt, depth + 1))
+                    queue.append((nxt, moves + 1))
     return False
 
 
@@ -339,8 +347,9 @@ def check_trace_properties(trace_steps, digests, system: Co2System) -> PropertyR
                     violations.append(f"{at}: orphan message {frm}->{to}:{msg} in {sname}")
 
     assert_culpability(state, "initial state")
+    graph = StateGraph(len(trace_steps) + 1)  # a replayed loop revisits its states
     for i, label in enumerate(trace_steps):
-        state = _replay_one(state, label, digests[i] if digests else None, i + 1)
+        state = _replay_one(graph, state, label, digests[i] if digests else None, i + 1)
         assert_culpability(state, f"step {i + 1}")
 
     live = []

@@ -184,20 +184,14 @@ def cmd_honesty(args) -> int:
         )
         return EXIT_PRECONDITION
     try:
-        verdict = check_honesty(
-            system,
-            args.participant,
-            state_bound=args.state_bound,
-            depth_bound=args.depth_bound,
-        )
+        verdict = check_honesty(system, args.participant, state_bound=args.state_bound)
     except AnalysisError as exc:
         print(f"precondition: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     payload = {
-        "participant": verdict.participant,
+        "participant": args.participant,
         "statesExplored": verdict.states_explored,
-        "stateBound": verdict.state_bound,
-        "depthBound": verdict.depth_bound,
+        "stateBound": args.state_bound,
         "unknownStates": verdict.unknown_states,
     }
     if verdict.violation_found:
@@ -231,7 +225,7 @@ def cmd_honesty(args) -> int:
                 print(f"  witness trace written to {args.trace}")
         else:
             print(f"no violation for {args.participant} up to {verdict.states_explored} states "
-                  f"(state bound {args.state_bound}, depth bound {args.depth_bound})")
+                  f"(state bound {args.state_bound})")
     return EXIT_VIOLATION if verdict.violation_found else EXIT_OK
 
 
@@ -318,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("system", help=".co2 system file")
     p.add_argument("--participant", required=True)
     p.add_argument("--state-bound", type=_count, default=10_000)
-    p.add_argument("--depth-bound", type=_count, default=2_000)
+    p.add_argument("--depth-bound", type=_count, help="ignored; kept for one release")
     p.add_argument("--trace", default=None, help="write the witness trace here")
     _add_common(p)
     p.set_defaults(fn=cmd_honesty)

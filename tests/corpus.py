@@ -4,9 +4,11 @@ The corpus mixes three populations: projections of random well-formed
 choreographies (compliant by construction), raw random contract systems
 (mostly non-compliant), and single-contract mutations of the projections
 (near-misses). All draws are driven by an explicit Random instance, so a
-fixed seed reproduces the corpus exactly. `reference_repr` recomputes the
-repr the term nodes cache, and `regex_named_contracts` is the regex-driven
-`.ctr` reader the grammar's `named_contracts` production replaced.
+fixed seed reproduces the corpus exactly. `pair_context` writes CO2
+contexts whose honesty verdict is known from how they were built.
+`reference_repr` recomputes the repr the term nodes cache, and
+`regex_named_contracts` is the regex-driven `.ctr` reader the grammar's
+`named_contracts` production replaced.
 """
 from __future__ import annotations
 
@@ -267,6 +269,31 @@ def corpus_system(rng: random.Random) -> dict[str, Contract]:
     if roll < 0.6:
         return mutate_system(rng, projected_system(rng))
     return random_raw_system(rng)
+
+
+# --------------------------------------------------------------------------
+# CO2 contexts
+# --------------------------------------------------------------------------
+
+def pair_context(rng: random.Random, pairs: int, n: int, dishonest: bool) -> tuple[str, str]:
+    """A `.co2` context of concurrent pairs A<i>, B<i>, and whom to check.
+
+    Each pair exchanges n messages of seeded sorts, alternating A<i> -> B<i>
+    and back: A<i> advertises both contracts in its own pool and fuses
+    them, and each process then performs its contract action for action.
+    In a dishonest context every B<i> leaves out its last action and B0 is
+    checked; otherwise A0 is, and every participant is honest.
+    """
+    text = []
+    for i in range(pairs):
+        a, b = f"A{i}", f"B{i}"
+        msgs = [((a, b) if j % 2 == 0 else (b, a)) + (rng.choice(SORTS),) for j in range(n)]
+        for me, fuse in ((a, " . fuse"), (b, "")):
+            heads = [f"{dst}!{sort}" if me == src else f"{src}?{sort}" for src, dst, sort in msgs]
+            acts = "".join(f" . do x{me} {h}" for h in heads[:-1 if dishonest and me == b else n])
+            text.append(f"participant {me} {{ tell {a} @x{me} {{ {' . '.join(heads)} }}"
+                        f"{fuse}{acts} }}\n")
+    return "".join(text), "B0" if dishonest else "A0"
 
 
 # --------------------------------------------------------------------------

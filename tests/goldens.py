@@ -10,6 +10,7 @@ This module needs only the standard library, so it checks the goldens on
 any supported Python, with or without pytest:
 
     PYTHONPATH=src python tests/goldens.py            # exit 1 listing mismatches
+                                                      # and where each departs
     PYTHONPATH=src python tests/goldens.py --record   # rewrite cli_goldens.json
 
 Record only for an intended change of behaviour. `test_cli_goldens.py`
@@ -83,6 +84,20 @@ def observe_all() -> dict:
     return observed
 
 
+def _first_difference(want: dict | None, got: dict | None) -> str:
+    """The first stdout line where a case's observation departs from its
+    golden, or else the first other field that does."""
+    if want is None or got is None:
+        return " (only observed)" if want is None else " (only in the goldens)"
+    old = want["stdout"].splitlines() + ["(end)"]
+    new = got["stdout"].splitlines() + ["(end)"]
+    for i, (a, b) in enumerate(zip(old, new), 1):
+        if a != b:
+            return f": stdout line {i}\n  golden:   {a}\n  observed: {b}"
+    key = next(k for k in sorted(want.keys() | got.keys()) if want.get(k) != got.get(k))
+    return f": {key}\n  golden:   {want.get(key)}\n  observed: {got.get(key)}"
+
+
 def _main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--record", action="store_true",
@@ -96,7 +111,8 @@ def _main(argv: list[str]) -> int:
     goldens = load_goldens()
     bad = sorted(c for c in observed.keys() | goldens.keys() if observed.get(c) != goldens.get(c))
     for case in bad:
-        print(f"mismatch: {case}", file=sys.stderr)
+        print(f"mismatch: {case}{_first_difference(goldens.get(case), observed.get(case))}",
+              file=sys.stderr)
     matched = sum(observed[c] == goldens.get(c) for c in observed)
     print(f"{matched} of {len(observed)} cases match {GOLDENS.name}")
     return 1 if bad else 0

@@ -147,9 +147,7 @@ def test_criterion_4_ready_set_numerics():
 
 def test_criterion_5_dishonesty_witness():
     with _timer(5, "honesty check convicts the buyer that skips the notification", 10.0):
-        verdict = check_honesty(
-            _load("store_s1.co2"), "B1", state_bound=10_000, depth_bound=2_000
-        )
+        verdict = check_honesty(_load("store_s1.co2"), "B1", state_bound=10_000)
         assert verdict.violation_found
         report = next(r for r in verdict.witness_reports if r.ready is False)
         assert report.process_ready_set == frozenset([("A", "order")])

@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+from co2run import analysis
 from co2run.analysis import (
     AnalysisError,
     ReplayError,
+    StateGraph,
     check_honesty,
     check_trace_properties,
     culpable,
@@ -147,7 +149,7 @@ def test_weak_contains_immediate_on_reachable_states():
             for sname, t in state.sessions:
                 for who in t.participants:
                     rdo = process_ready_set(state, who, sname)
-                    wrdo, _ = weak_process_ready_set(state, who, sname, 500)
+                    wrdo, _ = weak_process_ready_set(state, who, sname, StateGraph(500))
                     assert rdo <= wrdo
                     sampled += 1
     assert sampled >= 100
@@ -155,8 +157,8 @@ def test_weak_contains_immediate_on_reachable_states():
 
 def test_weak_ready_set_monotone_in_bound():
     s = _post_fuse_store()
-    small, _ = weak_process_ready_set(s, "B1", "s1", 2)
-    big, exhausted = weak_process_ready_set(s, "B1", "s1", 2000)
+    small, _ = weak_process_ready_set(s, "B1", "s1", StateGraph(2))
+    big, exhausted = weak_process_ready_set(s, "B1", "s1", StateGraph(2000))
     assert small <= big and not exhausted
 
 
@@ -203,8 +205,9 @@ def test_buggy_buyer_is_dishonest():
     state = normalize(_load("store_s1.co2"))
     from co2run.analysis import _replay_one
 
+    graph = StateGraph()
     for i, label in enumerate(verdict.witness.steps):
-        state = _replay_one(state, label, None, i + 1)
+        state = _replay_one(graph, state, label, None, i + 1)
     assert culpable(state, report.session) == frozenset(["B1"])
     v, _ = ready(state, "B1")
     assert v is False
@@ -248,6 +251,39 @@ def test_group_honesty_example():
     # yet the closed system progresses to completion
     t = run(s, seed=0, max_steps=100)
     assert all(is_terminated(x) for _, x in t.terminal.sessions)
+
+
+def _count_expansions(monkeypatch) -> list:
+    """The states `analysis` asks `enabled_steps` about, in order."""
+    calls = []
+
+    def counted(state):
+        calls.append(state)
+        return enabled_steps(state)
+    monkeypatch.setattr(analysis, "enabled_steps", counted)
+    return calls
+
+
+def test_honesty_expands_each_state_once_and_at_most_the_bound(monkeypatch):
+    calls = _count_expansions(monkeypatch)
+    system = _load("store_s12.co2")
+    for bound in (1, 10, 50, 10_000):
+        calls.clear()
+        verdict = check_honesty(system, "B2", state_bound=bound)
+        assert len(calls) == len(set(calls)) <= bound
+        assert verdict.states_explored <= bound
+    # the complete search expands each of the 118 reachable states once
+    assert len(calls) == verdict.states_explored == 118
+    assert verdict.unknown_states == 0
+
+
+def test_replay_expands_each_revisited_state_once(monkeypatch):
+    system = _load("pingpong.co2")
+    trace = run(system, seed=0, max_steps=300)
+    assert len(trace.steps) == 300
+    calls = _count_expansions(monkeypatch)
+    assert check_trace_properties(trace.steps, trace.digests, system).steps_replayed == 300
+    assert 0 < len(calls) == len(set(calls)) < len(trace.steps)
 
 
 def test_exculpation_in_robust_fixture():

@@ -108,6 +108,31 @@ def test_honesty_clean(capsys):
     assert "no violation" in out
 
 
+def test_honesty_counts_states_beyond_the_bound_as_unknown(capsys):
+    s12 = str(fixture_path("store_s12.co2"))
+    assert main(["honesty", s12, "--participant", "B2", "--state-bound", "10",
+                 "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["result"] == "NoViolationUpToBound"
+    assert report["statesExplored"] <= 10 and report["unknownStates"] > 0
+    # the complete search leaves nothing unknown
+    assert main(["honesty", s12, "--participant", "B2", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["statesExplored"], report["unknownStates"]) == (118, 0)
+
+
+@pytest.mark.parametrize("argv", [
+    ["honesty", S1, "--participant", "B1"],
+    ["honesty", S1, "--participant", "B2", "--format", "json"],
+    ["honesty", ROBUST, "--participant", "B", "--state-bound", "5"],
+], ids=["violation", "json", "bounded"])
+def test_depth_bound_is_accepted_and_ignored(argv, capsys):
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert main([*argv, "--depth-bound", "5"]) == code
+    assert capsys.readouterr().out == out
+
+
 def test_honesty_precondition(capsys):
     assert main(["honesty", SNAPSHOT, "--participant", "B1"]) == 4
 

@@ -6,7 +6,7 @@ import pickle
 
 import pytest
 
-from co2run.analysis import _replay_one
+from co2run.analysis import StateGraph, _replay_one
 from co2run.choreo import GEND, GMsg, GPar, GRec, GRecVar, gchoice, gmsg
 from co2run.contracts import (
     END,
@@ -253,8 +253,9 @@ def test_digest_is_sha256_of_the_plain_repr_at_every_state_of_every_fixture():
         trace = run(system, seed=0, max_steps=300)
         state = normalize(system)
         assert system_digest(state) == _reference_digest(state)
+        graph = StateGraph()
         for i, (label, digest) in enumerate(zip(trace.steps, trace.digests)):
-            state = _replay_one(state, label, digest, i + 1)
+            state = _replay_one(graph, state, label, digest, i + 1)
             assert _reference_digest(state) == digest, (name, i)
         assert state == trace.terminal
 

@@ -1,14 +1,17 @@
 """Property tests: the values cached on term nodes against plain walkers,
 the parsers against the renderer and the former regex `.ctr` reader, the
 parser's fuse policy, `canonicalize` and the renderers against the walkers
-they replaced, and the move relation and ready sets against the former
-`enabled_moves`, `contract_step` and `contract_ready_sets`."""
+they replaced, the move relation and ready sets against the former
+`enabled_moves`, `contract_step` and `contract_ready_sets`, and the honesty
+search against the former one, which ran a readiness search per state."""
 import copy
 import itertools
 import pickle
 import random
 import re
-from dataclasses import replace
+from collections import deque
+from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Mapping, Optional
 
 import pytest
@@ -17,6 +20,15 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from co2run import synthesis  # noqa: E402
+from co2run.analysis import (  # noqa: E402
+    AnalysisError,
+    StateGraph,
+    _trace_to,
+    check_honesty,
+    is_initial_for,
+    process_ready_set,
+    ready,
+)
 from co2run.choreo import (  # noqa: E402
     GChoice,
     GEnd,
@@ -75,6 +87,7 @@ from co2run.runtime import (  # noqa: E402
     DEFAULT_POLICY,
     NIL,
     Call,
+    Co2System,
     Delim,
     FusePolicy,
     Par,
@@ -86,7 +99,10 @@ from co2run.runtime import (  # noqa: E402
     ProcDef,
     Process,
     Sum,
+    Trace,
     _proc_key,
+    apply_step,
+    enabled_steps,
     make_co2,
     normalize,
     normalize_proc,
@@ -94,7 +110,8 @@ from co2run.runtime import (  # noqa: E402
 )
 
 from corpus import SORTS as CORPUS_SORTS  # noqa: E402
-from corpus import corpus_system, random_global, reference_repr, regex_named_contracts  # noqa: E402
+from corpus import corpus_system, pair_context, random_global, reference_repr  # noqa: E402
+from corpus import regex_named_contracts  # noqa: E402
 
 PEERS = st.sampled_from(["A", "B", "C", "a", "b"])
 SORTS = st.sampled_from(["p", "q", "r"])
@@ -1027,3 +1044,228 @@ def test_moves_and_steps_agree_with_the_oracles_on_driven_sessions():
 @given(contracts.filter(lambda c: not c.free_rec_vars and not c.free_participant_vars))
 def test_ready_sets_agree_with_the_oracle_on_closed_contracts(c):
     assert _result(contract_ready_sets, c) == _result(contract_ready_sets_oracle, c)
+
+
+# The parent's readiness and honesty search, kept verbatim as oracles for
+# the search over one `StateGraph`: there, every state ran its own readiness
+# search under a second bound, over module-level caches of the step functions.
+
+_steps = lru_cache(maxsize=100_000)(enabled_steps)
+_after = lru_cache(maxsize=100_000)(apply_step)
+
+
+def weak_process_ready_set_oracle(
+    system: Co2System, who: str, session: str, bound: int = 2_000
+) -> tuple[frozenset[tuple[str, str]], bool]:
+    """Interactions `who` can offer after steps that leave the session alone.
+
+    Explores every reduction in which either somebody else moves, or `who`
+    moves without performing a contractual action on this session, and
+    unions the immediate ready sets along the way. Returns the pairs plus
+    an exhausted flag telling whether the bound cut the exploration short.
+    """
+    pairs: set[tuple[str, str]] = set()
+    seen = {system}
+    queue = deque([system])
+    truncated = False
+    while queue:
+        state = queue.popleft()
+        pairs |= process_ready_set(state, who, session)
+        for step in _steps(state):
+            nxt, label = _after(state, step)
+            if label.actor == who and label.kind == "do" and label.session == session:
+                continue
+            if nxt in seen:
+                continue
+            if len(seen) >= bound:
+                truncated = True
+                continue
+            seen.add(nxt)
+            queue.append(nxt)
+    return frozenset(pairs), truncated
+
+
+@dataclass(frozen=True)
+class ReadySetReportOracle:
+    participant: str
+    session: str
+    contract_ready_sets: frozenset[frozenset[tuple[str, str]]]
+    process_ready_set: frozenset[tuple[str, str]]
+    weak_process_ready_set: frozenset[tuple[str, str]]
+    exhausted: bool
+    ready: Optional[bool]  # None = unknown (bound hit before a verdict)
+
+
+def ready_oracle(
+    system: Co2System, who: str, bound: int = 2_000
+) -> tuple[Optional[bool], tuple[ReadySetReportOracle, ...]]:
+    """Is the participant ready in every session it is bound to?
+
+    For each session holding a contract of `who`, some contract ready set
+    must be covered by the weak process ready set. A finished contract has
+    an empty family and demands nothing. The verdict is True, False, or
+    None when the exploration bound was hit before the sets could cover.
+    """
+    reports = []
+    for sname, t in system.sessions:
+        if who not in t.participants:
+            continue
+        family = contract_ready_sets(t.contract(who))
+        rdo = process_ready_set(system, who, sname)
+        wrdo, truncated = weak_process_ready_set_oracle(system, who, sname, bound)
+        if not family:
+            verdict: Optional[bool] = True
+        elif any(x <= wrdo for x in family):
+            verdict = True
+        elif truncated:
+            verdict = None
+        else:
+            verdict = False
+        reports.append(
+            ReadySetReportOracle(
+                participant=who,
+                session=sname,
+                contract_ready_sets=family,
+                process_ready_set=rdo,
+                weak_process_ready_set=wrdo,
+                exhausted=truncated,
+                ready=verdict,
+            )
+        )
+    verdicts = {r.ready for r in reports}
+    overall = False if False in verdicts else (None if None in verdicts else True)
+    return overall, tuple(reports)
+
+
+@dataclass(frozen=True)
+class HonestyVerdictOracle:
+    participant: str
+    violation_found: bool
+    states_explored: int
+    state_bound: int
+    depth_bound: int
+    unknown_states: int
+    witness: Optional[Trace] = None
+    witness_reports: tuple[ReadySetReportOracle, ...] = ()
+
+
+def check_honesty_oracle(
+    system: Co2System,
+    who: str,
+    state_bound: int = 10_000,
+    depth_bound: int = 2_000,
+) -> HonestyVerdictOracle:
+    """Search this context for a reachable state where `who` is not ready.
+
+    The input must contain no latent or stipulated contract of `who` yet.
+    A violation comes with the trace that reaches it, replayable from the
+    normalized input; absence of one is only conclusive up to the bounds.
+    """
+    root = normalize(system)
+    if not is_initial_for(root, who):
+        raise AnalysisError(f"system is not {who}-initial")
+    parent = {root: None}  # state -> (previous state, label); also the seen set
+    queue = deque([root])
+    explored = 0
+    unknown = 0
+    witness, witness_reports = None, ()
+    while queue:
+        state = queue.popleft()
+        explored += 1
+        verdict, reports = ready_oracle(state, who, depth_bound)
+        if verdict is False:
+            witness, witness_reports = _trace_to(state, parent), reports
+            break
+        if verdict is None:
+            unknown += 1
+        for step in _steps(state):
+            nxt, label = _after(state, step)
+            if nxt in parent or len(parent) >= state_bound:
+                continue
+            parent[nxt] = (state, label)
+            queue.append(nxt)
+    return HonestyVerdictOracle(
+        participant=who,
+        violation_found=witness is not None,
+        states_explored=explored,
+        state_bound=state_bound,
+        depth_bound=depth_bound,
+        unknown_states=unknown,
+        witness=witness,
+        witness_reports=witness_reports,
+    )
+
+
+def _report_outcome(reports) -> tuple:
+    return tuple((r.session, r.contract_ready_sets, r.process_ready_set,
+                  r.weak_process_ready_set, r.ready) for r in reports)
+
+
+# A must act on s2 before it can offer what s1 asks of it
+TWO_SESSIONS = """
+participant A { do s2 B!x . do s1 C!y }
+participant B { do s2 A?x }
+participant C { do s1 A?y }
+session s1 { A: C!y C: A?y }
+session s2 { A: B!x B: A?x }
+"""
+
+
+def test_ready_agrees_with_the_oracle_on_walked_states():
+    rng = random.Random(5)
+    checked = 0
+    for text in [*map(fixture_text, FIXTURES), TWO_SESSIONS]:
+        root = normalize(parse_system(text))
+        for walk in range(8):
+            state = root
+            for _ in range(walk and rng.randrange(16)):
+                steps = enabled_steps(state)
+                if not steps:
+                    break
+                state, _ = apply_step(state, rng.choice(steps))
+            graph = StateGraph()  # shared, so later questions read solved sets
+            for who, _ in state.processes:
+                verdict, reports = ready(state, who, graph)
+                want, want_reports = ready_oracle(state, who)
+                assert (verdict, _report_outcome(reports)) == (
+                    want, _report_outcome(want_reports)), (text, who)
+                checked += len(reports)
+    assert checked > 150
+    _steps.cache_clear()
+    _after.cache_clear()
+
+
+def _honesty_outcome(verdict) -> tuple:
+    """What both searches report: verdict, counts, witness and its reports."""
+    return (
+        verdict.violation_found,
+        verdict.states_explored,
+        verdict.unknown_states,
+        verdict.witness and (verdict.witness.steps, verdict.witness.digests),
+        _report_outcome(verdict.witness_reports),
+    )
+
+
+def test_honesty_agrees_with_the_oracle_on_fixtures_and_generated_pairs():
+    contexts = [(fixture_text(name), who)
+                for name in FIXTURES for who, _ in parse_system(fixture_text(name)).processes]
+    rng = random.Random(2)
+    sizes = [(1, n) for n in range(2, 13)] + [(2, n) for n in range(2, 6)]
+    contexts += [pair_context(rng, pairs, n, dishonest)
+                 for pairs, n in sizes for dishonest in (False, True)]
+    outcomes = set()
+    for text, who in contexts:
+        system = parse_system(text)
+        try:
+            want = check_honesty_oracle(system, who)
+        except AnalysisError:
+            with pytest.raises(AnalysisError):
+                check_honesty(system, who)
+            continue
+        got = check_honesty(system, who)
+        assert want.unknown_states == 0 and want.states_explored < 10_000, who
+        assert _honesty_outcome(got) == _honesty_outcome(want), (text, who)
+        outcomes.add(got.violation_found)
+    assert outcomes == {False, True}
+    _steps.cache_clear()
+    _after.cache_clear()
