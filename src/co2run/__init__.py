@@ -20,7 +20,7 @@ from .contracts import (
     unfold,
 )
 from .choreo import GlobalType, canonicalize, project, well_formed
-from .synthesis import SynthResult, compliant, execution_oracle, synthesize
+from .synthesis import SynthResult, synthesize
 from .runtime import Co2System, FusePolicy, Trace, enabled_steps, find_agreement, normalize, run
 from .analysis import check_honesty, check_trace_properties, culpable, ready
 

@@ -11,14 +11,15 @@ a concrete counterexample trace or "no violation up to the bound".
 
 Every state a readiness question reaches is reachable from the context, so
 one `StateGraph` per search serves both: it expands each state once, stops
-expanding at its bound, and keeps each solved weak ready set. Nothing is
-cached between searches.
+expanding at its bound, and keeps each solved weak ready set, solved one
+strongly connected component at a time (Tarjan's `_sccs`, successors
+first). Nothing is cached between searches.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, TypeVar
 
 from .contracts import contract_ready_sets, enabled_moves, is_part_name, is_terminated
 from .contracts import End, head_normal, orphan_messages
@@ -34,7 +35,8 @@ from .runtime import (
     proc_items,
     system_digest,
 )
-from .synthesis import _sccs
+
+N = TypeVar("N")
 
 
 class AnalysisError(Exception):
@@ -128,7 +130,7 @@ def weak_process_ready_set(
             if not (label.actor == who and label.kind == "do" and label.session == session)
         ]
         todo.extend(n for n in nexts or () if (who, session, n) not in solved)
-    local = {s: [(None, n) for n in nexts or () if n in kept] for s, nexts in kept.items()}
+    local = {s: [n for n in nexts or () if n in kept] for s, nexts in kept.items()}
     for scc in _sccs(local):
         pairs: set[tuple[str, str]] = set()
         cut = False
@@ -144,6 +146,58 @@ def weak_process_ready_set(
         for state in scc:
             solved[who, session, state] = result
     return solved[who, session, system]
+
+
+def _sccs(graph: dict[N, list[N]]) -> list[set[N]]:
+    """The strongly connected components of a graph given as successor
+    lists, successors' components first (Tarjan's algorithm, iterative to
+    spare the recursion limit)."""
+    index: dict[N, int] = {}
+    low: dict[N, int] = {}
+    on_stack: set[N] = set()
+    stack: list[N] = []
+    out: list[set[N]] = []
+    counter = [0]
+
+    for root in graph:
+        if root in index:
+            continue
+        work: list[tuple[N, int]] = [(root, 0)]
+        while work:
+            node, child_i = work[-1]
+            if child_i == 0:
+                index[node] = low[node] = counter[0]
+                counter[0] += 1
+                stack.append(node)
+                on_stack.add(node)
+            advanced = False
+            children = graph[node]
+            while child_i < len(children):
+                child = children[child_i]
+                child_i += 1
+                if child not in index:
+                    work[-1] = (node, child_i)
+                    work.append((child, 0))
+                    advanced = True
+                    break
+                if child in on_stack:
+                    low[node] = min(low[node], index[child])
+            if advanced:
+                continue
+            work.pop()
+            if low[node] == index[node]:
+                comp = set()
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.add(w)
+                    if w == node:
+                        break
+                out.append(comp)
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+    return out
 
 
 @dataclass(frozen=True)
@@ -277,35 +331,6 @@ def _replay_one(graph: StateGraph, state: Co2System, label: StepLabel,
     got = ", ".join(system_digest(nxt) for nxt in candidates)
     raise ReplayError(f"step {number}: state digest mismatch after {label}: "
                       f"expected {expected_digest}, candidate successors have {got}")
-
-
-def exculpation_within(system: Co2System, who: str, session: str, max_moves: int = 100) -> bool:
-    """Can the culpable participant discharge itself by its own moves?
-
-    Looks for a sequence of fewer than `max_moves` internal/advertisement
-    steps by `who` alone, followed by one contractual action of `who` on the
-    session, after which `who` is no longer culpable there (or the session
-    finished).
-    """
-    seen = {system}
-    queue = deque([(system, 0)])
-    while queue:
-        state, moves = queue.popleft()
-        for step in enabled_steps(state):
-            if step.actor != who:
-                continue
-            if step.kind == "do":
-                nxt, label = apply_step(state, step)
-                if label.session != session:
-                    continue
-                if who not in culpable(nxt, session) or is_terminated(nxt.session(session)):
-                    return True
-            elif step.kind in ("tau", "tell", "call") and moves + 1 < max_moves:
-                nxt, _ = apply_step(state, step)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append((nxt, moves + 1))
-    return False
 
 
 # --------------------------------------------------------------------------

@@ -224,8 +224,10 @@ def cmd_honesty(args) -> int:
             if args.trace:
                 print(f"  witness trace written to {args.trace}")
         else:
+            undecided = (f"; the bound left {verdict.unknown_states} states undecided"
+                         if verdict.unknown_states else "")
             print(f"no violation for {args.participant} up to {verdict.states_explored} states "
-                  f"(state bound {args.state_bound})")
+                  f"(state bound {args.state_bound}){undecided}")
     return EXIT_VIOLATION if verdict.violation_found else EXIT_OK
 
 

@@ -17,10 +17,6 @@ receive branches are tolerated — the receiver just offers more than the
 session exercises); this gate catches any over-approximation of the descent.
 `can_start` is the test of the first step on its own: the agreement search
 uses it to skip systems that would fail there, without building them.
-
-`execution_oracle` is the independent brute-force check used by the test
-suite: it explores every bounded-queue run of the raw FIFO semantics and
-looks for stuck states and starved loops.
 """
 from __future__ import annotations
 
@@ -45,16 +41,9 @@ from .contracts import (
     ContractSystem,
     ContractError,
     End,
-    MoveLabel,
     RecvChoice,
-    RECV,
-    SEND,
     SendChoice,
-    contract_step,
-    enabled_moves,
     head_normal,
-    is_terminated,
-    make_system,
 )
 
 STUCK = "stuck"
@@ -271,6 +260,8 @@ def projection_matches(view: Contract, actual: Contract) -> bool:
     never exercises. Send branches must agree exactly: an extra send could
     be chosen at runtime and derail the session.
     """
+    if view is actual:  # interning makes a matching projection the same node
+        return True
     seen: set[tuple[Contract, Contract]] = set()
 
     def walk(a: Contract, b: Contract) -> bool:
@@ -299,144 +290,3 @@ def projection_matches(view: Contract, actual: Contract) -> bool:
         return False
 
     return walk(view, actual)
-
-
-def compliant(contracts: Mapping[str, Contract]) -> bool:
-    """Can these contracts be assigned a choreography?"""
-    if not contracts:
-        return True
-    return synthesize(make_system(contracts)).ok
-
-
-# --------------------------------------------------------------------------
-# Brute-force execution oracle
-# --------------------------------------------------------------------------
-
-ALL_RUNS_COMPLETE = "all-runs-complete"
-STUCK_CONFIG = "stuck-config"
-CYCLE_WITHOUT_PROGRESS = "cycle-without-progress"
-BUDGET_EXHAUSTED = "budget-exhausted"
-
-
-@dataclass(frozen=True)
-class OracleResult:
-    kind: str
-    witness: Optional[ContractSystem] = None
-
-
-def _bounded_moves(system: ContractSystem, bound: int) -> tuple[MoveLabel, ...]:
-    moves = []
-    for m in enabled_moves(system):
-        if m.dir == SEND and len(system.queue(m.actor, m.peer)) >= bound:
-            continue
-        moves.append(m)
-    return tuple(moves)
-
-
-def execution_oracle(
-    system: ContractSystem, buffer_bound: int = 1, max_configs: int = 200_000
-) -> OracleResult:
-    """Exhaustively run the FIFO semantics with bounded queues.
-
-    Fails on the first reachable configuration that is stuck short of
-    termination. Loops are judged under a fair scheduler: a reachable cycle
-    is acceptable as long as every unfinished participant has some enabled
-    move within it (fairness will serve the move, inside the loop or out of
-    it) and every message circulating in the loop stays consumable. A loop
-    that starves a waiting participant, or carries a message nobody can
-    ever receive, has no choreography behind it.
-    """
-    if buffer_bound < 1:
-        raise ValueError("buffer_bound must be at least 1")
-    graph: dict[ContractSystem, list[tuple[MoveLabel, ContractSystem]]] = {}
-    frontier = [system]
-    while frontier:
-        state = frontier.pop()
-        if state in graph:
-            continue
-        if len(graph) >= max_configs:
-            return OracleResult(BUDGET_EXHAUSTED)
-        moves = _bounded_moves(state, buffer_bound)
-        if not moves and not is_terminated(state):
-            return OracleResult(STUCK_CONFIG, state)
-        edges = []
-        for m in moves:
-            nxt = contract_step(state, m)
-            edges.append((m, nxt))
-            frontier.append(nxt)
-        graph[state] = edges
-
-    for scc in _sccs(graph):
-        some = next(iter(scc))
-        if len(scc) == 1 and all(nxt != some for _, nxt in graph[some]):
-            continue  # no cycle through this component
-        movers: set[str] = set()
-        consumable: set[tuple[str, str]] = set()
-        for state in scc:
-            for m, _ in graph[state]:
-                movers.add(m.actor)
-                if m.dir == RECV:
-                    consumable.add((m.peer, m.actor))
-        unfinished = {
-            n for n, c in some.contracts if not isinstance(head_normal(c), End)
-        }
-        if unfinished - movers:
-            return OracleResult(CYCLE_WITHOUT_PROGRESS, some)
-        for frm, to, _ in some.queues:
-            if (frm, to) in consumable:
-                continue
-            if all(state.queue(frm, to) for state in scc):
-                return OracleResult(CYCLE_WITHOUT_PROGRESS, some)
-    return OracleResult(ALL_RUNS_COMPLETE)
-
-
-def _sccs(
-    graph: dict[ContractSystem, list[tuple[str, ContractSystem]]]
-) -> list[set[ContractSystem]]:
-    """Tarjan's algorithm, iterative to spare the recursion limit."""
-    index: dict[ContractSystem, int] = {}
-    low: dict[ContractSystem, int] = {}
-    on_stack: set[ContractSystem] = set()
-    stack: list[ContractSystem] = []
-    out: list[set[ContractSystem]] = []
-    counter = [0]
-
-    for root in graph:
-        if root in index:
-            continue
-        work: list[tuple[ContractSystem, int]] = [(root, 0)]
-        while work:
-            node, child_i = work[-1]
-            if child_i == 0:
-                index[node] = low[node] = counter[0]
-                counter[0] += 1
-                stack.append(node)
-                on_stack.add(node)
-            advanced = False
-            children = graph[node]
-            while child_i < len(children):
-                child = children[child_i][1]
-                child_i += 1
-                if child not in index:
-                    work[-1] = (node, child_i)
-                    work.append((child, 0))
-                    advanced = True
-                    break
-                if child in on_stack:
-                    low[node] = min(low[node], index[child])
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == index[node]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == node:
-                        break
-                out.append(comp)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-    return out

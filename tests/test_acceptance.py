@@ -10,7 +10,6 @@ from co2run.analysis import (
     check_honesty,
     check_trace_properties,
     culpable,
-    exculpation_within,
     process_ready_set,
     ready,
     weak_process_ready_set,
@@ -38,14 +37,10 @@ from co2run.runtime import (
     proc_items,
     run,
 )
-from co2run.synthesis import (
-    ALL_RUNS_COMPLETE,
-    execution_oracle,
-    projection_matches,
-    synthesize,
-)
+from co2run.synthesis import projection_matches, synthesize
 
 from corpus import corpus_system, random_contract, random_global
+from oracle import ALL_RUNS_COMPLETE, exculpation_within, execution_oracle
 from test_choreo import G_STORE2_TEXT, G_STORE3_TEXT
 from test_runtime import _drive, S1_PLAN
 

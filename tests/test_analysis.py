@@ -10,7 +10,6 @@ from co2run.analysis import (
     check_honesty,
     check_trace_properties,
     culpable,
-    exculpation_within,
     is_initial_for,
     process_ready_set,
     ready,
@@ -21,6 +20,8 @@ from co2run.frontend import parse_system, trace_from_jsonl, trace_to_jsonl
 from co2run.fixtures import fixture_text
 from co2run.runtime import apply_step, enabled_steps, normalize, run
 
+from corpus import pair_context
+from oracle import exculpation_within
 from test_runtime import _drive, S1_PLAN
 
 
@@ -262,6 +263,35 @@ def _count_expansions(monkeypatch) -> list:
         return enabled_steps(state)
     monkeypatch.setattr(analysis, "enabled_steps", counted)
     return calls
+
+
+def test_honest_pairs_progress_and_a_dishonest_twin_is_blamed():
+    # the paper's theorem: honest participants give progress and session
+    # fidelity; a participant that drops an action is found dishonest and
+    # left culpable wherever its session stops
+    for pairs in (1, 2):
+        for n in range(2, 9):  # the twin draws the same sorts from the same seed
+            text, who = pair_context(random.Random(n), pairs, n, dishonest=False)
+            system = parse_system(text)
+            verdict = check_honesty(system, who)
+            assert not verdict.violation_found and verdict.unknown_states == 0, text
+            for seed in range(5):
+                trace = run(system, seed=seed)
+                sessions = trace.terminal.sessions
+                assert len(sessions) == pairs, (text, seed)
+                assert all(is_terminated(t) for _, t in sessions), (text, seed)
+                assert check_trace_properties(trace.steps, trace.digests, system).ok, (text, seed)
+
+            text, who = pair_context(random.Random(n), pairs, n, dishonest=True)
+            system = parse_system(text)
+            assert check_honesty(system, who).violation_found, text
+            for seed in range(5):
+                terminal = run(system, seed=seed).terminal
+                assert len(terminal.sessions) == pairs, (text, seed)
+                for sname, t in terminal.sessions:  # every B<i> drops an action
+                    assert not is_terminated(t), (text, seed)
+                    blamed = {p for p in t.participants if p.startswith("B")}
+                    assert culpable(terminal, sname) == blamed and len(blamed) == 1, (text, seed)
 
 
 def test_honesty_expands_each_state_once_and_at_most_the_bound(monkeypatch):

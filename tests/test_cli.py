@@ -119,6 +119,12 @@ def test_honesty_counts_states_beyond_the_bound_as_unknown(capsys):
     assert main(["honesty", s12, "--participant", "B2", "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert (report["statesExplored"], report["unknownStates"]) == (118, 0)
+    # the text form says what the bound left open, and only when it did
+    assert main(["honesty", s12, "--participant", "B2", "--state-bound", "10"]) == 0
+    assert capsys.readouterr().out == ("no violation for B2 up to 10 states (state bound 10); "
+                                       "the bound left 10 states undecided\n")
+    assert main(["honesty", s12, "--participant", "B2"]) == 0
+    assert capsys.readouterr().out == "no violation for B2 up to 118 states (state bound 10000)\n"
 
 
 @pytest.mark.parametrize("argv", [
