@@ -29,8 +29,8 @@ nodes of `runtime`) are hash-consed:
     duplicate (made by two threads racing on the table, say) compares and
     hashes equal to the shared instance.
 
-Everything here is immutable; operations are pure functions returning new
-values, so concurrent use needs no locking.
+A `ContractSystem` is `Frozen` but not interned: a new session state each
+step. Everything here is immutable and operations return new values.
 """
 from __future__ import annotations
 
@@ -64,30 +64,28 @@ def is_part_var(ref: str) -> bool:
 
 
 # --------------------------------------------------------------------------
-# Hash-consed terms
+# Frozen values and hash-consed terms
 # --------------------------------------------------------------------------
 
-class Interned:
-    """Base of hash-consed term nodes. It alone gives them construction,
-    immutability, equality, hash, repr and pickling: they are not dataclasses.
+class Frozen:
+    """Base of immutable values: not dataclasses, but with the same fields,
+    equality, hash and repr.
 
     A subclass's fields are its annotations, listed in `_fields` and in its
-    `__slots__`. Calling the class looks the field tuple up in the class's
-    weak table and returns the live node with those fields, or builds one,
-    runs `_derive` to attach the values it caches (through
-    `object.__setattr__`: nodes refuse assignment and deletion), and records
-    it. Pickling and copying rebuild through the constructor, so they return
-    the shared instance too. The repr, `Class(field=value, ...)`, is built on
-    first use from the children's cached reprs and kept in `_repr`.
+    `__slots__`. Calling the class with the field values builds a value,
+    computes its hash once and runs `_derive` to attach the values it caches
+    (through `object.__setattr__`: values refuse assignment and deletion).
+    The repr, `Class(field=value, ...)`, is built on first use from the
+    children's cached reprs and kept in `_repr`. Pickling and copying rebuild
+    through the constructor; `replace` builds a copy with some fields changed.
     """
 
-    __slots__ = ("_key", "_hash", "_repr", "__weakref__")
+    __slots__ = ("_key", "_hash", "_repr")
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
-        cls._table = weakref.WeakValueDictionary()
         # the repr as a %-template over the field values: a first repr of a
         # deep term then recurses no deeper than a dataclass's would
         cls._repr_template = f"{cls.__qualname__}({', '.join(f + '=%r' for f in cls._fields)})"
@@ -95,22 +93,23 @@ class Interned:
     def __new__(cls, *args, **kwargs):
         if kwargs:
             args += tuple(kwargs.pop(f) for f in cls._fields[len(args):] if f in kwargs)
-        table = cls._table
-        node = table.get(args)
-        if node is None:
-            if kwargs or len(args) != len(cls._fields):
-                raise TypeError(f"{cls.__name__} takes the fields {cls._fields}")
-            node = object.__new__(cls)
-            for name, value in zip(cls._fields, args):
-                _set(node, name, value)
-            _set(node, "_key", args)
-            _set(node, "_hash", hash(args))  # the value a frozen dataclass would give
-            node._derive()
-            table[args] = node
-        return node
+        if kwargs or len(args) != len(cls._fields):
+            raise TypeError(f"{cls.__name__} takes the fields {cls._fields}")
+        value = object.__new__(cls)
+        for name, field in zip(cls._fields, args):
+            _set(value, name, field)
+        _set(value, "_key", args)
+        _set(value, "_hash", hash(args))  # the value a frozen dataclass would give
+        value._derive()
+        return value
 
     def _derive(self) -> None:
-        """Attach the values the node caches, computed from its children's."""
+        """Attach the values the value caches, computed from its fields'."""
+
+    def replace(self, **changes):
+        """A copy with the named fields changed, like `dataclasses.replace`."""
+        args = tuple(changes.pop(f, v) for f, v in zip(self._fields, self._key))
+        return type(self)(*args, **changes)  # a name left in changes is no field: TypeError
 
     def __setattr__(self, name: str, value=None) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
@@ -136,6 +135,27 @@ class Interned:
 
     def __reduce__(self):
         return type(self), self._key
+
+
+class Interned(Frozen):
+    """Base of hash-consed term nodes: a `Frozen` value built only when the
+    class's weak table holds no live node with the same fields, so equal
+    terms built while one is alive are one instance (after pickling and
+    copying too)."""
+
+    __slots__ = ("__weakref__",)
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._table = weakref.WeakValueDictionary()
+
+    def __new__(cls, *args, **kwargs):
+        if kwargs:  # a throwaway value orders the fields
+            args = super().__new__(cls, *args, **kwargs)._key
+        node = cls._table.get(args)
+        if node is None:
+            node = cls._table[args] = super().__new__(cls, *args)
+        return node
 
 
 def frozen_union(*sets: frozenset[str]) -> frozenset[str]:
@@ -385,26 +405,26 @@ class MoveLabel:
     dir: str  # SEND or RECV
 
 
-@dataclass(frozen=True)
-class ContractSystem:
+class ContractSystem(Frozen):
     """Stipulated contracts plus the full grid of FIFO queues.
 
     contracts is sorted by participant name; queues holds one entry
     (frm, to, messages) for every ordered pair of distinct participants.
     """
 
+    __slots__ = ("contracts", "queues", "_moves")
     contracts: tuple[tuple[str, Contract], ...]
     queues: tuple[tuple[str, str, tuple[str, ...]], ...]
+
+    def _derive(self) -> None:
+        _set(self, "_moves", {})
 
     @property
     def participants(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.contracts)
 
     def contract(self, name: str) -> Contract:
-        for n, c in self.contracts:
-            if n == name:
-                return c
-        raise KeyError(name)
+        return _lookup(self.contracts, name)
 
     def queue(self, frm: str, to: str) -> tuple[str, ...]:
         for f, t, msgs in self.queues:
@@ -425,6 +445,13 @@ class ContractSystem:
                 (f, t, msgs if (f, t) == (frm, to) else old) for f, t, old in self.queues
             ),
         )
+
+
+def _lookup(pairs: tuple, name: str):
+    for n, value in pairs:
+        if n == name:
+            return value
+    raise KeyError(name)
 
 
 def make_system(
@@ -468,7 +495,14 @@ def next_moves(system: ContractSystem, name: str) -> tuple[tuple[MoveLabel, Cont
     A send is enabled as long as its peer is part of the session (the queue
     accepts unboundedly); a receive only when the queue from its peer
     carries one of the expected sorts at its head. A name outside the
-    session has no moves."""
+    session has no moves. Worked out once per system and name."""
+    moves = system._moves.get(name)
+    if moves is None:
+        moves = system._moves[name] = _next_moves(system, name)
+    return moves
+
+
+def _next_moves(system: ContractSystem, name: str) -> tuple[tuple[MoveLabel, Contract], ...]:
     contracts = dict(system.contracts)
     if name not in contracts:
         return ()

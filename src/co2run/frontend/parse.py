@@ -189,7 +189,9 @@ class _Parser:
             if name.text in out:
                 self.fail(f"duplicate contract for {name.text}", name.span)
             self.pos += 2  # the name and ':'
-            out[name.text] = self.contract()
+            c = out[name.text] = self.contract()
+            if name.text in c.mentioned_participants:
+                self.fail(f"contract of {name.text} names {name.text} as its own peer", name.span)
         return out
 
     # -- global types ----------------------------------------------------------

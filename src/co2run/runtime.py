@@ -28,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -38,10 +38,12 @@ from .contracts import (
     ContractError,
     ContractSystem,
     End,
+    Frozen,
     Interned,
     MoveLabel,
     RecvChoice,
     SendChoice,
+    _lookup,
     contract_step,
     frozen_union,
     head_normal,
@@ -223,26 +225,48 @@ Process = Union[PNil, Sum, Par, Delim, Call]
 NIL = PNil()
 
 
-@dataclass(frozen=True)
-class ProcDef:
+class ProcDef(Frozen):
+    """`_unfoldings` memoises the renamed body per argument tuple when renaming
+    mints no name (no `Delim`, only parameters free); else it is None."""
+
+    __slots__ = ("session_params", "part_params", "body", "_unfoldings")
     session_params: tuple[str, ...]
     part_params: tuple[str, ...]
     body: Process
 
+    def _derive(self) -> None:
+        closed = (self.body.free_session_vars.issubset(self.session_params)
+                  and self.body.free_participant_vars.issubset(self.part_params)
+                  and not _binds(self.body))
+        _set(self, "_unfoldings", {} if closed else None)
 
-@dataclass(frozen=True)
-class LatentContract:
+
+def _binds(p: Process) -> bool:
+    """Does p hold a `Delim`?"""
+    if isinstance(p, Sum):
+        return any(_binds(cont) for _, cont in p.branches)
+    return isinstance(p, Delim) or isinstance(p, Par) and any(map(_binds, p.parts))
+
+
+class LatentContract(Frozen):
+    __slots__ = ("promiser", "session_var", "contract")
     promiser: str
     session_var: str
     contract: Contract
 
 
-@dataclass(frozen=True)
-class Co2System:
+class Co2System(Frozen):
+    __slots__ = ("processes", "pools", "sessions", "definitions", "_session_names")
     processes: tuple[tuple[str, Process], ...]
     pools: tuple[tuple[str, tuple[LatentContract, ...]], ...]
     sessions: tuple[tuple[str, ContractSystem], ...]
-    definitions: tuple[tuple[str, ProcDef], ...] = ()
+    definitions: tuple[tuple[str, ProcDef], ...]
+
+    @property
+    def session_names(self) -> frozenset[str]:
+        if getattr(self, "_session_names", None) is None:  # derived once, when first asked for
+            _set(self, "_session_names", frozenset(n for n, _ in self.sessions))
+        return self._session_names
 
     def process(self, name: str) -> Process:
         return _lookup(self.processes, name)
@@ -256,19 +280,8 @@ class Co2System:
     def session(self, name: str) -> ContractSystem:
         return _lookup(self.sessions, name)
 
-    @property
-    def session_names(self) -> frozenset[str]:
-        return frozenset(n for n, _ in self.sessions)
-
     def definition(self, name: str) -> ProcDef:
         return _lookup(self.definitions, name)
-
-
-def _lookup(pairs: tuple, name: str):
-    for n, value in pairs:
-        if n == name:
-            return value
-    raise KeyError(name)
 
 
 def make_co2(
@@ -778,14 +791,14 @@ def apply_step(system: Co2System, step: Step) -> tuple[Co2System, StepLabel]:
         return tuple((n, new if n == actor else p) for n, p in system.processes)
 
     if isinstance(prefix, PTau):
-        return replace(system, processes=advance(cont)), StepLabel(actor, "tau")
+        return system.replace(processes=advance(cont)), StepLabel(actor, "tau")
 
     if isinstance(prefix, PTell):
         if not is_part_name(prefix.target):
             raise ReductionError(f"tell target {prefix.target!r} is unresolved")
         latent = LatentContract(actor, prefix.session_var, prefix.contract)
         pools = {**dict(system.pools), prefix.target: (*system.pool(prefix.target), latent)}
-        out = replace(system, processes=advance(cont), pools=_pools(pools))
+        out = system.replace(processes=advance(cont), pools=_pools(pools))
         label = StepLabel(actor, "tell", target=prefix.target, session_var=prefix.session_var)
         return out, label
 
@@ -831,7 +844,7 @@ def apply_step(system: Co2System, step: Step) -> tuple[Co2System, StepLabel]:
         except ContractError as exc:
             raise ReductionError(f"do of {actor} not permitted by the session: {exc}") from exc
         sessions = tuple((n, t if n == prefix.session else u) for n, u in system.sessions)
-        out = replace(system, processes=advance(cont), sessions=sessions)
+        out = system.replace(processes=advance(cont), sessions=sessions)
         label = StepLabel(
             actor, "do", session=prefix.session, peer=prefix.peer, sort=prefix.sort, dir=prefix.dir
         )
@@ -845,11 +858,16 @@ def apply_step(system: Co2System, step: Step) -> tuple[Co2System, StepLabel]:
         prefix.part_args
     ):
         raise ReductionError(f"arity mismatch calling {prefix.name}")
-    namer = _Namer(collect_identifiers(system))
-    smap = dict(zip(d.session_params, prefix.session_args))
-    pmap = dict(zip(d.part_params, prefix.part_args))
-    body = _rename(d.body, smap, pmap, namer, system.session_names)
-    return replace(system, processes=advance(body)), StepLabel(actor, "call", callee=prefix.name)
+    memo, key = d._unfoldings, (prefix.session_args, prefix.part_args)
+    body = memo.get(key) if memo is not None else None
+    if body is None:
+        namer = _Namer(collect_identifiers(system))
+        smap = dict(zip(d.session_params, prefix.session_args))
+        pmap = dict(zip(d.part_params, prefix.part_args))
+        body = _rename(d.body, smap, pmap, namer, system.session_names)
+        if memo is not None:
+            memo[key] = body
+    return system.replace(processes=advance(body)), StepLabel(actor, "call", callee=prefix.name)
 
 
 # --------------------------------------------------------------------------

@@ -5,10 +5,11 @@ choreographies (compliant by construction), raw random contract systems
 (mostly non-compliant), and single-contract mutations of the projections
 (near-misses). All draws are driven by an explicit Random instance, so a
 fixed seed reproduces the corpus exactly. `pair_context` writes CO2
-contexts whose honesty verdict is known from how they were built.
-`reference_repr` recomputes the repr the term nodes cache, and
-`regex_named_contracts` is the regex-driven `.ctr` reader the grammar's
-`named_contracts` production replaced.
+contexts whose honesty verdict is known from how they were built, and
+`recursive_pair_context` CO2 contexts that run forever through calls.
+`reference_repr` recomputes the repr the term nodes and system values
+cache, and `regex_named_contracts` is the regex-driven `.ctr` reader the
+grammar's `named_contracts` production replaced.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from co2run.choreo import (
 from co2run.contracts import (
     Contract,
     END,
-    Interned,
+    Frozen,
     Rec,
     RecVar,
     RecvChoice,
@@ -296,15 +297,38 @@ def pair_context(rng: random.Random, pairs: int, n: int, dishonest: bool) -> tup
     return "".join(text), "B0" if dishonest else "A0"
 
 
+def recursive_pair_context(rng: random.Random, pairs: int, n: int) -> str:
+    """A `.co2` context of pairs A<i>, B<i> that repeat n messages of seeded
+    sorts forever, alternating A<i> -> B<i> and back.
+
+    A<i> advertises both recursive contracts in its own pool and fuses them
+    under a recursive policy; each process then calls its definition
+    `Loop<me>`, which performs one round on the session it is given and
+    calls itself."""
+    text = []
+    for i in range(pairs):
+        a, b = f"A{i}", f"B{i}"
+        msgs = [((a, b) if j % 2 == 0 else (b, a)) + (rng.choice(SORTS),) for j in range(n)]
+        for me, fuse in ((a, " . fuse(recursive)"), (b, "")):
+            heads = [f"{dst}!{sort}" if me == src else f"{src}?{sort}" for src, dst, sort in msgs]
+            contract = f"rec t . {' . '.join(heads)} . t"
+            text.append(f"participant {me} {{ tell {a} @x{me} {{ {contract} }}{fuse}"
+                        f" . Loop{me}(x{me}) }}\n")
+            rounds = " . ".join(f"do u {h}" for h in heads)
+            text.append(f"def Loop{me}(u) = {rounds} . Loop{me}(u)\n")
+    return "".join(text)
+
+
 # --------------------------------------------------------------------------
 # Reference values
 # --------------------------------------------------------------------------
 
 def reference_repr(value) -> str:
     """The repr a plain dataclass gives, rebuilt field by field, never reading
-    a cached string: a term node's fields are its `_fields`, a plain
-    dataclass's are read through `dataclasses.fields`."""
-    if isinstance(value, Interned):
+    a cached string: a `Frozen` value's fields (a term node's, a system's)
+    are its `_fields`, a plain dataclass's are read through
+    `dataclasses.fields`."""
+    if isinstance(value, Frozen):
         return _fields_repr(value, value._fields)
     if dataclasses.is_dataclass(value):
         return _fields_repr(value, [f.name for f in dataclasses.fields(value)])

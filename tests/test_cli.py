@@ -73,10 +73,14 @@ def test_run_parse_error(tmp_path):
 
 
 def test_synth_refuses_a_contract_naming_its_own_participant(tmp_path, capsys):
+    # located at the entry's header, as a session block's error is
     f = tmp_path / "self.ctr"
-    f.write_text("A: A!x\nB: end\n")
-    assert main(["synth", str(f)]) == 2
-    assert capsys.readouterr().err == "invalid contracts: contract of A names A as its own peer\n"
+    for text, span in (("A: A!x\nB: end\n", "1:1-1:2"),
+                       ("B: end\n  A:\n    B?x . A!y\n", "2:3-2:4")):
+        f.write_text(text)
+        assert main(["synth", str(f)]) == 2
+        assert capsys.readouterr().err == (
+            f"{f}:{span}: error: contract of A names A as its own peer\n")
 
 
 @pytest.mark.parametrize("contract", ["A!x", "A?x"])

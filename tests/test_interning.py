@@ -11,6 +11,7 @@ from co2run.choreo import GEND, GMsg, GPar, GRec, GRecVar, gchoice, gmsg
 from co2run.contracts import (
     END,
     ContractError,
+    Frozen,
     Interned,
     Rec,
     RecVar,
@@ -29,6 +30,7 @@ from co2run.runtime import (
     Call,
     Delim,
     FusePolicy,
+    LatentContract,
     Par,
     PDo,
     PFuse,
@@ -37,6 +39,7 @@ from co2run.runtime import (
     ProcDef,
     PTell,
     Sum,
+    make_co2,
     normalize,
     normalize_proc,
     run,
@@ -124,25 +127,56 @@ def test_nodes_are_immutable_and_need_their_fields():
         assert repr(node) == text and node._key == key and hash(node) == hash(key)
     with pytest.raises(TypeError):
         Rec("x")
+    values = _system_values()
+    assert {type(v) for v in values} == set(Frozen.__subclasses__()) - {Interned}
+    for value in values:
+        text, key, field = repr(value), value._key, value._fields[0]
+        memo = [slot for slot in ("session_names", "_moves", "_unfoldings")
+                if hasattr(value, slot)]
+        for name in (field, "_hash", *memo):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        with pytest.raises(AttributeError):
+            value.extra = None
+        assert repr(value) == text and value._key == key and hash(value) == hash(key)
+        with pytest.raises(TypeError):
+            type(value)(*key[:-1])
+
+
+def _system_values():
+    """One value of each `Frozen` class that is not hash-consed."""
+    session = make_system({"A": send("B", "m"), "B": recv("A", "m")})
+    definition = ProcDef(("u",), (), Call("P", ("u",), ()))
+    latent = LatentContract("A", "x", send("B", "m"))
+    system = make_co2({"A": NIL}, {"A": [latent]}, {"s": session}, {"P": definition})
+    return session, definition, latent, system
 
 
 def test_reference_repr_reads_no_cached_repr():
     inner = recv("Tamper", "n")  # fresh: no other test builds it
     node = send("Tamper", "m", inner)
-    texts = {n: repr(n) for n in (inner, node)}
     definition = ProcDef((), (), Sum(((PTell("A", "x", node), NIL),)))
-    expected = reference_repr(definition)
+    session = make_system({"A": node})
+    system = make_co2({"A": Call("P", (), ())}, sessions={"s": session},
+                      definitions={"P": definition})
+    values = (inner, node, definition, session, system)
+    texts = {v: repr(v) for v in values}
+    expected = reference_repr(system)
     try:
-        for n in texts:
-            object.__setattr__(n, "_repr", "junk")
-        assert repr(node) == "junk"
+        for v in values:
+            object.__setattr__(v, "_repr", "junk")
+        assert repr(node) == repr(session) == repr(system) == "junk"
         assert reference_repr(node) == texts[node]
         assert reference_repr((inner,)) == f"({texts[inner]},)"
-        assert reference_repr(definition) == expected
+        assert reference_repr(definition) == texts[definition]
+        assert reference_repr(session) == texts[session]
+        assert reference_repr(system) == expected == texts[system]
         assert texts[node] in expected
     finally:
-        for n, text in texts.items():
-            object.__setattr__(n, "_repr", text)
+        for v, text in texts.items():
+            object.__setattr__(v, "_repr", text)
 
 
 def test_pickle_and_copy_return_the_shared_instance():

@@ -16,18 +16,23 @@ from co2run.contracts import (
     is_part_var,
     is_terminated,
     make_system,
+    send,
     subst_parts,
 )
 from co2run.frontend import parse_contract, parse_global, parse_system
-from co2run.fixtures import fixture_text
+from co2run.fixtures import FIXTURES, fixture_text
 from co2run.runtime import (
     DEFAULT_POLICY,
     Agreement,
+    Call,
+    Delim,
     FusePolicy,
     LatentContract,
     proc_items,
     NIL,
     Par,
+    PTell,
+    ProcDef,
     ReductionError,
     Step,
     Sum,
@@ -44,7 +49,7 @@ from co2run.runtime import (
 )
 from co2run.synthesis import synthesize
 
-from corpus import corpus_system, random_contract
+from corpus import corpus_system, random_contract, recursive_pair_context
 from test_choreo import G_STORE2_TEXT, G_STORE3_TEXT
 
 
@@ -523,6 +528,93 @@ def test_pingpong_runs_forever_but_deterministically():
     assert not fuses[0].fuse.global_type.has_end
     # the session satisfies the policy it was created under
     assert policy_check(fuses[0].fuse.global_type, FusePolicy(mode="recursive"))
+
+
+# -- the unfolding memo ------------------------------------------------------------
+
+def _fresh_unfolding(state, call):
+    """The call's body renamed as every unfolding was before the memo: with a
+    namer that knows every identifier of the state."""
+    d = state.definition(call.name)
+    smap = dict(zip(d.session_params, call.session_args))
+    pmap = dict(zip(d.part_params, call.part_args))
+    namer = runtime._Namer(collect_identifiers(state))
+    return runtime._rename(d.body, smap, pmap, namer, state.session_names)
+
+
+def _memoised_call_steps(system, seed, steps):
+    """Drive a seeded random run. At each call step the successor must hold
+    a fresh renaming of the definition, and so must the definition's memo
+    when it keeps one. Returns how many call steps went through a memo."""
+    rng = random.Random(seed)
+    state = normalize(system)
+    memoised = 0
+    for _ in range(steps):
+        enabled = enabled_steps(state)
+        if not enabled:
+            break
+        step = rng.choice(enabled)
+        nxt, _ = apply_step(state, step)
+        if step.kind == "call":
+            proc = state.process(step.actor)
+            call = proc_items(proc)[step.item]
+            fresh = _fresh_unfolding(state, call)
+            assert nxt.process(step.actor) == runtime._replace_item(proc, step.item, fresh)
+            memo = state.definition(call.name)._unfoldings
+            if memo is not None:
+                assert memo[(call.session_args, call.part_args)] == fresh
+                memoised += 1
+        state = nxt
+    return memoised
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_memoised_unfoldings_are_fresh_renamings_on_fixtures(name):
+    memoised = sum(_memoised_call_steps(_load(name), seed, 300) for seed in (0, 1))
+    if name == "pingpong.co2":
+        assert memoised > 100
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_memoised_unfoldings_are_fresh_renamings_on_recursive_pairs(seed):
+    rng = random.Random(seed)
+    system = parse_system(recursive_pair_context(rng, rng.randint(1, 3), rng.randint(2, 4)))
+    assert _memoised_call_steps(system, seed, 200) > 10
+
+
+_TELL_X = Sum(((PTell("A", "x", send("B", "int")), Call("Make", (), ())),))
+
+
+@pytest.mark.parametrize("body", [Delim(("x",), (), _TELL_X), _TELL_X], ids=["binds", "free"])
+def test_a_body_that_mints_names_mints_fresh_ones_at_each_unfolding(body):
+    # a free variable that is no parameter is refused by the parser, not by the API
+    s = make_co2({"A": Call("Make", (), ())}, definitions={"Make": ProcDef((), (), body)})
+    assert s.definition("Make")._unfoldings is None
+    s1, _ = _drive(s, [("call", "A")])
+    s2, _ = _drive(s1, [("tell", "A"), ("call", "A")])
+    told = [proc_items(t.process("A"))[0].branches[0][0].session_var for t in (s1, s2)]
+    assert told[0] != told[1]
+    assert told[1] not in collect_identifiers(s1)
+
+
+def test_pingpong_renames_each_body_once_per_argument_tuple(monkeypatch):
+    system = _load("pingpong.co2")
+    bodies = {system.definition(n).body: n for n in ("Ping", "Pong")}
+    renamed = Counter()
+    rename = runtime._rename
+
+    def counting(p, smap, pmap, namer, session_names):
+        if p in bodies:
+            renamed[bodies[p], tuple(smap.values()), tuple(pmap.values())] += 1
+        return rename(p, smap, pmap, namer, session_names)
+
+    monkeypatch.setattr(runtime, "_rename", counting)
+    trace = run(system, seed=0, max_steps=300)
+    calls = Counter(label.callee for label in trace.steps if label.kind == "call")
+    assert calls["Ping"] >= 50 and calls["Pong"] >= 50
+    # B unfolds Pong once on its variable y before A's fuse binds y to s1
+    assert set(renamed) == {("Ping", ("s1",), ()), ("Pong", ("y",), ()), ("Pong", ("s1",), ())}
+    assert set(renamed.values()) == {1}
 
 
 # -- scheduler ---------------------------------------------------------------------
