@@ -432,20 +432,6 @@ class ContractSystem(Frozen):
                 return msgs
         raise KeyError((frm, to))
 
-    def with_contract(self, name: str, c: Contract) -> "ContractSystem":
-        return ContractSystem(
-            tuple((n, c if n == name else old) for n, old in self.contracts),
-            self.queues,
-        )
-
-    def with_queue(self, frm: str, to: str, msgs: tuple[str, ...]) -> "ContractSystem":
-        return ContractSystem(
-            self.contracts,
-            tuple(
-                (f, t, msgs if (f, t) == (frm, to) else old) for f, t, old in self.queues
-            ),
-        )
-
 
 def _lookup(pairs: tuple, name: str):
     for n, value in pairs:
@@ -527,11 +513,15 @@ def contract_step(system: ContractSystem, label: MoveLabel) -> ContractSystem:
     """Apply one of the actor's `next_moves`; raises ContractError on any other move."""
     for move, cont in next_moves(system, label.actor):
         if move == label:
-            t = system.with_contract(label.actor, cont)
-            if label.dir == SEND:
-                q = system.queue(label.actor, label.peer)
-                return t.with_queue(label.actor, label.peer, q + (label.sort,))
-            return t.with_queue(label.peer, label.actor, system.queue(label.peer, label.actor)[1:])
+            sending = label.dir == SEND
+            frm, to = (label.actor, label.peer) if sending else (label.peer, label.actor)
+            queues = []
+            for f, t, msgs in system.queues:
+                if f == frm and t == to:
+                    msgs = msgs + (label.sort,) if sending else msgs[1:]
+                queues.append((f, t, msgs))
+            contracts = tuple((n, cont if n == label.actor else c) for n, c in system.contracts)
+            return ContractSystem(contracts, tuple(queues))
     raise ContractError(f"illegal move: {label} is not enabled")
 
 

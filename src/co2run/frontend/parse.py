@@ -1,6 +1,9 @@
 """Recursive-descent parsers for contracts, global types, `.ctr` files of
 named contracts and system files. Every choice is decided by the next token
-or two; nothing backtracks.
+or two; nothing backtracks. The parser reads the tokenizer's flat lists of
+token texts and offsets by index. A loop reads each `.` chain (contracts,
+processes) and `;` chain (global types) and builds its nodes from the last
+prefix back, so only parentheses and `rec` bodies deepen the stack.
 
 Case separates the lexical classes: participant names start uppercase,
 variables (participant, session and recursion alike) and sorts lowercase.
@@ -15,7 +18,7 @@ stipulated contracts and queue contents.
 """
 from __future__ import annotations
 
-from typing import Optional
+from typing import NoReturn, Optional
 
 from ..contracts import (
     Contract,
@@ -46,152 +49,173 @@ from ..runtime import (
     PFuse,
     PTau,
     PTell,
+    Prefix,
     ProcDef,
     Process,
     Sum,
     make_co2,
     normalize,
 )
-from .lex import Diagnostic, ParseError, Token, tokenize
+from .lex import Diagnostic, ParseError, span, tokenize
 
+_PREFIXES = frozenset(("tau", "tell", "fuse", "do"))  # the process prefixes
 # words that open a process or a contract, so never a delimited name
-_KEYWORDS = frozenset(("tau", "tell", "fuse", "do", "end", "rec"))
+_KEYWORDS = _PREFIXES | {"end", "rec"}
+
+
+def _is_ident(t: str) -> bool:
+    return t[:1].isalpha()
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    """Reads the tokenizer's flat lists by index: `texts[pos]` is the next
+    token, and `texts[pos + 1]` is always there, since the lists end in two
+    end-of-input tokens. A diagnostic's span is worked out from its token's
+    index only when it is raised."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.texts, self.starts = tokenize(text)
         self.pos = 0
-        self.diags: list[Diagnostic] = []
         self.fuse_policy = DEFAULT_POLICY  # what a fuse with the default options gets
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        i = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[i]
-
     def at(self, text: str) -> bool:
-        t = self.peek()
-        return t.text == text and t.kind in ("punct", "ident")
+        return self.texts[self.pos] == text
 
-    def eat(self) -> Token:
-        t = self.tokens[self.pos]
-        if t.kind != "eof":
-            self.pos += 1
+    def eat(self) -> str:
+        t = self.texts[self.pos]
+        self.pos += 1
         return t
 
-    def accept(self, text: str) -> Optional[Token]:
-        if self.at(text):
-            return self.eat()
-        return None
+    def accept(self, text: str) -> bool:
+        if self.texts[self.pos] == text:
+            self.pos += 1
+            return True
+        return False
 
-    def expect(self, text: str) -> Token:
-        if self.at(text):
-            return self.eat()
-        return self.fail(f"expected {text!r}, found {self.peek().text!r}")
+    def expect(self, text: str) -> None:
+        if self.texts[self.pos] != text:
+            self.fail(f"expected {text!r}, found {self.texts[self.pos]!r}")
+        self.pos += 1
 
-    def ident(self, what: str = "identifier") -> Token:
-        t = self.peek()
-        if t.kind != "ident":
-            return self.fail(f"expected {what}, found {t.text or 'end of input'!r}")
-        return self.eat()
+    def ident(self, what: str = "identifier") -> str:
+        t = self.texts[self.pos]
+        if not _is_ident(t):
+            self.fail(f"expected {what}, found {t or 'end of input'!r}")
+        self.pos += 1
+        return t
 
-    def fail(self, message: str, span=None):
-        self.diags.append(Diagnostic("error", message, span or self.peek().span))
-        raise ParseError(self.diags)
+    def name(self, what: str, upper: bool, message: str) -> str:
+        """An identifier that starts uppercase exactly when `upper`."""
+        t = self.ident(what)
+        if is_part_name(t) != upper:
+            self.fail(message, self.pos - 1)
+        return t
+
+    def fail(self, message: str, at: Optional[int] = None) -> NoReturn:
+        """Raise one diagnostic at token index `at`, by default the next token."""
+        i = self.pos if at is None else at
+        where = span(self.text, self.starts[i], len(self.texts[i]))
+        raise ParseError([Diagnostic("error", message, where)])
 
     def done(self) -> bool:
-        return self.peek().kind == "eof"
+        return self.texts[self.pos] == ""
 
     # -- contracts -----------------------------------------------------------
 
     def contract(self) -> Contract:
-        units = [(self.peek(), self.contract_unit())]  # each with its first token
+        units = [(self.pos, self.contract_unit())]  # each with its first token
         op = None
-        while self.at("(+)") or self.at("+"):
+        while self.texts[self.pos] in ("(+)", "+"):
             tok = self.eat()
             if op is None:
-                op = tok.text
-            elif op != tok.text:
-                self.fail("cannot mix internal and external choice", tok.span)
-            units.append((self.peek(), self.contract_unit()))
+                op = tok
+            elif op != tok:
+                self.fail("cannot mix internal and external choice", self.pos - 1)
+            units.append((self.pos, self.contract_unit()))
         if op is None:
             return units[0][1]
         internal = op == "(+)"
-        for tok, u in units:
+        for i, u in units:
             if not isinstance(u, SendChoice if internal else RecvChoice):
                 self.fail("internal-choice branches must send" if internal
-                          else "external-choice branches must receive", tok.span)
+                          else "external-choice branches must receive", i)
         sources = [None if internal else u.source for _, u in units]
-        for (tok, _), source in zip(units, sources):
+        for (i, _), source in zip(units, sources):
             if source != sources[0]:
                 self.fail("external choice must receive from one participant, "
-                          f"got {sorted(set(sources))}", tok.span)
+                          f"got {sorted(set(sources))}", i)
         branches = [b for _, u in units for b in u.branches]
         try:
             return send_choice(branches) if internal else recv_choice(sources[0], branches)
         except ContractError as exc:
-            self.fail(str(exc), units[0][0].span)
+            self.fail(str(exc), units[0][0])
 
     def contract_unit(self) -> Contract:
-        t = self.peek()
-        if self.at("("):
-            self.eat()
+        """A `.` chain of prefixes and what ends it; the loop reads the
+        prefixes and the nodes are built from the last one back."""
+        texts = self.texts
+        chain = []
+        cont: Contract = END
+        while texts[self.pos + 1] in ("!", "?") and texts[self.pos] not in ("end", "rec") \
+                and _is_ident(texts[self.pos]):
+            part, direction = texts[self.pos], texts[self.pos + 1]
+            self.pos += 2
+            chain.append((part, direction, self.name("sort", False, "sorts are lowercase")))
+            if not self.accept("."):
+                break
+        else:  # the chain ends in something other than a prefix
+            cont = self._contract_atom()
+        for part, direction, sort in reversed(chain):
+            cont = send(part, sort, cont) if direction == "!" else recv(part, sort, cont)
+        return cont
+
+    def _contract_atom(self) -> Contract:
+        t = self.texts[self.pos]
+        if t == "(":
+            self.pos += 1
             c = self.contract()
             self.expect(")")
             return c
-        if t.kind != "ident":
-            self.fail(f"expected a contract, found {t.text!r}")
-        if t.text == "end":
-            self.eat()
+        if not _is_ident(t):
+            self.fail(f"expected a contract, found {t!r}")
+        self.pos += 1
+        if t == "end":
             return END
-        if t.text == "rec":
-            self.eat()
-            var = self.ident("recursion variable")
-            if is_part_name(var.text):
-                self.fail("recursion variables are lowercase", var.span)
+        if t == "rec":
+            i = self.pos
+            var = self.name("recursion variable", False, "recursion variables are lowercase")
             self.expect(".")
-            node = Rec(var.text, self.contract())
+            node = Rec(var, self.contract())
             if not node.is_guarded:
-                self.fail(f"unguarded recursion on {var.text!r}", var.span)
+                self.fail(f"unguarded recursion on {var!r}", i)
             return node
-        nxt = self.peek(1)
-        if nxt.text in ("!", "?"):
-            part = self.eat()
-            dir_tok = self.eat()
-            sort = self.ident("sort")
-            if is_part_name(sort.text):
-                self.fail("sorts are lowercase", sort.span)
-            cont: Contract = END
-            if self.accept("."):
-                cont = self.contract_unit()
-            if dir_tok.text == "!":
-                return send(part.text, sort.text, cont)
-            return recv(part.text, sort.text, cont)
-        var = self.eat()
-        if is_part_name(var.text):
-            self.fail("a bare identifier here is a recursion variable (lowercase)", var.span)
-        return RecVar(var.text)
+        if is_part_name(t):
+            self.fail("a bare identifier here is a recursion variable (lowercase)", self.pos - 1)
+        return RecVar(t)
 
     def named_contracts(self) -> dict[str, Contract]:
         """`Name: contract` entries; a header is the first token on its line."""
         out: dict[str, Contract] = {}
+        texts = self.texts
         while not self.done():
-            name = self.peek()
-            starts_line = self.pos == 0 or self.tokens[self.pos - 1].span[0] < name.span[0]
-            if name.kind != "ident" or self.peek(1).text != ":" or not starts_line:
+            i = self.pos
+            name = texts[i]
+            starts_line = i == 0 or self.text.find("\n", self.starts[i - 1], self.starts[i]) >= 0
+            if not _is_ident(name) or texts[i + 1] != ":" or not starts_line:
                 if out:
-                    self.fail(f"trailing input after contract: {name.text!r}")
+                    self.fail(f"trailing input after contract: {name!r}")
                 self.fail("expected 'Name: contract' entries")
-            if not is_part_name(name.text):
-                self.fail("participant names start uppercase", name.span)
-            if name.text in out:
-                self.fail(f"duplicate contract for {name.text}", name.span)
+            if not is_part_name(name):
+                self.fail("participant names start uppercase", i)
+            if name in out:
+                self.fail(f"duplicate contract for {name}", i)
             self.pos += 2  # the name and ':'
-            c = out[name.text] = self.contract()
-            if name.text in c.mentioned_participants:
-                self.fail(f"contract of {name.text} names {name.text} as its own peer", name.span)
+            c = out[name] = self.contract()
+            if name in c.mentioned_participants:
+                self.fail(f"contract of {name} names {name} as its own peer", i)
         return out
 
     # -- global types ----------------------------------------------------------
@@ -209,41 +233,53 @@ class _Parser:
         return gpar(parts) if len(parts) > 1 else parts[0]
 
     def global_seq(self) -> GlobalType:
-        t = self.peek()
-        if self.at("("):
-            self.eat()
-            g = self.global_type()
-            self.expect(")")
-            return g
-        if t.kind != "ident":
-            self.fail(f"expected a global type, found {t.text!r}")
-        if t.text == "end":
-            self.eat()
-            return GEND
-        if t.text == "rec":
-            self.eat()
-            var = self.ident("recursion variable")
-            self.expect(".")
-            return GRec(var.text, self.global_type())
-        if self.peek(1).text == "->":
-            src = self.eat()
-            self.eat()  # ->
+        """A `;` chain of interactions and what ends it, read by a loop like
+        a contract's `.` chain."""
+        texts = self.texts
+        chain = []
+        cont: GlobalType = GEND
+        while texts[self.pos + 1] == "->" and texts[self.pos] not in ("end", "rec") \
+                and _is_ident(texts[self.pos]):
+            i = self.pos
+            src = texts[i]
+            self.pos += 2
+            j = self.pos
             dst = self.ident("participant name")
             self.expect(":")
             sort = self.ident("sort")
-            for tok in (src, dst):
-                if not is_part_name(tok.text):
-                    self.fail("interactions connect participant names", tok.span)
-            if src.text == dst.text:
-                self.fail("a participant cannot message itself", dst.span)
-            cont: GlobalType = GEND
-            if self.accept(";"):
-                cont = self.global_seq()
-            return GMsg(src.text, dst.text, sort.text, cont)
-        var = self.eat()
-        if is_part_name(var.text):
-            self.fail("a bare identifier here is a recursion variable (lowercase)", var.span)
-        return GRecVar(var.text)
+            for at, name in ((i, src), (j, dst)):
+                if not is_part_name(name):
+                    self.fail("interactions connect participant names", at)
+            if src == dst:
+                self.fail("a participant cannot message itself", j)
+            chain.append((src, dst, sort))
+            if not self.accept(";"):
+                break
+        else:  # the chain ends in something other than an interaction
+            cont = self._global_atom()
+        for src, dst, sort in reversed(chain):
+            cont = GMsg(src, dst, sort, cont)
+        return cont
+
+    def _global_atom(self) -> GlobalType:
+        t = self.texts[self.pos]
+        if t == "(":
+            self.pos += 1
+            g = self.global_type()
+            self.expect(")")
+            return g
+        if not _is_ident(t):
+            self.fail(f"expected a global type, found {t!r}")
+        self.pos += 1
+        if t == "end":
+            return GEND
+        if t == "rec":
+            var = self.ident("recursion variable")
+            self.expect(".")
+            return GRec(var, self.global_type())
+        if is_part_name(t):
+            self.fail("a bare identifier here is a recursion variable (lowercase)", self.pos - 1)
+        return GRecVar(t)
 
     # -- processes ---------------------------------------------------------------
 
@@ -256,7 +292,7 @@ class _Parser:
         return Par(tuple(parts))
 
     def proc_sum(self) -> Process:
-        first_tok = self.peek()
+        first = self.pos
         terms = [self.proc_term()]
         while self.accept("+"):
             terms.append(self.proc_term())
@@ -265,87 +301,94 @@ class _Parser:
         branches = []
         for term in terms:
             if not isinstance(term, Sum):
-                self.fail("choice branches must be prefix-guarded", first_tok.span)
+                self.fail("choice branches must be prefix-guarded", first)
             branches.extend(term.branches)
         return Sum(tuple(branches))
 
     def proc_term(self) -> Process:
-        t = self.peek()
-        if t.text == "0":
-            self.eat()
-            return NIL
-        if self.at("("):
-            self.eat()
-            if self.at(";") or self._binder(self.peek()):
+        """A `.` chain of prefixes and delimitations and what ends it, read by
+        a loop; the nodes are built from the last one back."""
+        texts = self.texts
+        chain: list = []  # prefixes, and (sessions, participants) of delimitations
+        while True:
+            t = texts[self.pos]
+            if t == "(" and (texts[self.pos + 1] == ";" or self._binder(texts[self.pos + 1])):
                 # a delimitation `(x, y; a) P`: no process starts this way, and
                 # its names are lowercase variables
+                self.pos += 1
                 start = self.pos
                 sess, parts = self._arg_lists("a delimited variable")
-                for tok in self.tokens[start : self.pos]:
-                    if tok.kind == "ident" and not self._binder(tok):
-                        self.fail(f"expected a delimited variable, found {tok.text!r}", tok.span)
+                for i in range(start, self.pos):
+                    if _is_ident(texts[i]) and not self._binder(texts[i]):
+                        self.fail(f"expected a delimited variable, found {texts[i]!r}", i)
                 self.expect(")")
-                return Delim(tuple(sess), tuple(parts), self.proc_term())
+                chain.append((tuple(sess), tuple(parts)))
+                continue
+            if t not in _PREFIXES:
+                body = self._proc_atom()
+                break
+            chain.append(self._prefix())
+            if not self.accept("."):
+                body = NIL
+                break
+        for link in reversed(chain):
+            if type(link) is tuple:
+                body = Delim(link[0], link[1], body)
+            else:
+                body = Sum(((link, body),))
+        return body
+
+    def _proc_atom(self) -> Process:
+        t = self.texts[self.pos]
+        if t == "0":
+            self.pos += 1
+            return NIL
+        if t == "(":
+            self.pos += 1
             p = self.process()
             self.expect(")")
             return p
-        if t.kind != "ident":
-            self.fail(f"expected a process, found {t.text!r}")
-        if t.text == "tau":
-            self.eat()
-            return Sum(((PTau(), self._cont()),))
-        if t.text == "tell":
-            self.eat()
+        if not _is_ident(t):
+            self.fail(f"expected a process, found {t!r}")
+        if self.texts[self.pos + 1] == "(":
+            if not is_part_name(t):
+                self.fail("process definitions are named uppercase")
+            self.pos += 2  # the name and (
+            sess_args, part_args = self._arg_lists("argument")
+            self.expect(")")
+            return Call(t, tuple(sess_args), tuple(part_args))
+        self.fail(f"expected a process, found {t!r}")
+
+    def _prefix(self) -> Prefix:
+        t = self.eat()
+        if t == "tau":
+            return PTau()
+        if t == "tell":
             target = self.ident("participant")
             self.expect("@")
-            handle = self.ident("session variable")
-            if is_part_name(handle.text):
-                self.fail("session handles are lowercase variables", handle.span)
+            i = self.pos
+            handle = self.name("session variable", False, "session handles are lowercase variables")
             self.expect("{")
             contract = self.contract()
             self.expect("}")
-            self._check_contract(contract, handle.span)
-            return Sum(((PTell(target.text, handle.text, contract), self._cont()),))
-        if t.text == "fuse":
-            self.eat()
-            policy = self._policy()
-            return Sum(((PFuse(policy), self._cont()),))
-        if t.text == "do":
-            self.eat()
-            sess = self.ident("session reference")
-            peer = self.ident("participant")
-            d = self.peek()
-            if d.text not in ("!", "?"):
-                self.fail("a contractual action needs a direction (! or ?)")
-            self.eat()
-            sort = self.ident("sort")
-            if is_part_name(sort.text):
-                self.fail("sorts are lowercase", sort.span)
-            prefix = PDo(sess.text, peer.text, sort.text, SEND if d.text == "!" else RECV)
-            return Sum(((prefix, self._cont()),))
-        if self.peek(1).text == "(":
-            name = self.eat()
-            if not is_part_name(name.text):
-                self.fail("process definitions are named uppercase", name.span)
-            self.eat()  # (
-            sess_args, part_args = self._arg_lists("argument")
-            self.expect(")")
-            return Call(name.text, tuple(sess_args), tuple(part_args))
-        self.fail(f"expected a process, found {t.text!r}")
-
-    def _cont(self) -> Process:
-        if self.accept("."):
-            return self.proc_term()
-        return NIL
-
-    def _check_contract(self, c: Contract, span) -> None:
-        free = c.free_rec_vars
-        if free:
-            self.fail(f"unbound recursion variable {sorted(free)[0]!r}", span)
+            free = contract.free_rec_vars
+            if free:
+                self.fail(f"unbound recursion variable {sorted(free)[0]!r}", i)
+            return PTell(target, handle, contract)
+        if t == "fuse":
+            return PFuse(self._policy())
+        sess = self.ident("session reference")  # do
+        peer = self.ident("participant")
+        d = self.texts[self.pos]
+        if d not in ("!", "?"):
+            self.fail("a contractual action needs a direction (! or ?)")
+        self.pos += 1
+        sort = self.name("sort", False, "sorts are lowercase")
+        return PDo(sess, peer, sort, SEND if d == "!" else RECV)
 
     @staticmethod
-    def _binder(t: Token) -> bool:
-        return t.kind == "ident" and not is_part_name(t.text) and t.text not in _KEYWORDS
+    def _binder(t: str) -> bool:
+        return _is_ident(t) and not is_part_name(t) and t not in _KEYWORDS
 
     def _policy(self) -> FusePolicy:
         """The options after `fuse`; options equal to the default ones, written
@@ -356,22 +399,22 @@ class _Parser:
         mode = "plain"
         smallest = False
         while True:
+            i = self.pos
             t = self.eat()
-            if t.text == "min":
+            if t == "min":
                 self.expect("=")
-                num = self.peek()
-                if num.kind != "number":
+                j = self.pos
+                if not self.texts[j][:1].isdigit():
                     self.fail("min= needs a number")
-                self.eat()
-                minimum = int(num.text)
+                minimum = int(self.eat())
                 if minimum < 2:
-                    self.fail("sessions need at least two participants", num.span)
-            elif t.text in ("terminating", "recursive"):
-                mode = t.text
-            elif t.text == "smallest":
+                    self.fail("sessions need at least two participants", j)
+            elif t in ("terminating", "recursive"):
+                mode = t
+            elif t == "smallest":
                 smallest = True
             else:
-                self.fail(f"unknown fuse option {t.text or 'end of input'!r}", t.span)
+                self.fail(f"unknown fuse option {t or 'end of input'!r}", i)
             if self.accept(","):
                 continue
             self.expect(")")
@@ -389,13 +432,13 @@ class _Parser:
         elif self.at(")"):
             return sess, parts
         while True:
-            t = self.ident(noun)
-            current.append(t.text)
+            i = self.pos
+            current.append(self.ident(noun))
             if self.accept(","):
                 continue
             if self.accept(";"):
                 if current is parts:
-                    self.fail("too many ';' in argument list", t.span)
+                    self.fail("too many ';' in argument list", i)
                 current = parts
                 continue
             return sess, parts
@@ -407,46 +450,35 @@ class _Parser:
         sessions: dict[str, object] = {}
         definitions: dict[str, ProcDef] = {}
         while not self.done():
-            t = self.peek()
-            if t.text == "participant":
-                self.eat()
-                name = self.ident("participant name")
-                if not is_part_name(name.text):
-                    self.fail("participant names start uppercase", name.span)
-                if name.text in processes:
-                    self.fail(f"duplicate participant {name.text}", name.span)
+            t = self.texts[self.pos]
+            if t not in ("participant", "def", "session"):
+                self.fail("expected 'participant', 'def' or 'session' at top level")
+            self.pos += 1
+            if t == "participant":
+                name = self.name("participant name", True, "participant names start uppercase")
+                if name in processes:
+                    self.fail(f"duplicate participant {name}", self.pos - 1)
                 self.expect("{")
-                processes[name.text] = self.process()
+                processes[name] = self.process()
                 self.expect("}")
-            elif t.text == "def":
-                self.eat()
-                name = self.ident("definition name")
-                if not is_part_name(name.text):
-                    self.fail("definition names start uppercase", name.span)
-                if name.text in definitions:
-                    self.fail(f"duplicate definition {name.text}", name.span)
+            elif t == "def":
+                name = self.name("definition name", True, "definition names start uppercase")
+                if name in definitions:
+                    self.fail(f"duplicate definition {name}", self.pos - 1)
                 self.expect("(")
                 sess_params, part_params = self._arg_lists("argument")
                 self.expect(")")
                 self.expect("=")
                 body = self.process()
-                definitions[name.text] = ProcDef(
-                    tuple(sess_params), tuple(part_params), body
-                )
-            elif t.text == "session":
-                self.eat()
-                name = self.ident("session name")
-                if is_part_name(name.text):
-                    self.fail("session names start lowercase", name.span)
-                if name.text in sessions:
-                    self.fail(f"duplicate session {name.text}", name.span)
-                self.expect("{")
-                sessions[name.text] = self._session_body(name)
-                self.expect("}")
+                definitions[name] = ProcDef(tuple(sess_params), tuple(part_params), body)
             else:
-                self.fail(
-                    "expected 'participant', 'def' or 'session' at top level"
-                )
+                i = self.pos
+                name = self.name("session name", False, "session names start lowercase")
+                if name in sessions:
+                    self.fail(f"duplicate session {name}", i)
+                self.expect("{")
+                sessions[name] = self._session_body(i)
+                self.expect("}")
         self._validate_calls(processes, definitions)
         try:
             system = make_co2(processes, {}, sessions, definitions)  # type: ignore[arg-type]
@@ -454,13 +486,11 @@ class _Parser:
             self.fail(str(exc))
         return normalize(system)
 
-    def _session_body(self, header: Token):
+    def _session_body(self, header: int):
         contracts: dict[str, Contract] = {}
         queues: dict[tuple[str, str], tuple[str, ...]] = {}
         while not self.at("}"):
-            t = self.peek()
-            if t.text == "queue":
-                self.eat()
+            if self.accept("queue"):
                 frm = self.ident("participant name")
                 self.expect("->")
                 to = self.ident("participant name")
@@ -469,30 +499,27 @@ class _Parser:
                 msgs: list[str] = []
                 if not self.at("]"):
                     while True:
-                        msgs.append(self.ident("sort").text)
+                        msgs.append(self.ident("sort"))
                         if not self.accept(","):
                             break
                 self.expect("]")
-                queues[(frm.text, to.text)] = tuple(msgs)
+                queues[(frm, to)] = tuple(msgs)
                 continue
-            name = self.ident("participant name")
-            if not is_part_name(name.text):
-                self.fail("stipulated contracts belong to named participants", name.span)
-            if name.text in contracts:
-                self.fail(f"duplicate contract for {name.text}", name.span)
+            i = self.pos
+            name = self.name("participant name", True,
+                             "stipulated contracts belong to named participants")
+            if name in contracts:
+                self.fail(f"duplicate contract for {name}", i)
             self.expect(":")
             c = self.contract()
             bad = c.free_participant_vars
             if bad:
-                self.fail(
-                    f"stipulated contract of {name.text} mentions variables {sorted(bad)}",
-                    name.span,
-                )
-            contracts[name.text] = c
+                self.fail(f"stipulated contract of {name} mentions variables {sorted(bad)}", i)
+            contracts[name] = c
         try:
             return make_system(contracts, queues)
         except ContractError as exc:
-            self.fail(str(exc), header.span)
+            self.fail(str(exc), header)
 
     def _validate_calls(self, processes, definitions) -> None:
         def check(p: Process, where: str):
@@ -521,28 +548,28 @@ class _Parser:
 # --------------------------------------------------------------------------
 
 def parse_contract(text: str) -> Contract:
-    p = _Parser(tokenize(text))
+    p = _Parser(text)
     c = p.contract()
     if not p.done():
-        p.fail(f"trailing input after contract: {p.peek().text!r}")
+        p.fail(f"trailing input after contract: {p.texts[p.pos]!r}")
     return c
 
 
 def parse_global(text: str) -> GlobalType:
-    p = _Parser(tokenize(text))
+    p = _Parser(text)
     g = p.global_type()
     if not p.done():
-        p.fail(f"trailing input after global type: {p.peek().text!r}")
+        p.fail(f"trailing input after global type: {p.texts[p.pos]!r}")
     return g
 
 
 def parse_system(text: str, policy: FusePolicy = DEFAULT_POLICY) -> Co2System:
     """Parse a system file; every `fuse` with the default options gets `policy`."""
-    p = _Parser(tokenize(text))
+    p = _Parser(text)
     p.fuse_policy = policy
     return p.system_file()
 
 
 def parse_named_contracts(text: str) -> dict[str, Contract]:
     """Parse a `.ctr` file: `Name: contract` entries, each header starting a line."""
-    return _Parser(tokenize(text)).named_contracts()
+    return _Parser(text).named_contracts()

@@ -191,10 +191,10 @@ def synthesize(system: ContractSystem, max_configs: int = 10_000) -> SynthResult
 
         var = f"x{fresh[0]}"
         fresh[0] += 1
-        env2 = dict(env)
-        env2[key] = var
+        env[key] = var  # the path's binders: added here, removed on the way back
         inner_used: set[str] = set()
-        g = _step(key, env2, inner_used)
+        g = _step(key, env, inner_used)
+        del env[key]
         if var in inner_used:
             inner_used.discard(var)
             g = GRec(var, g)

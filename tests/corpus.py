@@ -7,6 +7,8 @@ choreographies (compliant by construction), raw random contract systems
 fixed seed reproduces the corpus exactly. `pair_context` writes CO2
 contexts whose honesty verdict is known from how they were built, and
 `recursive_pair_context` CO2 contexts that run forever through calls.
+`single_edit_mutants` edits a text in one place, for differential and
+robustness tests over near-miss inputs.
 `reference_repr` recomputes the repr the term nodes and system values
 cache, and `regex_named_contracts` is the regex-driven `.ctr` reader the
 grammar's `named_contracts` production replaced.
@@ -317,6 +319,32 @@ def recursive_pair_context(rng: random.Random, pairs: int, n: int) -> str:
             rounds = " . ".join(f"do u {h}" for h in heads)
             text.append(f"def Loop{me}(u) = {rounds} . Loop{me}(u)\n")
     return "".join(text)
+
+
+# --------------------------------------------------------------------------
+# Single-edit mutants of input texts
+# --------------------------------------------------------------------------
+
+# where a mutant edits: at random, or where the grammar decides something
+EDIT_SITES = (None, "(", ".", ";", ":", ",", "#", "\n", "fuse")
+# what an edit writes: blanks, punctuation, letters, digits, characters no
+# token starts with, and numerals and a letter beyond ASCII
+EDIT_CHARS = " \t\r\n#()+.;:,!?->|\\/@={}[]Ab02_'$\u00b2\u00bd\u00e9"
+
+
+def single_edit_mutants(rng: random.Random, text: str, count: int) -> list[str]:
+    """`count` mutants of `text`, each inserting, deleting or replacing one
+    character, at a random offset or at one of the `EDIT_SITES` the text
+    holds."""
+    mutants = []
+    for _ in range(count):
+        site = rng.choice(EDIT_SITES)
+        offsets = [m.start() for m in re.finditer(re.escape(site), text)] if site else []
+        at = rng.choice(offsets) if offsets else rng.randint(0, len(text))
+        kind = rng.choice(("insert", "delete", "replace"))
+        new = "" if kind == "delete" else rng.choice(EDIT_CHARS)
+        mutants.append(text[:at] + new + text[at + (kind != "insert"):])
+    return mutants
 
 
 # --------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Property tests: the values cached on term nodes against plain walkers,
-the parsers against the renderer and the former regex `.ctr` reader, the
-parser's fuse policy, `canonicalize` and the renderers against the walkers
-they replaced, the move relation and ready sets against the former
-`enabled_moves`, `contract_step` and `contract_ready_sets`, and the honesty
-search against the former one, which ran a readiness search per state."""
+the parsers against the renderer, the former regex `.ctr` reader and the
+former tokenizer and parser (`parse_oracle`), the parser's fuse policy,
+`canonicalize` and the renderers against the walkers they replaced, the
+move relation and ready sets against the former `enabled_moves`,
+`contract_step` and `contract_ready_sets`, and the honesty search against
+the former one, which ran a readiness search per state."""
 import copy
 import itertools
 import pickle
@@ -82,6 +83,7 @@ from co2run.frontend import (  # noqa: E402
     render_process,
     render_system,
 )
+from co2run.frontend import lex  # noqa: E402
 from co2run.frontend.emit import _dangling_rec, render_prefix  # noqa: E402
 from co2run.runtime import (  # noqa: E402
     DEFAULT_POLICY,
@@ -110,7 +112,8 @@ from co2run.runtime import (  # noqa: E402
 from corpus import SORTS as CORPUS_SORTS  # noqa: E402
 from corpus import corpus_system, pair_context, random_global, reference_repr  # noqa: E402
 from corpus import recursive_pair_context  # noqa: E402
-from corpus import regex_named_contracts  # noqa: E402
+from corpus import random_contract, regex_named_contracts, single_edit_mutants  # noqa: E402
+import parse_oracle  # noqa: E402
 
 PEERS = st.sampled_from(["A", "B", "C", "a", "b"])
 SORTS = st.sampled_from(["p", "q", "r"])
@@ -963,10 +966,8 @@ def contract_step_oracle(system: runtime.ContractSystem,
                 if to not in set(system.participants):
                     raise ContractError(f"illegal move: {to} is not in the session")
                 q = system.queue(label.actor, label.peer)
-                return (
-                    system.with_contract(label.actor, cont)
-                    .with_queue(label.actor, label.peer, q + (label.sort,))
-                )
+                return with_queue(with_contract(system, label.actor, cont),
+                                  label.actor, label.peer, q + (label.sort,))
         raise ContractError(f"illegal move: no branch {label.peer}!{label.sort}")
     if label.dir == RECV:
         if not isinstance(head, RecvChoice) or head.source != label.peer:
@@ -976,12 +977,31 @@ def contract_step_oracle(system: runtime.ContractSystem,
             raise ContractError(f"illegal move: queue {label.peer}->{label.actor} head mismatch")
         for sort, cont in head.branches:
             if sort == label.sort:
-                return (
-                    system.with_contract(label.actor, cont)
-                    .with_queue(label.peer, label.actor, q[1:])
-                )
+                return with_queue(with_contract(system, label.actor, cont),
+                                  label.peer, label.actor, q[1:])
         raise ContractError(f"illegal move: sort {label.sort} not offered")
     raise ContractError(f"illegal move direction {label.dir!r}")
+
+
+# `ContractSystem.with_contract` and `with_queue`, which only the oracle above
+# calls since `contract_step` builds its successor in one call; moved here
+# unchanged but for `self`, now the first argument `system`
+
+def with_contract(system: runtime.ContractSystem, name: str, c: Contract) -> runtime.ContractSystem:
+    return runtime.ContractSystem(
+        tuple((n, c if n == name else old) for n, old in system.contracts),
+        system.queues,
+    )
+
+
+def with_queue(system: runtime.ContractSystem, frm: str, to: str,
+               msgs: tuple[str, ...]) -> runtime.ContractSystem:
+    return runtime.ContractSystem(
+        system.contracts,
+        tuple(
+            (f, t, msgs if (f, t) == (frm, to) else old) for f, t, old in system.queues
+        ),
+    )
 
 
 def contract_ready_sets_oracle(c: Contract) -> frozenset[ReadySet]:
@@ -1449,3 +1469,137 @@ def test_system_values_agree_with_the_dataclasses_on_generated_states():
     counts = _check_against_the_dataclasses(
         state for i, text in enumerate(texts) for state in _walked_states(text, i, 40))
     assert min(counts.values()) > 50 and len(counts) == 4
+
+
+# -- the character-loop tokenizer and the token-object parser, before one
+# pattern scanned a text into flat lists and loops read the chains; kept
+# verbatim in `parse_oracle` ------------------------------------------------
+
+PARSERS = (
+    (parse_contract, parse_oracle.parse_contract),
+    (parse_global, parse_oracle.parse_global),
+    (parse_named_contracts, parse_oracle.parse_named_contracts),
+    (parse_system, parse_oracle.parse_system),
+)
+
+
+def _parsed(parse, text):
+    """What `parse` gives: a value, or the diagnostics or error it raises."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return exc.diagnostics
+    except Exception as exc:  # a crash must crash both alike
+        return type(exc), str(exc)
+
+
+def _same(got, want) -> bool:
+    """The very same node, the same names bound to the very same nodes, or an
+    equal system or failure."""
+    if isinstance(want, dict):
+        return list(got) == list(want) and all(got[k] is want[k] for k in want)
+    if isinstance(want, (Contract, GlobalType)):
+        return got is want
+    return type(got) is type(want) and got == want
+
+
+def _assert_parsed_as_by_the_oracle(text: str) -> None:
+    for parse, oracle in PARSERS:
+        got, want = _parsed(parse, text), _parsed(oracle, text)
+        assert _same(got, want), (parse.__name__, text, got, want)
+
+
+def _parser_inputs(rng: random.Random) -> list[str]:
+    """The fixtures, corpus terms rendered to text, systems mid-run and
+    generated contexts."""
+    texts = [fixture_text(name) for name in FIXTURES]
+    for _ in range(40):
+        texts.append(render_contract(random_contract(rng, ["A", "B", "C", "x"])))
+        texts.append(render_global(random_global(rng)))
+        texts.append("".join(f"{n}: {render_contract(c)}\n"
+                             for n, c in corpus_system(rng).items()))
+    for pairs, n in ((1, 3), (2, 2)):
+        texts.append(pair_context(rng, pairs, n, rng.random() < 0.5)[0])
+        texts.append(recursive_pair_context(rng, pairs, n))
+    for name in ("store_s1.co2", "subset_fuse.co2", "pingpong.co2"):
+        *_, state = _walked_states(fixture_text(name), 5, 4)
+        texts.append(render_system(state))
+    return texts
+
+
+def test_parsers_agree_with_the_oracle_on_inputs_and_their_single_edit_mutants():
+    rng = random.Random(15)
+    texts = _parser_inputs(rng)
+    mutants = [m for text in texts for m in single_edit_mutants(rng, text, 20)]
+    rejected = 0
+    for text in texts + mutants:
+        _assert_parsed_as_by_the_oracle(text)
+        rejected += isinstance(_parsed(parse_system, text), tuple)
+    assert len(mutants) > 2500 and rejected > 1500
+
+
+def test_a_comment_that_ends_the_text_keeps_the_end_of_input_column():
+    for text in ("A: B!a # no newline", "A: B!a\n  # no newline", "A: B!a .\t# x",
+                 "participant A { 0 } #", "A -> B : a ;  # x\n# y", "#"):
+        _assert_parsed_as_by_the_oracle(text)
+    (diag,) = _parsed(parse_contract, "A!a . # x")
+    assert diag.span == (1, 7, 1, 7)
+
+
+def test_every_code_point_tokenizes_as_by_the_oracle():
+    """Every code point but the surrogates, alone, before and after `a`,
+    before and after `1` and between two letters. Beyond ASCII both
+    tokenizers read a character only through `str.isalpha`, `isalnum`,
+    `isdigit` and `isdecimal` and the pattern's classes `\\w` and `\\d`, so
+    the test sorts every code point by those six and runs each ASCII one
+    and the first, last and a few seeded members of each class."""
+    wide = "".join(chr(c) for c in range(0x80, 0x110000) if not 0xD800 <= c < 0xE000)
+    word, decimal = set(re.findall(r"\w", wide)), set(re.findall(r"\d", wide))
+    classes: dict[tuple, list[str]] = {}
+    for c in wide:
+        key = (c.isalpha(), c.isalnum(), c.isdigit(), c.isdecimal(), c in word, c in decimal)
+        classes.setdefault(key, []).append(c)
+    assert len(classes) >= 5  # none, letters, decimals, `²` and `½` alike
+    rng = random.Random(15)
+    chars = [chr(c) for c in range(0x80)] + ["²", "½"]
+    for members in classes.values():
+        chars += [members[0], members[-1]] + rng.sample(members, min(len(members), 20))
+
+    def oracle_tokens(text):
+        try:
+            return [(t.text, t.span) for t in parse_oracle.tokenize(text)]
+        except ParseError as exc:
+            return exc.diagnostics
+
+    def new_tokens(text):
+        try:
+            texts, starts = lex.tokenize(text)
+        except ParseError as exc:
+            return exc.diagnostics
+        return [(t, lex.span(text, s, len(t))) for t, s in zip(texts[:-1], starts[:-1])]
+
+    for c in chars:
+        for text in (c, "a" + c, c + "a", "1" + c, c + "1", "a" + c + "b"):
+            assert new_tokens(text) == oracle_tokens(text), text
+
+
+def _chain_length(node) -> int:
+    """The number of messages before the end of a one-branch chain."""
+    n = 0
+    while isinstance(node, (SendChoice, RecvChoice, GMsg)):
+        node = node.cont if isinstance(node, GMsg) else node.branches[0][-1]
+        n += 1
+    return n
+
+
+def test_chains_of_ten_thousand_parse():
+    """`.` and `;` chains are read by a loop, whatever the recursion limit."""
+    n = 10_000
+    sorts = ["a", "b", "c"]
+    a = " . ".join(f"B!{sorts[i % 3]}" for i in range(n))
+    b = " . ".join(f"A?{sorts[i % 3]}" for i in range(n))
+    assert _chain_length(parse_contract(a)) == n
+    pair = parse_named_contracts(f"A: {a}\nB: {b}\n")
+    assert [_chain_length(c) for c in pair.values()] == [n, n]
+    g = parse_global(" ; ".join(f"A -> B : {sorts[i % 3]}" for i in range(n)))
+    assert _chain_length(g) == n
