@@ -404,8 +404,8 @@ class _Parser:
             if t == "min":
                 self.expect("=")
                 j = self.pos
-                if not self.texts[j][:1].isdigit():
-                    self.fail("min= needs a number")
+                if not (self.texts[j].isascii() and self.texts[j].isdigit()):
+                    self.fail("min= needs a number")  # `²` and `٣` are digits, not ASCII ones
                 minimum = int(self.eat())
                 if minimum < 2:
                     self.fail("sessions need at least two participants", j)

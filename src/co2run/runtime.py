@@ -29,7 +29,7 @@ import hashlib
 import itertools
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .choreo import GlobalType
@@ -53,7 +53,7 @@ from .contracts import (
     next_moves,
     subst_parts,
 )
-from .synthesis import can_start, synthesize
+from .synthesis import answered, can_start, peer_actions, synthesize
 
 PLAIN = "plain"
 TERMINATING = "terminating"
@@ -677,8 +677,11 @@ def _search_agreement(
     pool: tuple[LatentContract, ...], policy: FusePolicy
 ) -> Optional[Agreement]:
     n = len(pool)
-    kinds = [_head_kind(k.contract) for k in pool]
+    # per latent: head-normal form (None: refused whatever pi), variables, peers
+    heads = [None if k.contract.free_rec_vars or not k.contract.is_guarded
+             else head_normal(k.contract) for k in pool]
     variables_of = [sorted(k.contract.free_participant_vars) for k in pool]
+    actions: dict[int, tuple] = {}  # index -> peer_actions, as subsets need them
     instances: dict[tuple, Contract] = {}  # (index, values of its variables) -> contract
 
     def instance(i: int, pi: dict[str, str]) -> Contract:
@@ -688,28 +691,36 @@ def _search_agreement(
             c = instances[key] = subst_parts(pool[i].contract, pi)
         return c
 
+    def doomed(idxs: Sequence[int], names: set[str], variables: list[str], pi) -> bool:
+        """Does pi leave a head unanswered whatever its completion? An unfixed
+        variable, and a peer set that still names one, may stand for any name."""
+        actions.update((i, peer_actions(pool[i].contract)) for i in idxs if i not in actions)
+        acts = {pool[i].promiser: [names if any(map(is_part_var, got)) else got
+                                   for got in ({pi.get(r, r) for r in a} for a in actions[i])]
+                for i in idxs}
+        acts.update((v, acts[pi[v]] if v in pi else (names, names)) for v in variables)
+        return not all(answered(pool[i].promiser, heads[i], acts) for i in idxs)
+
     sizes: Iterable[int] = range(2, n + 1) if policy.prefer_smallest else range(n, 1, -1)
     for size in sizes:
         for idxs in itertools.combinations(range(n), size):
-            if not _may_start({kinds[i] for i in idxs}):
+            # can_start never passes a refused contract, nor live heads lacking a send or a receive
+            kinds = {type(heads[i]) for i in idxs}
+            if type(None) in kinds or not (kinds <= {End} or {SendChoice, RecvChoice} <= kinds):
                 continue
             latents = tuple(pool[i] for i in idxs)
-            promisers = [k.promiser for k in latents]
-            if len(set(promisers)) != size:
-                continue
-            if any(not is_part_var(k.session_var) for k in latents):
+            names = {k.promiser for k in latents}
+            if len(names) != size or any(not is_part_var(k.session_var) for k in latents):
                 continue
             owners: dict[str, set[str]] = {}
             for k in latents:
                 for v in k.contract.free_participant_vars:
                     owners.setdefault(v, set()).add(k.promiser)
-            names = set(promisers)
             variables = sorted(owners)
             candidates = [sorted(names - owners[v]) for v in variables]
             if any(not c for c in candidates):
                 continue
-            for assignment in itertools.product(*candidates):
-                pi = dict(zip(variables, assignment))
+            for pi in _assignments(variables, candidates, partial(doomed, idxs, names, variables)):
                 contracts = {pool[i].promiser: instance(i, pi) for i in idxs}
                 if not can_start({p: head_normal(c) for p, c in contracts.items()}):
                     continue
@@ -723,20 +734,24 @@ def _search_agreement(
     return None
 
 
-def _head_kind(c: Contract) -> Optional[type]:
-    """The type of the contract's head-normal form, or None when
-    `make_system` refuses the contract whatever its variables become."""
-    if c.free_rec_vars or not c.is_guarded:
-        return None
-    return type(head_normal(c))
-
-
-def _may_start(kinds: set[Optional[type]]) -> bool:
-    """Can an assignment of a subset whose heads are of these kinds pass
-    `can_start`? Not when a contract is refused outright, nor when some head
-    is live but none sends or none receives: a fully matched sender needs a
-    receiver."""
-    return None not in kinds and (kinds <= {End} or {SendChoice, RecvChoice} <= kinds)
+def _assignments(variables: Sequence[str], candidates: Sequence[Sequence[str]], refuses):
+    """`itertools.product(*candidates)` as assignments to `variables`, less the
+    completions of each nonempty prefix that `refuses`: yields the one dict."""
+    pi: dict[str, str] = {}
+    tried = [0]  # per fixed depth, the candidates tried
+    while tried:
+        j = len(tried) - 1
+        if j == len(variables):
+            yield pi
+            tried.pop()
+        elif tried[j] == len(candidates[j]):
+            tried.pop()
+            del pi[variables[j]]
+        else:
+            pi[variables[j]] = candidates[j][tried[j]]
+            tried[j] += 1
+            if not refuses(pi):
+                tried.append(0)
 
 
 def find_agreement(
@@ -752,12 +767,11 @@ def find_agreement(
     which makes fuse deterministic. Returns None when no agreement exists:
     the fuse prefix simply stays blocked.
 
-    Candidates that `synthesize` would reject at its first step are skipped
-    before any system is built (`synthesis.can_start`, the test the
-    synthesiser itself makes): a subset with a live contract but no send or
-    no receive at the head, and an assignment under which no sender has
-    every branch matched by its peer's head. Skipping never changes which
-    agreement wins, only how fast the search gets there.
+    Candidates that `synthesize` is sure to reject are skipped unbuilt, by
+    its own tests `synthesis.can_start` and `synthesis.answered`. The latter
+    runs each time the walk over assignments (in `itertools.product` order)
+    fixes a variable; a prefix that fails skips all its completions. Skipping
+    never changes which agreement wins, only how fast; there is no budget.
     """
     return _search_agreement(tuple(pool), policy)
 

@@ -15,8 +15,8 @@ and nobody able to move, has no choreography. Whatever the descent produces
 must finally project back onto the original contracts (extra, never-used
 receive branches are tolerated — the receiver just offers more than the
 session exercises); this gate catches any over-approximation of the descent.
-`can_start` is the test of the first step on its own: the agreement search
-uses it to skip systems that would fail there, without building them.
+`can_start` (the first step on its own) and `answered` (can each first
+action fire?) let the agreement search skip doomed systems unbuilt.
 """
 from __future__ import annotations
 
@@ -41,6 +41,7 @@ from .contracts import (
     ContractSystem,
     ContractError,
     End,
+    Rec,
     RecvChoice,
     SendChoice,
     head_normal,
@@ -75,10 +76,7 @@ class SynthResult:
 
 class _Fail(Exception):
     def __init__(self, reason: str, detail: str, config: Optional[Config]):
-        super().__init__(detail)
-        self.reason = reason
-        self.detail = detail
-        self.config = config
+        super().__init__(SynthResult.failure(reason, detail, config))
 
 
 def _components(config: Config) -> list[Config]:
@@ -158,9 +156,42 @@ def can_start(heads: Mapping[str, Contract]) -> bool:
     When some participant is live and no sender has every branch matched,
     the first step of every component fails, so the synthesis does: callers
     can skip building and synthesising such a system. True does not promise
-    a choreography.
+    a choreography; `answered` asks more of each head.
     """
     return bool(_senders(heads)[0]) or all(isinstance(c, End) for c in heads.values())
+
+
+def peer_actions(c: Contract) -> tuple[frozenset[str], frozenset[str]]:
+    """The peers c receives from and sends to, at any depth (unfolding adds none)."""
+    sources: set[str] = set()
+    targets: set[str] = set()
+    stack = [c]  # walked as a tree: a told contract is no larger than its text
+    while stack:
+        node = stack.pop()
+        if isinstance(node, SendChoice):
+            targets.update([to for to, _, _ in node.branches])
+            stack += [cont for _, _, cont in node.branches]
+        elif isinstance(node, RecvChoice):
+            sources.add(node.source)
+            stack += [cont for _, cont in node.branches]
+        elif isinstance(node, Rec):
+            stack.append(node.body)
+    return frozenset(sources), frozenset(targets)
+
+
+def answered(name: str, head: Contract, actions: Mapping[str, tuple]) -> bool:
+    """Can the peers (`actions`: participant -> `peer_actions`) ever answer
+    `name`'s head: does each send branch's target receive from `name`
+    somewhere, does a receive's source send to it somewhere? If not, the head
+    never fires, since `synthesize` moves a participant only through its head,
+    a send once each branch meets a receive from the sender, a receive once its
+    source sends to it. No interaction involves `name`, so the result is STUCK,
+    MIXED_RACE or NOT_PROJECTABLE (projecting onto `name` gives no live contract)."""
+    if isinstance(head, SendChoice):
+        return all(to in actions and name in actions[to][0] for to, _, _ in head.branches)
+    if isinstance(head, RecvChoice):
+        return head.source in actions and name in actions[head.source][1]
+    return True
 
 
 def synthesize(system: ContractSystem, max_configs: int = 10_000) -> SynthResult:
@@ -218,21 +249,18 @@ def synthesize(system: ContractSystem, max_configs: int = 10_000) -> SynthResult
         if partial:
             name, unmatched = partial[0]
             to, sort = unmatched[0]
-            return _raise(
+            raise _Fail(
                 MIXED_RACE,
                 f"branch {name}->{to}:{sort} races ahead of any ready receiver",
                 config,
             )
         waiting = ", ".join(n for n, c in config if not isinstance(c, End))
-        return _raise(STUCK, f"no interaction can fire; waiting: {waiting}", config)
-
-    def _raise(reason: str, detail: str, config: Config) -> GlobalType:
-        raise _Fail(reason, detail, config)
+        raise _Fail(STUCK, f"no interaction can fire; waiting: {waiting}", config)
 
     try:
         raw = go(norm(system.contracts), {}, set())
     except _Fail as f:
-        return SynthResult.failure(f.reason, f.detail, f.config)
+        return f.args[0]
 
     g = canonicalize(raw)
     ok, diags = well_formed(g)

@@ -319,6 +319,15 @@ def test_fuse_min_below_two_is_a_usage_error(n, capsys):
     assert "sessions need at least two participants" in err
 
 
+def test_a_min_that_is_no_ascii_number_is_a_located_error(tmp_path, capsys):
+    path = tmp_path / "min.co2"
+    path.write_text("participant A { tell A @x { b!m } . fuse(min=\u00b2) }\n")
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:1:46-1:47: error: min= needs a number" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["synth", PAIR, "--max-configs"],
     ["run", S1, "--max-steps"],

@@ -183,6 +183,10 @@ def test_named_contract_diagnostics_carry_the_true_position(text, message, span)
     ("(;; a) 0", "expected a delimited variable, found ';'", (1, 19, 1, 20)),
     ("fuse(bogus)", "unknown fuse option 'bogus'", (1, 22, 1, 27)),
     ("fuse(min=3, smallest, bogus)", "unknown fuse option 'bogus'", (1, 39, 1, 44)),
+    # digits, but not ASCII ones: `int` fails on `²` and would read `٣` as 3
+    ("fuse(min=\u00b2)", "min= needs a number", (1, 26, 1, 27)),
+    ("fuse(min=2\u00b2)", "min= needs a number", (1, 26, 1, 28)),
+    ("fuse(min=\u0663)", "min= needs a number", (1, 26, 1, 27)),
 ])
 def test_bad_delimitation_or_fuse_option_is_reported_at_its_token(body, message, span):
     with pytest.raises(ParseError) as err:

@@ -1506,6 +1506,12 @@ def _same(got, want) -> bool:
 def _assert_parsed_as_by_the_oracle(text: str) -> None:
     for parse, oracle in PARSERS:
         got, want = _parsed(parse, text), _parsed(oracle, text)
+        if isinstance(want, tuple) and want[0] is ValueError:
+            # the oracle's one known crash: `int()` on a `min=` number of
+            # digits that are not ASCII, such as `²`; the parser reports it
+            assert "invalid literal for int()" in want[1], (text, want)
+            assert [d.message for d in got] == ["min= needs a number"], (text, got)
+            continue
         assert _same(got, want), (parse.__name__, text, got, want)
 
 
@@ -1536,6 +1542,16 @@ def test_parsers_agree_with_the_oracle_on_inputs_and_their_single_edit_mutants()
         _assert_parsed_as_by_the_oracle(text)
         rejected += isinstance(_parsed(parse_system, text), tuple)
     assert len(mutants) > 2500 and rejected > 1500
+
+
+def test_a_min_of_other_digits_is_reported_where_the_oracle_crashes_or_reads_it():
+    for number in ("\u00b2", "3\u00b2, smallest"):
+        _assert_parsed_as_by_the_oracle(f"participant A {{ fuse(min={number}) }}")
+    # the oracle reads `٣` (ARABIC-INDIC DIGIT THREE) as 3; the parser refuses it
+    text = "participant A { fuse(min=\u0663) }"
+    assert parse_oracle.parse_system(text).process("A").branches[0][0].policy.min_participants == 3
+    (diag,) = _parsed(parse_system, text)
+    assert (diag.message, diag.span) == ("min= needs a number", (1, 26, 1, 27))
 
 
 def test_a_comment_that_ends_the_text_keeps_the_end_of_input_column():

@@ -426,6 +426,47 @@ POLICIES = (
 )
 
 
+def _store_s12_pool():
+    """Broker A's pool once all four store participants have told it."""
+    s = _load("store_s12.co2")
+    s2, _ = _drive(s, [("tell", "A"), ("tell", "B1"), ("tell", "B2"), ("tell", "B12")])
+    return s2.pool("A")
+
+
+def _client(sorts, peer="s"):
+    """A client that sends first to its variable peer, then alternates."""
+    return " . ".join(f"{peer}{'!?'[i % 2]}{x}" for i, x in enumerate(sorts))
+
+
+def _server(sorts):
+    """A server of client C, the dual of `_client(sorts)`."""
+    return " . ".join(f"C{'?!'[i % 2]}{x}" for i, x in enumerate(sorts))
+
+
+def _broker_pools(rng):
+    """Pools shaped like the benchmark's broker workload, shuffled: a client
+    with k-1 candidate servers, all but one poisoned in their last sort; a
+    client/server core among servers waiting for a sort nobody sends; and
+    clients that all send first, on one shared variable or each on its own."""
+    sorts = ["a", "b", "c", "d", "e"]
+    pools = []
+    for k in (3, 4, 5, 6):
+        msgs = rng.sample(sorts, 4)
+        right = rng.randrange(k - 1)
+        servers = [_latent(f"S{i}", _server(msgs if i == right else msgs[:-1] + [f"z{i}"]))
+                   for i in range(k - 1)]
+        pools.append([_latent("C", _client(msgs))] + servers)
+        msgs = rng.sample(sorts, 3)
+        decoys = [_latent(f"D{i}", _server([f"z{i}"] + msgs[1:])) for i in range(k - 2)]
+        pools.append([_latent("C", _client(msgs)), _latent("S", _server(msgs))] + decoys)
+    for k in (3, 4, 5):
+        pools.append([_latent(f"C{i}", _client(rng.sample(sorts, 2))) for i in range(k)])
+        pools.append([_latent(f"C{i}", _client(rng.sample(sorts, 2), f"s{i}")) for i in range(k)])
+    for pool in pools:
+        rng.shuffle(pool)
+    return [tuple(pool) for pool in pools]
+
+
 def test_pruned_search_agrees_with_the_exhaustive_one(monkeypatch):
     # synthesize is a pure function of the system: both searches share its
     # results under all four policies, which halves the test's time
@@ -433,9 +474,9 @@ def test_pruned_search_agrees_with_the_exhaustive_one(monkeypatch):
     monkeypatch.setattr(runtime, "synthesize", shared)
     monkeypatch.setitem(globals(), "synthesize", shared)
     rng = random.Random(10)
+    pools = [_random_pool(rng) for _ in range(1_000)]
     found = Counter()
-    for _ in range(1_000):
-        pool = _random_pool(rng)
+    for pool in pools + _broker_pools(rng) + [_store_s12_pool()]:
         for policy in POLICIES:
             expected = exhaustive_agreement(pool, policy)
             assert find_agreement(pool, policy) == expected, (pool, policy)
@@ -460,6 +501,34 @@ def test_fuse_with_two_variables_bound_to_one_promiser():
     agreement = find_agreement(pool)
     assert tuple(k.promiser for k in agreement.latents) == ("C1", "C2", "S")
     assert dict(agreement.pi) == {"s": "S", "t": "S"}
+
+
+def _synthesize_calls(monkeypatch, pool):
+    """The agreement found in the pool and the systems synthesised on the way."""
+    runtime._search_agreement.cache_clear()  # an earlier test may have searched the pool
+    calls = []
+    monkeypatch.setattr(runtime, "synthesize", lambda t: calls.append(t) or synthesize(t))
+    return find_agreement(pool), calls
+
+
+def test_store_s12_search_prunes_the_four_party_assignments(monkeypatch):
+    # 7 variables with 3 candidates each: every assignment of the 4-subset
+    # fails; testing complete assignments only, 753 systems are synthesised
+    # before {A, B1, B2} wins
+    agreement, calls = _synthesize_calls(monkeypatch, _store_s12_pool())
+    assert {k.promiser for k in agreement.latents} == {"A", "B1", "B2"}
+    assert len(calls) <= 130
+
+
+def test_candidate_servers_are_refused_before_synthesis(monkeypatch):
+    # only the subset of C and the server its variable names can answer every
+    # head; testing complete assignments only, 79 systems are synthesised
+    msgs = ["a", "b", "c", "d"]
+    servers = [_latent(f"S{i}", _server(msgs if i == 3 else msgs[:-1] + [f"z{i}"]))
+               for i in range(5)]
+    agreement, calls = _synthesize_calls(monkeypatch, (_latent("C", _client(msgs)), *servers))
+    assert [k.promiser for k in agreement.latents] == ["C", "S3"]
+    assert len(calls) <= 5
 
 
 def test_no_agreement_pool_of_twelve_never_synthesises(monkeypatch):

@@ -6,7 +6,16 @@ from co2run.choreo import canonicalize, project, well_formed
 from co2run.contracts import ContractError, END, head_normal, make_system, recv, send
 from co2run.frontend import parse_contract, parse_global, parse_named_contracts
 from co2run.fixtures import fixture_text
-from co2run.synthesis import MIXED_RACE, STUCK, can_start, projection_matches, synthesize
+from co2run.synthesis import (
+    MIXED_RACE,
+    NOT_PROJECTABLE,
+    STUCK,
+    answered,
+    can_start,
+    peer_actions,
+    projection_matches,
+    synthesize,
+)
 
 from corpus import corpus_system
 from oracle import ALL_RUNS_COMPLETE, CYCLE_WITHOUT_PROGRESS, STUCK_CONFIG, execution_oracle
@@ -259,3 +268,36 @@ def test_a_system_that_cannot_start_fails_at_its_first_step():
             # the failing configuration is (a component of) the initial one
             assert set(result.config) <= set(heads.items()), system
     assert refused
+
+
+def test_a_system_with_an_unanswered_head_fails():
+    # the agreement search skips such systems too, on every assignment prefix
+    rng = random.Random(23)
+    refused = by_answered_alone = 0
+    for _ in range(300):
+        system = make_system(corpus_system(rng))
+        heads = {n: head_normal(c) for n, c in system.contracts}
+        actions = {n: peer_actions(c) for n, c in system.contracts}
+        unanswered = not all(answered(n, h, actions) for n, h in heads.items())
+        if unanswered or not can_start(heads):
+            refused += 1
+            by_answered_alone += unanswered and can_start(heads)
+            assert not synthesize(system).ok, system
+    assert refused and by_answered_alone
+
+
+def test_a_participant_stuck_while_the_others_loop_is_not_projectable():
+    # A and B ping forever and C waits for A, who never sends to C: the
+    # descent closes the loop without C, so only the projection gate fails
+    contracts = parse_named_contracts("A: rec t . B!ping . t\nB: rec t . A?ping . t\nC: A?go")
+    heads = {n: head_normal(c) for n, c in contracts.items()}
+    actions = {n: peer_actions(c) for n, c in contracts.items()}
+    assert can_start(heads) and not answered("C", heads["C"], actions)
+    result = synthesize(make_system(contracts))
+    assert result.reason == NOT_PROJECTABLE, result
+
+
+def test_peer_actions_read_every_depth_and_not_the_head_only():
+    c = parse_contract("rec t . (A!x . t (+) B!y . C?z . rec u . D?w . u)")
+    assert peer_actions(c) == ({"C", "D"}, {"A", "B"})
+    assert peer_actions(END) == (frozenset(), frozenset())
