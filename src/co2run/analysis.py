@@ -60,6 +60,7 @@ class StateGraph:
         self.bound = bound
         self.edges: dict = {}  # expanded state -> its successors
         self.weak: dict = {}  # (who, session, state) -> (pairs, cut)
+        self.fired: dict = {}  # replay: (state, participant) -> steps, (state, step) -> successor
 
     def successors(self, state: Co2System) -> Optional[tuple[tuple[Co2System, StepLabel], ...]]:
         """(successor, label) of each enabled step, in `enabled_steps` order;
@@ -316,14 +317,25 @@ def _replay_one(graph: StateGraph, state: Co2System, label: StepLabel,
                 expected_digest: Optional[str], number: int) -> Co2System:
     """Fire the enabled step carrying this label, the trace's step `number`.
 
-    Distinct branches can produce identical labels (two internal steps,
-    say); when a digest is recorded it picks the right one. When no
-    enabled step carries the label, the error lists the labels that do.
+    Only the label's actor's steps of the label's kind are fired, each once
+    per state. Distinct branches can produce identical labels (two internal
+    steps, say); when a digest is recorded it picks the right one. When no
+    enabled step carries the label, the error lists the labels of every
+    enabled step.
     """
-    successors = graph.successors(state)
-    candidates = [nxt for nxt, produced in successors if produced == label]
+    fired = graph.fired
+    if (state, label.actor) not in fired:
+        fired[state, label.actor] = enabled_steps(state, label.actor)
+    candidates = []
+    for step in fired[state, label.actor]:
+        if step.kind == label.kind:
+            if (state, step) not in fired:
+                fired[state, step] = apply_step(state, step)
+            nxt, produced = fired[state, step]
+            if produced == label:
+                candidates.append(nxt)
     if not candidates:
-        enabled = ", ".join(str(produced) for _, produced in successors) or "none"
+        enabled = ", ".join(str(produced) for _, produced in graph.successors(state)) or "none"
         raise ReplayError(f"step {number}: no enabled step matches {label}; enabled: {enabled}")
     for nxt in candidates:
         if expected_digest is None or system_digest(nxt) == expected_digest:
@@ -361,15 +373,18 @@ def check_trace_properties(trace_steps, digests, system: Co2System) -> PropertyR
     state = normalize(system)
     violations: list[str] = []
 
+    faults: dict = {}  # (session name, session value) -> its violations, less the place
+
     def assert_culpability(s: Co2System, at: str) -> None:
         for sname, t in s.sessions:
-            if not is_terminated(t):
-                if not culpable(s, sname):
-                    violations.append(
-                        f"{at}: session {sname} is unfinished but nobody is culpable"
-                    )
-                for frm, to, msg in orphan_messages(t):
-                    violations.append(f"{at}: orphan message {frm}->{to}:{msg} in {sname}")
+            if (sname, t) not in faults:
+                found = faults[sname, t] = []
+                if not is_terminated(t):
+                    if not culpable(s, sname):
+                        found.append(f"session {sname} is unfinished but nobody is culpable")
+                    for frm, to, msg in orphan_messages(t):
+                        found.append(f"orphan message {frm}->{to}:{msg} in {sname}")
+            violations.extend(f"{at}: {v}" for v in faults[sname, t])
 
     assert_culpability(state, "initial state")
     graph = StateGraph(len(trace_steps) + 1)  # a replayed loop revisits its states

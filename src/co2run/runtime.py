@@ -636,9 +636,13 @@ def _prefix_enabled(system: Co2System, actor: str, prefix: Prefix) -> bool:
 _KINDS = {PTau: "tau", PTell: "tell", PFuse: "fuse", PDo: "do", Call: "call"}
 
 
-def enabled_steps(system: Co2System) -> tuple[Step, ...]:
+def enabled_steps(system: Co2System, participant: Optional[str] = None) -> tuple[Step, ...]:
+    """The enabled steps, participant by participant; only `participant`'s
+    when one is named."""
     steps: list[Step] = []
     for actor, proc in system.processes:
+        if participant is not None and actor != participant:
+            continue
         for i, item in enumerate(proc_items(proc)):
             if isinstance(item, Call):
                 steps.append(Step(actor, i, None, "call"))
@@ -884,6 +888,22 @@ def apply_step(system: Co2System, step: Step) -> tuple[Co2System, StepLabel]:
     return system.replace(processes=advance(body)), StepLabel(actor, "call", callee=prefix.name)
 
 
+def touched(system: Co2System, label: StepLabel) -> Iterable[str]:
+    """The participants whose enabled steps the step labelled `label` can
+    have changed, `system` being the state it reached. A tau or a call
+    changes only the actor's process, a tell also its target's pool, a do
+    also its session, and a fuse every process, pool and the session names;
+    `_prefix_enabled` reads only the actor's process, `pool(actor)`, the
+    session a do names and `session_names`."""
+    if label.kind == "fuse":
+        return [n for n, _ in system.processes]
+    if label.kind == "tell":
+        return {label.actor, label.target}
+    if label.kind == "do":
+        return system.session(label.session).participants
+    return (label.actor,)
+
+
 # --------------------------------------------------------------------------
 # Scheduler
 # --------------------------------------------------------------------------
@@ -906,23 +926,30 @@ def run(
     Each round picks uniformly among the enabled steps, except that a step
     that has been continuously enabled for `fairness_window` rounds is
     served before any younger one. Identical inputs yield identical traces.
+
+    Each participant's enabled steps are kept, and after a step only those
+    of the participants it `touched` are recomputed: the actor, a tell's
+    target, the participants of a do's session, everyone after a fuse.
     """
     rng = random.Random(seed)
     state = normalize(system)
+    own = {actor: [] for actor, _ in state.processes}  # actor -> its (step, key) pairs, in order
     ages: dict[tuple, int] = {}
     labels: list[StepLabel] = []
     digests: list[str] = []
+    stale: Iterable[str] = own  # at first, every participant
     for _ in range(max_steps):
-        steps = enabled_steps(state)
-        if not steps:
+        for actor in stale:
+            if actor in own:
+                own[actor] = [(s, _step_key(state, s)) for s in enabled_steps(state, actor)]
+        keyed = [sk for pairs in own.values() for sk in pairs]
+        if not keyed:
             break
-        keyed = [(s, _step_key(state, s)) for s in steps]
         ages = {k: ages.get(k, 0) + 1 for _, k in keyed}
-        overdue = [s for s, k in keyed if ages[k] >= fairness_window]
-        pool = overdue if overdue else list(steps)
-        choice = pool[rng.randrange(len(pool))]
-        chosen_key = dict(keyed)[choice]
+        pool = [sk for sk in keyed if ages[sk[1]] >= fairness_window] or keyed
+        choice, chosen_key = pool[rng.randrange(len(pool))]
         state, label = apply_step(state, choice)
+        stale = touched(state, label)
         ages.pop(chosen_key, None)
         labels.append(label)
         digests.append(system_digest(state))

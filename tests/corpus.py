@@ -5,8 +5,9 @@ choreographies (compliant by construction), raw random contract systems
 (mostly non-compliant), and single-contract mutations of the projections
 (near-misses). All draws are driven by an explicit Random instance, so a
 fixed seed reproduces the corpus exactly. `pair_context` writes CO2
-contexts whose honesty verdict is known from how they were built, and
-`recursive_pair_context` CO2 contexts that run forever through calls.
+contexts whose honesty verdict is known from how they were built,
+`recursive_pair_context` CO2 contexts that run forever through calls, and
+`broker_context` contexts heavy in `tell` and `fuse`.
 `single_edit_mutants` edits a text in one place, for differential and
 robustness tests over near-miss inputs.
 `reference_repr` recomputes the repr the term nodes and system values
@@ -318,6 +319,41 @@ def recursive_pair_context(rng: random.Random, pairs: int, n: int) -> str:
                         f" . Loop{me}(x{me}) }}\n")
             rounds = " . ".join(f"do u {h}" for h in heads)
             text.append(f"def Loop{me}(u) = {rounds} . Loop{me}(u)\n")
+    return "".join(text)
+
+
+def broker_context(rng: random.Random, k: int, agree: bool) -> str:
+    """A `.co2` context of k members that tell broker Br their contracts,
+    each on its own session variable, report to Br on a gate session g, and
+    then perform their contracts; Br fuses once all have reported.
+
+    With `agree`, a client C sends first to its variable peer s and k-1
+    servers answer C, all but one with one sort changed to one no other uses;
+    else every member is such a client, so no two can meet and Br's fuse
+    stays blocked."""
+    def chain(peer, first, sorts):
+        return [f"{peer}{'!?'[(i + first) % 2]}{x}" for i, x in enumerate(sorts)]
+
+    sorts = [rng.choice(SORTS) for _ in range(3)]
+    if agree:
+        members = [("C", chain("s", 0, sorts))]
+        right = rng.randrange(k - 1)
+        for i in range(k - 1):
+            mine = list(sorts)
+            if i != right:
+                mine[rng.randrange(3)] = f"z{i}"
+            members.append((f"S{i}", chain("C", 1, mine)))
+    else:
+        members = [(f"C{i}", chain("s", 0, sorts[:2])) for i in range(k)]
+    rng.shuffle(members)
+    names = [name for name, _ in members]
+    text = ["session g {\n  Br: " + " . ".join(f"{n}?ready" for n in names) + "\n"]
+    text += [f"  {n}: Br!ready\n" for n in names] + ["}\n"]
+    text.append(f"participant Br {{ {' . '.join(f'do g {n}?ready' for n in names)} . fuse }}\n")
+    for name, heads in members:
+        acts = "".join(f" . do x{name} {h}" for h in heads)
+        text.append(f"participant {name} {{ tell Br @x{name} {{ {' . '.join(heads)} }}"
+                    f" . do g Br!ready{acts} }}\n")
     return "".join(text)
 
 

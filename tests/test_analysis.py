@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -12,17 +13,18 @@ from co2run.analysis import (
     culpable,
     is_initial_for,
     process_ready_set,
+    _replay_one,
     ready,
     weak_process_ready_set,
 )
 from co2run.contracts import is_terminated
 from co2run.frontend import parse_system, trace_from_jsonl, trace_to_jsonl
 from co2run.fixtures import fixture_text
-from co2run.runtime import apply_step, enabled_steps, normalize, run
+from co2run.runtime import StepLabel, apply_step, enabled_steps, normalize, run, system_digest
 
 from corpus import pair_context
 from oracle import exculpation_within
-from test_runtime import _drive, S1_PLAN
+from test_runtime import _drive, S1_PLAN, traced_contexts, walk
 
 
 def _load(name):
@@ -204,8 +206,6 @@ def test_buggy_buyer_is_dishonest():
     )
     # the witness replays to a state where B1 is culpable
     state = normalize(_load("store_s1.co2"))
-    from co2run.analysis import _replay_one
-
     graph = StateGraph()
     for i, label in enumerate(verdict.witness.steps):
         state = _replay_one(graph, state, label, None, i + 1)
@@ -255,12 +255,13 @@ def test_group_honesty_example():
 
 
 def _count_expansions(monkeypatch) -> list:
-    """The states `analysis` asks `enabled_steps` about, in order."""
+    """The (state, participant) pairs `analysis` asks `enabled_steps` about,
+    in order; the participant is None when every participant's steps are asked for."""
     calls = []
 
-    def counted(state):
-        calls.append(state)
-        return enabled_steps(state)
+    def counted(state, participant=None):
+        calls.append((state, participant))
+        return enabled_steps(state, participant)
     monkeypatch.setattr(analysis, "enabled_steps", counted)
     return calls
 
@@ -313,7 +314,9 @@ def test_replay_expands_each_revisited_state_once(monkeypatch):
     assert len(trace.steps) == 300
     calls = _count_expansions(monkeypatch)
     assert check_trace_properties(trace.steps, trace.digests, system).steps_replayed == 300
+    # replay asks for the label's actor only, once per (state, participant)
     assert 0 < len(calls) == len(set(calls)) < len(trace.steps)
+    assert {who for _, who in calls} == {label.actor for label in trace.steps}
 
 
 def test_exculpation_in_robust_fixture():
@@ -353,6 +356,50 @@ def test_stuck_trace_reports_progress_violation():
     live = dict(report.live_sessions)
     assert live["s1"] == ("A",)
     assert live["s2"] == ("B",)
+
+
+def test_label_directed_replay_picks_the_first_matching_successor():
+    for name, system, trace in traced_contexts():
+        graph, blind = StateGraph(), StateGraph()  # blind: replay without digests
+        for i, (state, label, nxt) in enumerate(walk(system, trace)):
+            successors = StateGraph().successors(state)
+            digest = trace.digests[i]
+            assert _replay_one(graph, state, label, digest, i + 1) == nxt == next(
+                n for n, produced in successors if produced == label and system_digest(n) == digest
+            ), (name, i)
+            assert _replay_one(blind, state, label, None, i + 1) == next(
+                n for n, produced in successors if produced == label), (name, i)
+
+
+def test_a_forged_label_lists_every_participants_enabled_labels():
+    system = parse_system(pair_context(random.Random(0), 2, 3, False)[0])
+    trace = run(system, seed=0, max_steps=10)
+    k = next(i for i, label in enumerate(trace.steps) if label.kind == "do")
+    state = list(walk(system, trace))[k][0]
+    enabled = [apply_step(state, s)[1] for s in enabled_steps(state)]
+    assert len({label.actor for label in enabled}) > 1
+    forged = dataclasses.replace(trace.steps[k], sort="r")
+    with pytest.raises(ReplayError) as err:
+        check_trace_properties(trace.steps[:k] + (forged,), trace.digests[:k + 1], system)
+    assert str(err.value) == (f"step {k + 1}: no enabled step matches {forged}; "
+                              f"enabled: {', '.join(map(str, enabled))}")
+
+
+def test_a_digest_mismatch_lists_both_equal_label_branches():
+    system = parse_system("""
+    participant A {
+      tau . tell A @x { B!int } . 0 | tau . 0
+    }
+    participant B { tau . 0 }
+    """)
+    state = normalize(system)
+    taus = [s for s in enabled_steps(state) if s.actor == "A"]
+    got = ", ".join(system_digest(apply_step(state, s)[0]) for s in taus)
+    assert len(taus) == 2 and len(enabled_steps(state)) == 3
+    with pytest.raises(ReplayError) as err:
+        check_trace_properties((StepLabel("A", "tau"),), ("0" * 16,), system)
+    assert str(err.value) == (f"step 1: state digest mismatch after {StepLabel('A', 'tau')}: "
+                              f"expected {'0' * 16}, candidate successors have {got}")
 
 
 def test_replay_disambiguates_identical_labels():

@@ -49,7 +49,8 @@ from co2run.runtime import (
 )
 from co2run.synthesis import synthesize
 
-from corpus import corpus_system, random_contract, recursive_pair_context
+from corpus import broker_context, corpus_system, pair_context, random_contract
+from corpus import recursive_pair_context
 from test_choreo import G_STORE2_TEXT, G_STORE3_TEXT
 
 
@@ -725,6 +726,76 @@ def test_fairness_serves_persistent_step():
     assert any(l.kind == "do" and l.actor == "A" for l in t.steps)
     assert any(l.kind == "do" and l.actor == "B" for l in t.steps)
     assert is_terminated(t.terminal.session("s"))
+
+
+@functools.lru_cache(maxsize=None)
+def traced_contexts() -> tuple:
+    """(name, system, trace) of seeded `run`s of every fixture, generated
+    pair and recursive-pair contexts, and broker contexts, which are heavy
+    in `tell` and `fuse`."""
+    rng = random.Random(3)
+    systems = [(name, _load(name)) for name in FIXTURES]
+    for pairs in (1, 2):
+        systems.append((f"pairs{pairs}", parse_system(pair_context(rng, pairs, 4, pairs == 2)[0])))
+        systems.append((f"recursive{pairs}", parse_system(recursive_pair_context(rng, pairs, 3))))
+    for k, agree in ((3, True), (5, True), (4, False)):
+        systems.append((f"broker{k}", parse_system(broker_context(rng, k, agree))))
+    return tuple((f"{name}@{seed}", system, run(system, seed=seed, max_steps=150))
+                 for name, system in systems for seed in (0, 1))
+
+
+def walk(system, trace):
+    """Each state of a `run` trace, with the label of the step taken from it
+    and the successor: that of the first enabled step carrying the label and
+    the recorded digest."""
+    state = normalize(system)
+    for label, digest in zip(trace.steps, trace.digests):
+        nxt = next(n for n, produced in (apply_step(state, s) for s in enabled_steps(state))
+                   if produced == label and system_digest(n) == digest)
+        yield state, label, nxt
+        state = nxt
+
+
+def test_touched_participants_are_the_only_ones_whose_steps_change():
+    kinds = set()
+    for name, system, trace in traced_contexts():
+        state = normalize(system)
+        own = {actor: enabled_steps(state, actor) for actor, _ in state.processes}
+        for i, (_, label, nxt) in enumerate(walk(system, trace)):
+            for who in runtime.touched(nxt, label):
+                if who in own:
+                    own[who] = enabled_steps(nxt, who)
+            assert sum(own.values(), ()) == enabled_steps(nxt), (name, i, label)
+            kinds.add(label.kind)
+    assert kinds == {"tau", "tell", "fuse", "do", "call"}
+
+
+def _enumerating_run(system, seed, max_steps, fairness_window):
+    """The scheduler of `run`, asking every participant for its enabled
+    steps at every round."""
+    rng = random.Random(seed)
+    state = normalize(system)
+    ages: dict = {}
+    labels, digests = [], []
+    for _ in range(max_steps):
+        keyed = [(s, runtime._step_key(state, s)) for s in enabled_steps(state)]
+        if not keyed:
+            break
+        ages = {k: ages.get(k, 0) + 1 for _, k in keyed}
+        pool = [sk for sk in keyed if ages[sk[1]] >= fairness_window] or keyed
+        choice, key = pool[rng.randrange(len(pool))]
+        state, label = apply_step(state, choice)
+        ages.pop(key, None)
+        labels.append(label)
+        digests.append(system_digest(state))
+    return tuple(labels), tuple(digests)
+
+
+@pytest.mark.parametrize("window", [4, 64])
+def test_run_traces_equal_those_of_a_scheduler_enumerating_every_participant(window):
+    for name, system, _ in traced_contexts():
+        trace = run(system, seed=5, max_steps=120, fairness_window=window)
+        assert (trace.steps, trace.digests) == _enumerating_run(system, 5, 120, window), name
 
 
 def test_make_co2_rejects_lowercase_participant():
