@@ -24,7 +24,9 @@ from .contracts import (
     RecvChoice,
     SendChoice,
     END,
+    descend,
     frozen_union,
+    post_order,
     recv,
     recv_choice,
     send,
@@ -174,42 +176,55 @@ def project(g: GlobalType, who: str) -> Contract:
     every other participant must either be told apart by what it receives
     (external-choice merge from one peer with distinct sorts) or behave
     identically in all branches.
-    """
+
+    A fold over `post_order`, once per distinct node: a node's value is its
+    projection or the `ProjectionError` the first failing part of it gives,
+    so the error raised is the one a top-down walk would meet first. A
+    recursion or parallel without who projects to end, unentered."""
+    out: dict[int, object] = {}
+    got = lambda n: out.get(id(n), END)  # noqa: E731
+    for n in post_order(g, lambda n: who not in n.participants and isinstance(n, (GRec, GPar))):
+        out[id(n)] = _project_one(n, who, got)
+    result = got(g)
+    if isinstance(result, ProjectionError):
+        raise result
+    return result
+
+
+def _project_one(g: GlobalType, who: str, got):
+    """g's projection onto who, `got` giving its children's."""
     if isinstance(g, GEnd):
         return END
     if isinstance(g, GRecVar):
         return RecVar(g.var)
-    if isinstance(g, GRec):
-        if who not in g.body.participants:
-            return END
-        body = project(g.body, who)
-        if isinstance(body, RecVar) and body.var == g.var:
-            return END
-        if g.var not in body.free_rec_vars:
-            return body
-        return Rec(g.var, body)
-    if isinstance(g, GMsg):
-        cont = project(g.cont, who)
-        if g.src == who:
-            return send(g.dst, g.sort, cont)
-        if g.dst == who:
-            return recv(g.src, g.sort, cont)
-        return cont
     if isinstance(g, GPar):
         sides = [b for b in g.branches if who in b.participants]
-        if not sides:
-            return END
         if len(sides) > 1:
-            raise ProjectionError(f"{who} appears in more than one parallel branch")
-        return project(sides[0], who)
+            return ProjectionError(f"{who} appears in more than one parallel branch")
+        return got(sides[0])
     if isinstance(g, GChoice):
         if g.decider is None:
-            raise ProjectionError("choice without a unique decider")
-        projs = [project(b, who) for b in g.branches]
-        if who == g.decider:
-            return _merge_internal(projs, who)
-        return _merge_external(projs, who)
-    raise ProjectionError(f"cannot project {type(g).__name__}")
+            return ProjectionError("choice without a unique decider")
+        projs = [got(b) for b in g.branches]
+        for p in projs:
+            if isinstance(p, ProjectionError):
+                return p
+        try:
+            return (_merge_internal if who == g.decider else _merge_external)(projs, who)
+        except ProjectionError as exc:
+            return exc
+    cont = got(g.body if isinstance(g, GRec) else g.cont)
+    if isinstance(cont, ProjectionError):
+        return cont
+    if isinstance(g, GRec):
+        if isinstance(cont, RecVar) and cont.var == g.var:
+            return END
+        return Rec(g.var, cont) if g.var in cont.free_rec_vars else cont
+    if g.src == who:
+        return send(g.dst, g.sort, cont)
+    if g.dst == who:
+        return recv(g.src, g.sort, cont)
+    return cont
 
 
 def _merge_internal(projs: list[Contract], who: str) -> Contract:
@@ -256,33 +271,30 @@ def _merge_external(projs: list[Contract], who: str) -> Contract:
 
 def well_formed(g: GlobalType) -> tuple[bool, tuple[str, ...]]:
     """Check the choreography disciplines; returns (verdict, diagnostics)."""
-    diags: list[str] = []
-
-    def walk(node: GlobalType) -> None:
+    found: dict[int, tuple[str, ...]] = {}  # a node's diagnostics, in top-down order
+    for node in post_order(g):
+        diags: tuple[str, ...] = ()
         if isinstance(node, GMsg):
             if node.src == node.dst:
-                diags.append(f"self-interaction {node.src}->{node.dst}:{node.sort}")
-            walk(node.cont)
+                diags = (f"self-interaction {node.src}->{node.dst}:{node.sort}",)
+            diags += found[id(node.cont)]
         elif isinstance(node, GPar):
-            seen: set[str] = set()
+            seen: frozenset[str] = frozenset()
             for b in node.branches:
-                ps = b.participants
-                overlap = seen & ps
+                overlap = seen & b.participants
                 if overlap:
-                    diags.append(
-                        f"parallel branches share participants {sorted(overlap)}"
-                    )
-                seen |= ps
-                walk(b)
+                    diags += (f"parallel branches share participants {sorted(overlap)}",)
+                seen |= b.participants
+                diags += found[id(b)]
         elif isinstance(node, GChoice):
             if node.decider is None:
-                diags.append("choice without a unique deciding participant")
+                diags = ("choice without a unique deciding participant",)
             for b in node.branches:
-                walk(b)
+                diags += found[id(b)]
         elif isinstance(node, GRec):
-            walk(node.body)
-
-    walk(g)
+            diags = found[id(node.body)]
+        found[id(node)] = diags
+    diags = list(found[id(g)])
     for who in sorted(g.participants):
         try:
             project(g, who)
@@ -295,22 +307,28 @@ def well_formed(g: GlobalType) -> tuple[bool, tuple[str, ...]]:
 # Canonical form
 # --------------------------------------------------------------------------
 
-def _struct_key(g: GlobalType, env: dict[str, int]) -> tuple:
+def _struct_key(g: GlobalType, env: dict[str, int]):
     # Binder-name-free structural key, so branches sort the same however
-    # their binders are named.
+    # their binders are named; a generator for `descend`, which reads a `;`
+    # chain in one step, as the parser does.
+    chain = []
+    while isinstance(g, GMsg):
+        chain.append((2, g.src, g.dst, g.sort))
+        g = g.cont
     if isinstance(g, GEnd):
-        return (0,)
-    if isinstance(g, GRecVar):
-        return (1, env.get(g.var, -1))
-    if isinstance(g, GMsg):
-        return (2, g.src, g.dst, g.sort, _struct_key(g.cont, env))
-    if isinstance(g, GRec):
-        inner = dict(env)
-        inner[g.var] = len(env)
-        return (3, _struct_key(g.body, inner))
-    if isinstance(g, GChoice):
-        return (4, tuple(sorted(_struct_key(b, env) for b in g.branches)))
-    return (5, tuple(sorted(_struct_key(b, env) for b in g.branches)))
+        key: tuple = (0,)
+    elif isinstance(g, GRecVar):
+        key = (1, env.get(g.var, -1))
+    elif isinstance(g, GRec):
+        key = (3, (yield _struct_key(g.body, {**env, g.var: len(env)})))
+    else:
+        keys = []
+        for b in g.branches:
+            keys.append((yield _struct_key(b, env)))
+        key = (4 if isinstance(g, GChoice) else 5, tuple(sorted(keys)))
+    for head in reversed(chain):
+        key = (*head, key)
+    return key
 
 
 def canonicalize(g: GlobalType) -> GlobalType:
@@ -326,18 +344,30 @@ def canonicalize(g: GlobalType) -> GlobalType:
     """
     counter = itertools.count()
 
-    def walk(node: GlobalType, levels: dict[str, int], names: dict[str, str]) -> GlobalType:
+    def walk(node: GlobalType, levels: dict[str, int], names: dict[str, str]):
         if isinstance(node, GRecVar):
             return GRecVar(names.get(node.var, node.var))
         if isinstance(node, GRec):
             fresh = f"x{next(counter)}"
             inner_levels = {**levels, node.var: len(levels)}
-            return GRec(fresh, walk(node.body, inner_levels, {**names, node.var: fresh}))
-        if isinstance(node, GMsg):
-            return GMsg(node.src, node.dst, node.sort, walk(node.cont, levels, names))
+            return GRec(fresh, (yield walk(node.body, inner_levels, {**names, node.var: fresh})))
+        if isinstance(node, GMsg):  # a `;` chain in one step
+            chain = []
+            while isinstance(node, GMsg):
+                chain.append(node)
+                node = node.cont
+            tail = yield walk(node, levels, names)
+            for m in reversed(chain):
+                tail = GMsg(m.src, m.dst, m.sort, tail)
+            return tail
         if isinstance(node, (GChoice, GPar)):
-            branches = sorted(node.branches, key=lambda b: _struct_key(b, levels))
-            return type(node)(tuple(walk(b, levels, names) for b in branches))
+            keys = []
+            for b in node.branches:
+                keys.append((yield _struct_key(b, levels)))
+            branches = []
+            for i in sorted(range(len(keys)), key=keys.__getitem__):
+                branches.append((yield walk(node.branches[i], levels, names)))
+            return type(node)(tuple(branches))
         return node
 
-    return walk(g, {}, {})
+    return descend(walk(g, {}, {}))

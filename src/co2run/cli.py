@@ -314,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("system", help=".co2 system file")
     p.add_argument("--participant", required=True)
     p.add_argument("--state-bound", type=_count, default=10_000)
-    p.add_argument("--depth-bound", type=_count, help="ignored; kept for one release")
     p.add_argument("--trace", default=None, help="write the witness trace here")
     _add_common(p)
     p.set_defaults(fn=cmd_honesty)

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Generator, Iterable, Mapping, Optional, Sequence, Union
 
 SEND = "send"
 RECV = "recv"
@@ -47,6 +47,10 @@ _MAX_UNFOLD = 1000
 
 _NONE: frozenset[str] = frozenset()
 _set = object.__setattr__
+
+# first reprs nested deeper than this format their uncached children iteratively
+_REPR_NESTING = 50
+_repr_nesting = 0
 
 
 class ContractError(Exception):
@@ -76,7 +80,9 @@ class Frozen:
     computes its hash once and runs `_derive` to attach the values it caches
     (through `object.__setattr__`: values refuse assignment and deletion).
     The repr, `Class(field=value, ...)`, is built on first use from the
-    children's cached reprs and kept in `_repr`. Pickling and copying rebuild
+    children's cached reprs and kept in `_repr`; a child without one is
+    formatted first, by recursion while few first reprs are nested, else by
+    `post_order`, so a deep new term needs no deep stack. Pickling and copying rebuild
     through the constructor; `replace` builds a copy with some fields changed.
     """
 
@@ -85,9 +91,11 @@ class Frozen:
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
-        # the repr as a %-template over the field values: a first repr of a
-        # deep term then recurses no deeper than a dataclass's would
+        annotations = cls.__dict__.get("__annotations__", {})
+        cls._fields = tuple(annotations)
+        # the fields `children` scans, derived once per class: names hold no values
+        cls._nested = tuple(i for i, f in enumerate(annotations.values())
+                            if f not in ("str", "tuple[str, ...]"))
         cls._repr_template = f"{cls.__qualname__}({', '.join(f + '=%r' for f in cls._fields)})"
 
     def __new__(cls, *args, **kwargs):
@@ -127,10 +135,20 @@ class Frozen:
         return self._hash
 
     def __repr__(self) -> str:
+        global _repr_nesting
         text = getattr(self, "_repr", None)  # unset until first asked for
         if text is None:
-            text = self._repr_template % self._key
-            _set(self, "_repr", text)
+            if _repr_nesting < _REPR_NESTING:  # `%` asks the children: a shallow recursion
+                _repr_nesting += 1
+                try:
+                    text = self._repr_template % self._key
+                finally:
+                    _repr_nesting -= 1
+                _set(self, "_repr", text)
+            else:  # deep in a new term: children first, so `%` reads their cache
+                for value in post_order(self, _has_repr):
+                    _set(value, "_repr", value._repr_template % value._key)
+                text = self._repr
         return text
 
     def __reduce__(self):
@@ -156,6 +174,61 @@ class Interned(Frozen):
         if node is None:
             node = cls._table[args] = super().__new__(cls, *args)
         return node
+
+
+# --------------------------------------------------------------------------
+# Traversals: no walker recurses, so no term is too deep for one
+# --------------------------------------------------------------------------
+
+def _has_repr(value: Frozen) -> bool:
+    return getattr(value, "_repr", None) is not None
+
+
+def children(value: Frozen) -> list:
+    """The `Frozen` values in the fields of `value`, in order, inside tuples too."""
+    key = value._key
+    out, todo = [], [key[i] for i in reversed(value._nested)]
+    while todo:
+        v = todo.pop()
+        if isinstance(v, Frozen):
+            out.append(v)
+        elif type(v) is tuple:
+            todo += reversed(v)
+    return out
+
+
+def post_order(root: Frozen, keep=None) -> list:
+    """The distinct values under `root`, each after its children, by an
+    explicit stack; one `keep` holds for is neither listed nor entered. Each
+    shared node of interned terms comes once (Filliâtre & Conchon, 2006)."""
+    order, seen = [], set()
+    stack = [root]  # a value to enter, or a 1-tuple of one whose children are listed
+    while stack:
+        value = stack.pop()
+        if type(value) is tuple:
+            order.append(value[0])
+        elif id(value) not in seen and not (keep is not None and keep(value)):
+            seen.add(id(value))
+            stack.append((value,))
+            stack += reversed(children(value))
+    return order
+
+
+def descend(call: Generator):
+    """Run `call` as a recursive function whose recursive calls are yielded
+    generators, each sent back its return value: the calls wait on an explicit
+    stack, not Python's. For walkers that carry context down a path."""
+    stack, value = [call], None
+    while stack:
+        try:
+            call = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+        else:
+            stack.append(call)
+            value = None
+    return value
 
 
 def frozen_union(*sets: frozenset[str]) -> frozenset[str]:
@@ -310,41 +383,31 @@ def subst_rec(c: Contract, var: str, replacement: Contract) -> Contract:
     """Substitute RecVar(var) by replacement; inner binders of var shadow.
 
     A subterm where var is not free is returned as it is, not rebuilt."""
-    if var not in c.free_rec_vars:
-        return c
-    if isinstance(c, RecVar):
-        return replacement
-    if isinstance(c, Rec):
-        return Rec(c.var, subst_rec(c.body, var, replacement))
-    if isinstance(c, SendChoice):
-        return SendChoice(
-            tuple((to, sort, subst_rec(cont, var, replacement)) for to, sort, cont in c.branches)
-        )
-    return RecvChoice(
-        c.source,
-        tuple((sort, subst_rec(cont, var, replacement)) for sort, cont in c.branches),
-    )
+    return _rebuild(c, lambda n: var not in n.free_rec_vars, {}, replacement)
 
 
 def subst_parts(c: Contract, mapping: Mapping[str, str]) -> Contract:
     """Instantiate participant variables according to mapping.
 
     A subterm that mentions no key of mapping is returned as it is."""
-    if mapping.keys().isdisjoint(c.mentioned_participants):
-        return c
-    if isinstance(c, SendChoice):
-        return SendChoice(
-            tuple(
-                (mapping.get(to, to), sort, subst_parts(cont, mapping))
-                for to, sort, cont in c.branches
-            )
-        )
-    if isinstance(c, RecvChoice):
-        return RecvChoice(
-            mapping.get(c.source, c.source),
-            tuple((sort, subst_parts(cont, mapping)) for sort, cont in c.branches),
-        )
-    return Rec(c.var, subst_parts(c.body, mapping))
+    return _rebuild(c, lambda n: mapping.keys().isdisjoint(n.mentioned_participants), mapping)
+
+
+def _rebuild(c: Contract, keep, mapping: Mapping[str, str], replacement=None) -> Contract:
+    """c with peers renamed by mapping and variables replaced, but for subterms kept."""
+    out: dict[int, Contract] = {}
+    for n in post_order(c, keep):
+        if isinstance(n, RecVar):
+            out[id(n)] = replacement
+        elif isinstance(n, Rec):
+            out[id(n)] = Rec(n.var, out.get(id(n.body), n.body))
+        elif isinstance(n, SendChoice):
+            out[id(n)] = SendChoice(tuple((mapping.get(to, to), sort, out.get(id(k), k))
+                                          for to, sort, k in n.branches))
+        else:
+            out[id(n)] = RecvChoice(mapping.get(n.source, n.source),
+                                    tuple((sort, out.get(id(k), k)) for sort, k in n.branches))
+    return out.get(id(c), c)
 
 
 def unfold(c: Contract) -> Contract:

@@ -16,6 +16,8 @@ from ..choreo import (
 )
 from ..contracts import (
     Contract,
+    descend,
+    post_order,
     End,
     Rec,
     RecVar,
@@ -28,6 +30,7 @@ from ..runtime import (
     Co2System,
     Delim,
     FuseReport,
+    PDo,
     PFuse,
     PNil,
     PTau,
@@ -42,107 +45,155 @@ from ..runtime import (
 
 
 # --------------------------------------------------------------------------
-# Contracts
+# Text forms
 # --------------------------------------------------------------------------
+
+def _emit(root) -> str:
+    """The text of a contract, global type, prefix or process: `_pieces`
+    lists a node's texts and nodes, left to right, and each node is expanded
+    in turn off an explicit stack, so the text is joined once, in linear time."""
+    out, stack = [], [root]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+        else:
+            stack += reversed(_pieces(item))
+    return "".join(out)
+
 
 def render_contract(c: Contract) -> str:
-    if isinstance(c, End):
-        return "end"
-    if isinstance(c, RecVar):
-        return c.var
-    if isinstance(c, Rec):
-        return f"rec {c.var} . {render_contract(c.body)}"
-    if isinstance(c, SendChoice):
-        parts = [_branch_text(f"{to}!{sort}", cont) for to, sort, cont in c.branches]
-        return " (+) ".join(parts)
-    parts = [_branch_text(f"{c.source}?{sort}", cont) for sort, cont in c.branches]
-    return " + ".join(parts)
+    return _emit(c)
 
 
-def _branch_text(head: str, cont: Contract) -> str:
+def render_global(g: GlobalType) -> str:
+    return _emit(g)
+
+
+def render_prefix(p: Prefix) -> str:
+    return _emit(p)
+
+
+def render_process(p: Process) -> str:
+    return _emit(p)
+
+
+def _pieces(node) -> list:
+    if isinstance(node, (End, GEnd)):
+        return ["end"]
+    if isinstance(node, (RecVar, GRecVar)):
+        return [node.var]
+    if isinstance(node, (Rec, GRec)):
+        return [f"rec {node.var} . ", node.body]
+    if isinstance(node, SendChoice):
+        return _joined(" (+) ", [_branch(f"{to}!{sort}", cont) for to, sort, cont in node.branches])
+    if isinstance(node, RecvChoice):
+        source = node.source
+        return _joined(" + ", [_branch(f"{source}?{sort}", cont) for sort, cont in node.branches])
+    if isinstance(node, GMsg):
+        head = f"{node.src} -> {node.dst} : {node.sort}"
+        if isinstance(node.cont, GEnd):
+            return [head]
+        return [f"{head} ; ", *_bracketed(node.cont, isinstance(node.cont, (GChoice, GPar)))]
+    if isinstance(node, (GChoice, GPar)):
+        # a choice brackets nested choices, a parallel nested choices and parallels,
+        # and both a branch before the last that ends in a recursion binder
+        sep, nested = (" \\/ ", GChoice) if isinstance(node, GChoice) else (" || ", (GChoice, GPar))
+        last = len(node.branches) - 1
+        return _joined(sep, [_bracketed(b, isinstance(b, nested) or i < last and _dangling_rec(b))
+                             for i, b in enumerate(node.branches)])
+    if isinstance(node, PTau):
+        return ["tau"]
+    if isinstance(node, PTell):
+        return [f"tell {node.target} @{node.session_var} {{ ", node.contract, " }"]
+    if isinstance(node, PFuse):
+        opts = []
+        if node.policy.min_participants != 2:
+            opts.append(f"min={node.policy.min_participants}")
+        if node.policy.mode != "plain":
+            opts.append(node.policy.mode)
+        if node.policy.prefer_smallest:
+            opts.append("smallest")
+        return [f"fuse({', '.join(opts)})" if opts else "fuse"]
+    if isinstance(node, PDo):
+        return [f"do {node.session} {node.peer}{'!' if node.dir == SEND else '?'}{node.sort}"]
+    if isinstance(node, PNil):
+        return ["0"]
+    if isinstance(node, Sum):
+        return _joined(" + ", [[p] if isinstance(k, PNil) else [p, " . ", *_operand(k)]
+                               for p, k in node.branches])
+    if isinstance(node, Par):
+        return _joined(" | ", [_operand(q, in_par=True) for q in node.parts])
+    if isinstance(node, Call):
+        return [node.name + _args(node.session_args, node.part_args)]
+    if isinstance(node, Delim):
+        return [f"{_args(node.session_vars, node.part_vars)} ", *_operand(node.body)]
+    raise ValueError(f"cannot render {type(node).__name__}")
+
+
+def _joined(sep: str, parts: list[list]) -> list:
+    out: list = []
+    for part in parts:
+        out += [sep, *part] if out else part
+    return out
+
+
+def _bracketed(node, brackets: bool) -> list:
+    return ["(", node, ")"] if brackets else [node]
+
+
+def _branch(head: str, cont: Contract) -> list:
     if isinstance(cont, End):
-        return head
-    tail = render_contract(cont)
-    if _needs_parens(cont):
-        tail = f"({tail})"
-    return f"{head} . {tail}"
+        return [head]
+    many = isinstance(cont, (SendChoice, RecvChoice)) and len(cont.branches) > 1
+    return [f"{head} . ", *_bracketed(cont, many or isinstance(cont, Rec))]
 
 
-def _needs_parens(c: Contract) -> bool:
-    if isinstance(c, SendChoice):
-        return len(c.branches) > 1
-    if isinstance(c, RecvChoice):
-        return len(c.branches) > 1
-    return isinstance(c, Rec)
+def _operand(p: Process, in_par: bool = False) -> list:
+    """p after a prefix or a delimitation, or as a part of a parallel
+    (`in_par`): a choice of several branches is bracketed, and so is a
+    parallel except inside a parallel."""
+    return _bracketed(p, isinstance(p, Sum) and len(p.branches) > 1
+                      or isinstance(p, Par) and not in_par)
 
-
-# --------------------------------------------------------------------------
-# Global types
-# --------------------------------------------------------------------------
 
 def _dangling_rec(g: GlobalType) -> bool:
     # a trailing recursion binder would swallow a following choice or
     # parallel separator, because its body extends as far right as possible
-    if isinstance(g, GRec):
-        return True
-    if isinstance(g, GMsg):
-        if isinstance(g.cont, (GChoice, GPar)):
-            return False  # rendered in parentheses
-        return _dangling_rec(g.cont)
-    if isinstance(g, GPar):
-        return _dangling_rec(g.branches[-1])
-    return False
-
-
-def render_global(g: GlobalType) -> str:
-    if isinstance(g, GEnd):
-        return "end"
-    if isinstance(g, GRecVar):
-        return g.var
-    if isinstance(g, GRec):
-        return f"rec {g.var} . {render_global(g.body)}"
-    if isinstance(g, GMsg):
-        head = f"{g.src} -> {g.dst} : {g.sort}"
-        if isinstance(g.cont, GEnd):
-            return head
-        tail = render_global(g.cont)
-        if isinstance(g.cont, (GChoice, GPar)):
-            tail = f"({tail})"
-        return f"{head} ; {tail}"
-    # a choice brackets nested choices, a parallel nested choices and parallels,
-    # and both a branch before the last that ends in a recursion binder
-    sep, nested = (" \\/ ", GChoice) if isinstance(g, GChoice) else (" || ", (GChoice, GPar))
-    last = len(g.branches) - 1
-    bits = []
-    for i, b in enumerate(g.branches):
-        text = render_global(b)
-        if isinstance(b, nested) or i < last and _dangling_rec(b):
-            text = f"({text})"
-        bits.append(text)
-    return sep.join(bits)
+    while not isinstance(g, GRec):
+        if isinstance(g, GMsg) and not isinstance(g.cont, (GChoice, GPar)):
+            g = g.cont  # a choice or parallel continuation is rendered in parentheses
+        elif isinstance(g, GPar):
+            g = g.branches[-1]
+        else:
+            return False
+    return True
 
 
 def global_to_json(g: GlobalType) -> dict:
-    if isinstance(g, GEnd):
-        return {"kind": "end"}
-    if isinstance(g, GRecVar):
-        return {"kind": "var", "var": g.var}
-    if isinstance(g, GRec):
-        return {"kind": "rec", "var": g.var, "body": global_to_json(g.body)}
-    if isinstance(g, GMsg):
-        return {
-            "kind": "msg",
-            "from": g.src,
-            "to": g.dst,
-            "sort": g.sort,
-            "cont": global_to_json(g.cont),
-        }
-    if isinstance(g, GChoice):
-        return {"kind": "choice", "branches": [global_to_json(b) for b in g.branches]}
-    return {"kind": "par", "branches": [global_to_json(b) for b in g.branches]}
+    out: dict[int, dict] = {}  # a fold: a shared node's object is shared too
+    for n in post_order(g):
+        if isinstance(n, GEnd):
+            d = {"kind": "end"}
+        elif isinstance(n, GRecVar):
+            d = {"kind": "var", "var": n.var}
+        elif isinstance(n, GRec):
+            d = {"kind": "rec", "var": n.var, "body": out[id(n.body)]}
+        elif isinstance(n, GMsg):
+            d = {"kind": "msg", "from": n.src, "to": n.dst, "sort": n.sort, "cont": out[id(n.cont)]}
+        else:
+            kind = "choice" if isinstance(n, GChoice) else "par"
+            d = {"kind": kind, "branches": [out[id(b)] for b in n.branches]}
+        out[id(n)] = d
+    return out[id(g)]
 
 
 def global_from_json(data: dict) -> GlobalType:
+    return descend(_from_json(data))
+
+
+def _from_json(data: dict):
+    # a generator for `descend`: `yield` reads a child
     if not isinstance(data, dict):
         raise ValueError(f"a global-type node is not an object: {data!r}")
     kind = _text(data, "kind")
@@ -151,73 +202,28 @@ def global_from_json(data: dict) -> GlobalType:
     if kind == "var":
         return GRecVar(_text(data, "var"))
     if kind == "rec":
-        return GRec(_text(data, "var"), global_from_json(data["body"]))
+        return GRec(_text(data, "var"), (yield _from_json(data["body"])))
     if kind == "msg":
         src, dst, sort = (_text(data, key) for key in ("from", "to", "sort"))
-        return GMsg(src, dst, sort, global_from_json(data["cont"]))
+        return GMsg(src, dst, sort, (yield _from_json(data["cont"])))
     if kind in ("choice", "par"):
         branches = data["branches"]
         _require(isinstance(branches, list), "global-type branches are not a list", branches)
         _require(len(branches) >= 2, f"a {kind} needs two or more branches", branches)
-        return (GChoice if kind == "choice" else GPar)(tuple(map(global_from_json, branches)))
+        nodes = []
+        for b in branches:
+            nodes.append((yield _from_json(b)))
+        return (GChoice if kind == "choice" else GPar)(tuple(nodes))
     raise ValueError(f"unknown global-type node {kind!r}")
 
 
 # --------------------------------------------------------------------------
-# Processes and systems
+# Systems
 # --------------------------------------------------------------------------
-
-def render_prefix(p: Prefix) -> str:
-    if isinstance(p, PTau):
-        return "tau"
-    if isinstance(p, PTell):
-        return f"tell {p.target} @{p.session_var} {{ {render_contract(p.contract)} }}"
-    if isinstance(p, PFuse):
-        opts = []
-        if p.policy.min_participants != 2:
-            opts.append(f"min={p.policy.min_participants}")
-        if p.policy.mode != "plain":
-            opts.append(p.policy.mode)
-        if p.policy.prefer_smallest:
-            opts.append("smallest")
-        return f"fuse({', '.join(opts)})" if opts else "fuse"
-    mark = "!" if p.dir == SEND else "?"
-    return f"do {p.session} {p.peer}{mark}{p.sort}"
-
 
 def _args(sess: tuple[str, ...], parts: tuple[str, ...]) -> str:
     """`(s, t; a, b)`, the `;` only before participants."""
     return f"({', '.join(sess)}; {', '.join(parts)})" if parts else f"({', '.join(sess)})"
-
-
-def _operand(p: Process, in_par: bool = False) -> str:
-    """p after a prefix or a delimitation, or as a part of a parallel
-    (`in_par`): a choice of several branches is bracketed, and so is a
-    parallel except inside a parallel."""
-    text = render_process(p)
-    if isinstance(p, Sum) and len(p.branches) > 1 or isinstance(p, Par) and not in_par:
-        return f"({text})"
-    return text
-
-
-def render_process(p: Process) -> str:
-    if isinstance(p, PNil):
-        return "0"
-    if isinstance(p, Sum):
-        parts = []
-        for prefix, cont in p.branches:
-            if isinstance(cont, PNil):
-                parts.append(render_prefix(prefix))
-            else:
-                parts.append(f"{render_prefix(prefix)} . {_operand(cont)}")
-        return " + ".join(parts)
-    if isinstance(p, Par):
-        return " | ".join(_operand(q, in_par=True) for q in p.parts)
-    if isinstance(p, Call):
-        return p.name + _args(p.session_args, p.part_args)
-    if isinstance(p, Delim):
-        return f"{_args(p.session_vars, p.part_vars)} {_operand(p.body)}"
-    raise ValueError(f"cannot render {type(p).__name__}")
 
 
 def render_system(system: Co2System) -> str:

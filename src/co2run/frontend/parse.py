@@ -3,7 +3,8 @@ named contracts and system files. Every choice is decided by the next token
 or two; nothing backtracks. The parser reads the tokenizer's flat lists of
 token texts and offsets by index. A loop reads each `.` chain (contracts,
 processes) and `;` chain (global types) and builds its nodes from the last
-prefix back, so only parentheses and `rec` bodies deepen the stack.
+prefix back; parentheses and `rec` bodies nest on an explicit stack
+(`contracts.descend`), so no input is too deep for Python's recursion limit.
 
 Case separates the lexical classes: participant names start uppercase,
 variables (participant, session and recursion alike) and sorts lowercase.
@@ -26,6 +27,7 @@ from ..contracts import (
     END,
     Rec,
     RecVar,
+    descend,
     is_part_name,
     make_system,
     recv,
@@ -125,8 +127,11 @@ class _Parser:
 
     # -- contracts -----------------------------------------------------------
 
-    def contract(self) -> Contract:
-        units = [(self.pos, self.contract_unit())]  # each with its first token
+    # these and their global-type and process twins are generators for
+    # `descend`: `yield` is a nested parse
+
+    def contract(self):
+        units = [(self.pos, (yield self.contract_unit()))]  # each with its first token
         op = None
         while self.texts[self.pos] in ("(+)", "+"):
             tok = self.eat()
@@ -134,7 +139,7 @@ class _Parser:
                 op = tok
             elif op != tok:
                 self.fail("cannot mix internal and external choice", self.pos - 1)
-            units.append((self.pos, self.contract_unit()))
+            units.append((self.pos, (yield self.contract_unit())))
         if op is None:
             return units[0][1]
         internal = op == "(+)"
@@ -153,7 +158,7 @@ class _Parser:
         except ContractError as exc:
             self.fail(str(exc), units[0][0])
 
-    def contract_unit(self) -> Contract:
+    def contract_unit(self):
         """A `.` chain of prefixes and what ends it; the loop reads the
         prefixes and the nodes are built from the last one back."""
         texts = self.texts
@@ -167,16 +172,16 @@ class _Parser:
             if not self.accept("."):
                 break
         else:  # the chain ends in something other than a prefix
-            cont = self._contract_atom()
+            cont = yield self._contract_atom()
         for part, direction, sort in reversed(chain):
             cont = send(part, sort, cont) if direction == "!" else recv(part, sort, cont)
         return cont
 
-    def _contract_atom(self) -> Contract:
+    def _contract_atom(self):
         t = self.texts[self.pos]
         if t == "(":
             self.pos += 1
-            c = self.contract()
+            c = yield self.contract()
             self.expect(")")
             return c
         if not _is_ident(t):
@@ -188,7 +193,7 @@ class _Parser:
             i = self.pos
             var = self.name("recursion variable", False, "recursion variables are lowercase")
             self.expect(".")
-            node = Rec(var, self.contract())
+            node = Rec(var, (yield self.contract()))
             if not node.is_guarded:
                 self.fail(f"unguarded recursion on {var!r}", i)
             return node
@@ -213,26 +218,26 @@ class _Parser:
             if name in out:
                 self.fail(f"duplicate contract for {name}", i)
             self.pos += 2  # the name and ':'
-            c = out[name] = self.contract()
+            c = out[name] = descend(self.contract())
             if name in c.mentioned_participants:
                 self.fail(f"contract of {name} names {name} as its own peer", i)
         return out
 
     # -- global types ----------------------------------------------------------
 
-    def global_type(self) -> GlobalType:
-        parts = [self.global_par()]
+    def global_type(self):
+        parts = [(yield self.global_par())]
         while self.accept("\\/"):
-            parts.append(self.global_par())
+            parts.append((yield self.global_par()))
         return gchoice(parts) if len(parts) > 1 else parts[0]
 
-    def global_par(self) -> GlobalType:
-        parts = [self.global_seq()]
+    def global_par(self):
+        parts = [(yield self.global_seq())]
         while self.accept("||"):
-            parts.append(self.global_seq())
+            parts.append((yield self.global_seq()))
         return gpar(parts) if len(parts) > 1 else parts[0]
 
-    def global_seq(self) -> GlobalType:
+    def global_seq(self):
         """A `;` chain of interactions and what ends it, read by a loop like
         a contract's `.` chain."""
         texts = self.texts
@@ -256,16 +261,16 @@ class _Parser:
             if not self.accept(";"):
                 break
         else:  # the chain ends in something other than an interaction
-            cont = self._global_atom()
+            cont = yield self._global_atom()
         for src, dst, sort in reversed(chain):
             cont = GMsg(src, dst, sort, cont)
         return cont
 
-    def _global_atom(self) -> GlobalType:
+    def _global_atom(self):
         t = self.texts[self.pos]
         if t == "(":
             self.pos += 1
-            g = self.global_type()
+            g = yield self.global_type()
             self.expect(")")
             return g
         if not _is_ident(t):
@@ -276,26 +281,26 @@ class _Parser:
         if t == "rec":
             var = self.ident("recursion variable")
             self.expect(".")
-            return GRec(var, self.global_type())
+            return GRec(var, (yield self.global_type()))
         if is_part_name(t):
             self.fail("a bare identifier here is a recursion variable (lowercase)", self.pos - 1)
         return GRecVar(t)
 
     # -- processes ---------------------------------------------------------------
 
-    def process(self) -> Process:
-        parts = [self.proc_sum()]
+    def process(self):
+        parts = [(yield self.proc_sum())]
         while self.accept("|"):
-            parts.append(self.proc_sum())
+            parts.append((yield self.proc_sum()))
         if len(parts) == 1:
             return parts[0]
         return Par(tuple(parts))
 
-    def proc_sum(self) -> Process:
+    def proc_sum(self):
         first = self.pos
-        terms = [self.proc_term()]
+        terms = [(yield self.proc_term())]
         while self.accept("+"):
-            terms.append(self.proc_term())
+            terms.append((yield self.proc_term()))
         if len(terms) == 1:
             return terms[0]
         branches = []
@@ -305,7 +310,7 @@ class _Parser:
             branches.extend(term.branches)
         return Sum(tuple(branches))
 
-    def proc_term(self) -> Process:
+    def proc_term(self):
         """A `.` chain of prefixes and delimitations and what ends it, read by
         a loop; the nodes are built from the last one back."""
         texts = self.texts
@@ -325,7 +330,7 @@ class _Parser:
                 chain.append((tuple(sess), tuple(parts)))
                 continue
             if t not in _PREFIXES:
-                body = self._proc_atom()
+                body = yield self._proc_atom()
                 break
             chain.append(self._prefix())
             if not self.accept("."):
@@ -338,14 +343,14 @@ class _Parser:
                 body = Sum(((link, body),))
         return body
 
-    def _proc_atom(self) -> Process:
+    def _proc_atom(self):
         t = self.texts[self.pos]
         if t == "0":
             self.pos += 1
             return NIL
         if t == "(":
             self.pos += 1
-            p = self.process()
+            p = yield self.process()
             self.expect(")")
             return p
         if not _is_ident(t):
@@ -369,7 +374,7 @@ class _Parser:
             i = self.pos
             handle = self.name("session variable", False, "session handles are lowercase variables")
             self.expect("{")
-            contract = self.contract()
+            contract = descend(self.contract())
             self.expect("}")
             free = contract.free_rec_vars
             if free:
@@ -459,7 +464,7 @@ class _Parser:
                 if name in processes:
                     self.fail(f"duplicate participant {name}", self.pos - 1)
                 self.expect("{")
-                processes[name] = self.process()
+                processes[name] = descend(self.process())
                 self.expect("}")
             elif t == "def":
                 name = self.name("definition name", True, "definition names start uppercase")
@@ -469,7 +474,7 @@ class _Parser:
                 sess_params, part_params = self._arg_lists("argument")
                 self.expect(")")
                 self.expect("=")
-                body = self.process()
+                body = descend(self.process())
                 definitions[name] = ProcDef(tuple(sess_params), tuple(part_params), body)
             else:
                 i = self.pos
@@ -511,7 +516,7 @@ class _Parser:
             if name in contracts:
                 self.fail(f"duplicate contract for {name}", i)
             self.expect(":")
-            c = self.contract()
+            c = descend(self.contract())
             bad = c.free_participant_vars
             if bad:
                 self.fail(f"stipulated contract of {name} mentions variables {sorted(bad)}", i)
@@ -549,7 +554,7 @@ class _Parser:
 
 def parse_contract(text: str) -> Contract:
     p = _Parser(text)
-    c = p.contract()
+    c = descend(p.contract())
     if not p.done():
         p.fail(f"trailing input after contract: {p.texts[p.pos]!r}")
     return c
@@ -557,7 +562,7 @@ def parse_contract(text: str) -> Contract:
 
 def parse_global(text: str) -> GlobalType:
     p = _Parser(text)
-    g = p.global_type()
+    g = descend(p.global_type())
     if not p.done():
         p.fail(f"trailing input after global type: {p.texts[p.pos]!r}")
     return g

@@ -45,12 +45,14 @@ from .contracts import (
     SendChoice,
     _lookup,
     contract_step,
+    descend,
     frozen_union,
     head_normal,
     is_part_name,
     is_part_var,
     make_system,
     next_moves,
+    post_order,
     subst_parts,
 )
 from .synthesis import answered, can_start, peer_actions, synthesize
@@ -243,9 +245,7 @@ class ProcDef(Frozen):
 
 def _binds(p: Process) -> bool:
     """Does p hold a `Delim`?"""
-    if isinstance(p, Sum):
-        return any(_binds(cont) for _, cont in p.branches)
-    return isinstance(p, Delim) or isinstance(p, Par) and any(map(_binds, p.parts))
+    return any(isinstance(q, Delim) for q in post_order(p, lambda q: not isinstance(q, _Proc)))
 
 
 class LatentContract(Frozen):
@@ -414,11 +414,14 @@ def _rename(
     pmap: dict[str, str],
     namer: _Namer,
     session_names: frozenset[str],
+    keep=None,
 ) -> Process:
     """Resolve every variable through the scope maps, minting bindings for
-    unseen block-local variables and dropping delimiters along the way."""
+    unseen block-local variables and dropping delimiters along the way; a
+    subtree `keep` holds for stays as it is. Top-down, left to right, by
+    `descend`, so names are minted in the order they are met."""
 
-    def sref(u: str) -> str:
+    def sref(u: str, smap: dict[str, str]) -> str:
         if u in smap:
             return smap[u]
         if u in session_names:
@@ -426,7 +429,7 @@ def _rename(
         smap[u] = namer.fresh(u)
         return smap[u]
 
-    def pref(a: str) -> str:
+    def pref(a: str, pmap: dict[str, str]) -> str:
         if a in pmap:
             return pmap[a]
         if is_part_name(a):
@@ -434,39 +437,36 @@ def _rename(
         pmap[a] = namer.fresh(a)
         return pmap[a]
 
-    if isinstance(p, PNil):
-        return p
-    if isinstance(p, Sum):
-        branches = []
-        for prefix, cont in p.branches:
-            if isinstance(prefix, PTell):
-                cvars = prefix.contract.free_participant_vars
-                prefix = PTell(
-                    pref(prefix.target),
-                    sref(prefix.session_var),
-                    subst_parts(prefix.contract, {v: pref(v) for v in cvars}),
-                )
-            elif isinstance(prefix, PDo):
-                prefix = PDo(sref(prefix.session), pref(prefix.peer), prefix.sort, prefix.dir)
-            branches.append((prefix, _rename(cont, smap, pmap, namer, session_names)))
-        return Sum(tuple(branches))
-    if isinstance(p, Par):
-        return Par(tuple(_rename(q, smap, pmap, namer, session_names) for q in p.parts))
-    if isinstance(p, Delim):
-        inner_s = dict(smap)
-        inner_p = dict(pmap)
-        for v in p.session_vars:
-            inner_s[v] = namer.fresh(v)
-        for v in p.part_vars:
-            inner_p[v] = namer.fresh(v)
-        return _rename(p.body, inner_s, inner_p, namer, session_names)
-    if isinstance(p, Call):
-        return Call(
-            p.name,
-            tuple(sref(u) for u in p.session_args),
-            tuple(pref(a) for a in p.part_args),
-        )
-    raise ReductionError(f"cannot rename {type(p).__name__}")
+    def walk(p: Process, smap: dict[str, str], pmap: dict[str, str]):
+        if isinstance(p, PNil) or keep is not None and keep(p):
+            return p
+        if isinstance(p, Sum):
+            branches = []
+            for prefix, cont in p.branches:
+                if isinstance(prefix, PTell):
+                    cvars = prefix.contract.free_participant_vars
+                    prefix = PTell(pref(prefix.target, pmap), sref(prefix.session_var, smap),
+                                   subst_parts(prefix.contract, {v: pref(v, pmap) for v in cvars}))
+                elif isinstance(prefix, PDo):
+                    prefix = PDo(sref(prefix.session, smap), pref(prefix.peer, pmap),
+                                 prefix.sort, prefix.dir)
+                branches.append((prefix, (yield walk(cont, smap, pmap))))
+            return Sum(tuple(branches))
+        if isinstance(p, Par):
+            parts = []
+            for q in p.parts:
+                parts.append((yield walk(q, smap, pmap)))
+            return Par(tuple(parts))
+        if isinstance(p, Delim):  # its variables get fresh names, the session ones first
+            inner_s = {**smap, **{v: namer.fresh(v) for v in p.session_vars}}
+            inner_p = {**pmap, **{v: namer.fresh(v) for v in p.part_vars}}
+            return (yield walk(p.body, inner_s, inner_p))
+        if isinstance(p, Call):
+            return Call(p.name, tuple(sref(u, smap) for u in p.session_args),
+                        tuple(pref(a, pmap) for a in p.part_args))
+        raise ReductionError(f"cannot rename {type(p).__name__}")
+
+    return descend(walk(p, smap, pmap))
 
 
 def proc_subst(p: Process, smap: Mapping[str, str], pmap: Mapping[str, str]) -> Process:
@@ -475,14 +475,18 @@ def proc_subst(p: Process, smap: Mapping[str, str], pmap: Mapping[str, str]) -> 
     variable of p to itself, so no name is minted.
 
     p must hold no `Delim`, as a normalized process does: every reference in
-    it is then free. A process whose free variables include no key of
+    it is then free. A subtree whose free variables include no key of
     either map is returned as it is."""
-    svars, pvars = p.free_session_vars, p.free_participant_vars
-    if smap.keys().isdisjoint(svars) and pmap.keys().isdisjoint(pvars):
+
+    def unchanged(q: Process) -> bool:
+        return (smap.keys().isdisjoint(q.free_session_vars)
+                and pmap.keys().isdisjoint(q.free_participant_vars))
+
+    if unchanged(p):
         return p
-    smap = {u: smap.get(u, u) for u in svars}
-    pmap = {a: pmap.get(a, a) for a in pvars}
-    return _rename(p, smap, pmap, _Namer(set()), _NONE)
+    total_s = {u: smap.get(u, u) for u in p.free_session_vars}
+    total_p = {a: pmap.get(a, a) for a in p.free_participant_vars}
+    return _rename(p, total_s, total_p, _Namer(set()), _NONE, unchanged)
 
 
 # --------------------------------------------------------------------------
@@ -490,19 +494,22 @@ def proc_subst(p: Process, smap: Mapping[str, str], pmap: Mapping[str, str]) -> 
 # --------------------------------------------------------------------------
 
 def _proc_key(p: Process) -> tuple:
+    """p's sort key, cached in each process node, built children first."""
     key = getattr(p, "_sort_key", None)
     if key is None:
-        if isinstance(p, PNil):
-            key = (0,)
-        elif isinstance(p, Sum):
-            key = (1, tuple((_prefix_key(pr), _proc_key(c)) for pr, c in p.branches))
-        elif isinstance(p, Par):
-            key = (2, tuple(_proc_key(q) for q in p.parts))
-        elif isinstance(p, Call):
-            key = (3, p.name, p.session_args, p.part_args)
-        else:
-            key = (4, repr(p))
-        object.__setattr__(p, "_sort_key", key)
+        keyed = lambda q: not isinstance(q, _Proc) or getattr(q, "_sort_key", None)  # noqa: E731
+        for q in post_order(p, keyed):
+            if isinstance(q, PNil):
+                key = (0,)
+            elif isinstance(q, Sum):
+                key = (1, tuple((_prefix_key(pr), c._sort_key) for pr, c in q.branches))
+            elif isinstance(q, Par):
+                key = (2, tuple(r._sort_key for r in q.parts))
+            elif isinstance(q, Call):
+                key = (3, q.name, q.session_args, q.part_args)
+            else:
+                key = (4, repr(q))
+            _set(q, "_sort_key", key)
     return key
 
 
@@ -519,36 +526,38 @@ def _prefix_key(pr: Prefix) -> tuple:
 def normalize_proc(p: Process) -> Process:
     """Flatten parallels, drop nils, sort parts and branches; cached. A normal
     form's `_normal` is True, not itself (a reference cycle), and its subterms
-    are normal, so renormalizing a term changed in one place sorts one level."""
-    n = getattr(p, "_normal", None)
-    if n is not None:
-        return p if n is True else n
-    if isinstance(p, Par):
-        parts: list[Process] = []
-        for q in p.parts:
-            q = normalize_proc(q)
-            if isinstance(q, Par):
-                parts.extend(q.parts)
-            elif not isinstance(q, PNil):
-                parts.append(q)
-        if len(parts) > 1:
-            n = Par(tuple(sorted(parts, key=_proc_key)))
+    are normal, so renormalizing a term changed in one place sorts one level.
+    Only sums and parallels change; their parts are normalized first."""
+    for q in () if _normal_known(p) else post_order(p, _normal_known):
+        if isinstance(q, Par):
+            parts: list[Process] = []
+            for r in map(_normal_form, q.parts):
+                if isinstance(r, Par):
+                    parts.extend(r.parts)
+                elif not isinstance(r, PNil):
+                    parts.append(r)
+            n = Par(tuple(sorted(parts, key=_proc_key))) if len(parts) > 1 else \
+                parts[0] if parts else NIL
         else:
-            n = parts[0] if parts else NIL
-    elif isinstance(p, Sum):
-        branches = tuple(
-            sorted(
-                ((pr, normalize_proc(c)) for pr, c in p.branches),
-                key=lambda b: (_prefix_key(b[0]), _proc_key(b[1])),
-            )
-        )
-        n = Sum(branches) if branches else NIL
-    else:
-        n = p
-    object.__setattr__(n, "_normal", True)
-    if n is not p:
-        object.__setattr__(p, "_normal", n)
-    return n
+            branches = sorted(((pr, _normal_form(c)) for pr, c in q.branches),
+                              key=lambda b: (_prefix_key(b[0]), _proc_key(b[1])))
+            n = Sum(tuple(branches)) if branches else NIL
+        _set(n, "_normal", True)
+        if n is not q:
+            _set(q, "_normal", n)
+    return _normal_form(p)
+
+
+def _normal_known(q) -> bool:
+    return not isinstance(q, (Sum, Par)) or getattr(q, "_normal", None) is not None
+
+
+def _normal_form(p: Process) -> Process:
+    """p's cached normal form; a nil, call or delimitation is its own."""
+    n = getattr(p, "_normal", None)
+    if n is None:
+        _set(p, "_normal", True)
+    return p if n is None or n is True else n
 
 
 def normalize(system: Co2System) -> Co2System:

@@ -33,7 +33,6 @@ from .choreo import (
     gchoice,
     gpar,
     project,
-    well_formed,
     ProjectionError,
 )
 from .contracts import (
@@ -41,10 +40,11 @@ from .contracts import (
     ContractSystem,
     ContractError,
     End,
-    Rec,
     RecvChoice,
     SendChoice,
+    descend,
     head_normal,
+    post_order,
 )
 
 STUCK = "stuck"
@@ -163,20 +163,9 @@ def can_start(heads: Mapping[str, Contract]) -> bool:
 
 def peer_actions(c: Contract) -> tuple[frozenset[str], frozenset[str]]:
     """The peers c receives from and sends to, at any depth (unfolding adds none)."""
-    sources: set[str] = set()
-    targets: set[str] = set()
-    stack = [c]  # walked as a tree: a told contract is no larger than its text
-    while stack:
-        node = stack.pop()
-        if isinstance(node, SendChoice):
-            targets.update([to for to, _, _ in node.branches])
-            stack += [cont for _, _, cont in node.branches]
-        elif isinstance(node, RecvChoice):
-            sources.add(node.source)
-            stack += [cont for _, cont in node.branches]
-        elif isinstance(node, Rec):
-            stack.append(node.body)
-    return frozenset(sources), frozenset(targets)
+    nodes = post_order(c)
+    return (frozenset(n.source for n in nodes if isinstance(n, RecvChoice)),
+            frozenset(b[0] for n in nodes if isinstance(n, SendChoice) for b in n.branches))
 
 
 def answered(name: str, head: Contract, actions: Mapping[str, tuple]) -> bool:
@@ -205,7 +194,8 @@ def synthesize(system: ContractSystem, max_configs: int = 10_000) -> SynthResult
     def norm(config: Config) -> Config:
         return tuple((n, head_normal(c)) for n, c in config)
 
-    def go(config: Config, env: dict[Config, str], used: set[str]) -> GlobalType:
+    def go(config: Config, env: dict[Config, str], used: set[str]):
+        # a generator for `descend`: `yield` is a recursive call
         live = [(n, c) for n, c in config if not isinstance(c, End)]
         if not live:
             return GEND
@@ -218,22 +208,16 @@ def synthesize(system: ContractSystem, max_configs: int = 10_000) -> SynthResult
             raise _Fail(UNBOUNDED, f"more than {max_configs} configurations", config)
         comps = _components(config)
         if len(comps) > 1:
-            return gpar([go(comp, {}, used) for comp in comps])
+            parts = []
+            for comp in comps:
+                parts.append((yield go(comp, {}, used)))
+            return gpar(parts)
 
         var = f"x{fresh[0]}"
         fresh[0] += 1
         env[key] = var  # the path's binders: added here, removed on the way back
         inner_used: set[str] = set()
-        g = _step(key, env, inner_used)
-        del env[key]
-        if var in inner_used:
-            inner_used.discard(var)
-            g = GRec(var, g)
-        used |= inner_used
-        return g
-
-    def _step(config: Config, env: dict[Config, str], used: set[str]) -> GlobalType:
-        full, partial = _senders(dict(config))
+        full, partial = _senders(dict(key))
         if full:
             sender, matched = full[0]
             subs = []
@@ -241,36 +225,46 @@ def synthesize(system: ContractSystem, max_configs: int = 10_000) -> SynthResult
                 nxt = norm(
                     tuple(
                         (n, s_cont if n == sender else r_cont if n == to else c)
-                        for n, c in config
+                        for n, c in key
                     )
                 )
-                subs.append(GMsg(sender, to, sort, go(nxt, env, used)))
-            return subs[0] if len(subs) == 1 else gchoice(subs)
-        if partial:
+                subs.append(GMsg(sender, to, sort, (yield go(nxt, env, inner_used))))
+            g = subs[0] if len(subs) == 1 else gchoice(subs)
+        elif partial:
             name, unmatched = partial[0]
             to, sort = unmatched[0]
             raise _Fail(
                 MIXED_RACE,
                 f"branch {name}->{to}:{sort} races ahead of any ready receiver",
-                config,
+                key,
             )
-        waiting = ", ".join(n for n, c in config if not isinstance(c, End))
-        raise _Fail(STUCK, f"no interaction can fire; waiting: {waiting}", config)
+        else:
+            waiting = ", ".join(n for n, c in key if not isinstance(c, End))
+            raise _Fail(STUCK, f"no interaction can fire; waiting: {waiting}", key)
+        del env[key]
+        if var in inner_used:
+            inner_used.discard(var)
+            g = GRec(var, g)
+        used |= inner_used
+        return g
 
     try:
-        raw = go(norm(system.contracts), {}, set())
+        raw = descend(go(norm(system.contracts), {}, set()))
     except _Fail as f:
         return f.args[0]
 
+    # a synthesised type has a decider at each choice and disjoint parallel
+    # components, so of well_formed's checks only projection can fail
     g = canonicalize(raw)
-    ok, diags = well_formed(g)
-    if not ok:
-        return SynthResult.failure(NOT_PROJECTABLE, "; ".join(diags), None)
+    views, errors = [], []
     for name, original in system.contracts:
         try:
-            view = project(g, name)
+            views.append((name, project(g, name), original))
         except ProjectionError as exc:
-            return SynthResult.failure(NOT_PROJECTABLE, str(exc), None)
+            errors.append(str(exc))
+    if errors:
+        return SynthResult.failure(NOT_PROJECTABLE, "; ".join(errors), None)
+    for name, view, original in views:
         if not projection_matches(view, original):
             return SynthResult.failure(
                 NOT_PROJECTABLE,
@@ -291,30 +285,23 @@ def projection_matches(view: Contract, actual: Contract) -> bool:
     if view is actual:  # interning makes a matching projection the same node
         return True
     seen: set[tuple[Contract, Contract]] = set()
-
-    def walk(a: Contract, b: Contract) -> bool:
+    pairs = [(view, actual)]  # every pair reached must agree, in whatever order
+    while pairs:
+        a, b = pairs.pop()
         a = head_normal(a)
         b = head_normal(b)
         if (a, b) in seen:
-            return True
+            continue
         seen.add((a, b))
-        if isinstance(a, End) and isinstance(b, End):
-            return True
         if isinstance(a, SendChoice) and isinstance(b, SendChoice):
             if [(t, s) for t, s, _ in a.branches] != [(t, s) for t, s, _ in b.branches]:
                 return False
-            return all(
-                walk(ca, cb)
-                for (_, _, ca), (_, _, cb) in zip(a.branches, b.branches)
-            )
-        if isinstance(a, RecvChoice) and isinstance(b, RecvChoice):
-            if a.source != b.source:
-                return False
+            pairs += [(ca, cb) for (_, _, ca), (_, _, cb) in zip(a.branches, b.branches)]
+        elif isinstance(a, RecvChoice) and isinstance(b, RecvChoice):
             offered = dict(b.branches)
-            for sort, cont in a.branches:
-                if sort not in offered or not walk(cont, offered[sort]):
-                    return False
-            return True
-        return False
-
-    return walk(view, actual)
+            if a.source != b.source or any(sort not in offered for sort, _ in a.branches):
+                return False
+            pairs += [(cont, offered[sort]) for sort, cont in a.branches]
+        elif not (isinstance(a, End) and isinstance(b, End)):
+            return False
+    return True

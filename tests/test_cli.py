@@ -131,16 +131,13 @@ def test_honesty_counts_states_beyond_the_bound_as_unknown(capsys):
     assert capsys.readouterr().out == "no violation for B2 up to 118 states (state bound 10000)\n"
 
 
-@pytest.mark.parametrize("argv", [
-    ["honesty", S1, "--participant", "B1"],
-    ["honesty", S1, "--participant", "B2", "--format", "json"],
-    ["honesty", ROBUST, "--participant", "B", "--state-bound", "5"],
-], ids=["violation", "json", "bounded"])
-def test_depth_bound_is_accepted_and_ignored(argv, capsys):
-    code = main(argv)
-    out = capsys.readouterr().out
-    assert main([*argv, "--depth-bound", "5"]) == code
-    assert capsys.readouterr().out == out
+def test_depth_bound_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["honesty", S1, "--participant", "B1", "--depth-bound", "5"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: co2run")
+    assert "unrecognized arguments: --depth-bound 5" in err
 
 
 def test_honesty_precondition(capsys):
@@ -333,7 +330,6 @@ def test_a_min_that_is_no_ascii_number_is_a_located_error(tmp_path, capsys):
     ["run", S1, "--max-steps"],
     ["run", S1, "--fairness-window"],
     ["honesty", S1, "--participant", "B1", "--state-bound"],
-    ["honesty", S1, "--participant", "B1", "--depth-bound"],
 ], ids=lambda argv: argv[-1])
 def test_negative_counts_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:

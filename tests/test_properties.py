@@ -13,6 +13,7 @@ import re
 from collections import deque
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache, partial
+from pathlib import Path
 from typing import Mapping, Optional
 
 import pytest
@@ -21,6 +22,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from co2run import runtime, synthesis  # noqa: E402
+from co2run.cli import main  # noqa: E402
 from co2run.analysis import (  # noqa: E402
     AnalysisError,
     StateGraph,
@@ -38,7 +40,6 @@ from co2run.choreo import (  # noqa: E402
     GPar,
     GRec,
     GRecVar,
-    _struct_key,
     canonicalize,
     gchoice,
     gpar,
@@ -114,6 +115,7 @@ from corpus import corpus_system, pair_context, random_global, reference_repr  #
 from corpus import recursive_pair_context  # noqa: E402
 from corpus import random_contract, regex_named_contracts, single_edit_mutants  # noqa: E402
 import parse_oracle  # noqa: E402
+from walk_oracle import _struct_key  # noqa: E402
 
 PEERS = st.sampled_from(["A", "B", "C", "a", "b"])
 SORTS = st.sampled_from(["p", "q", "r"])
@@ -1609,7 +1611,8 @@ def _chain_length(node) -> int:
 
 
 def test_chains_of_ten_thousand_parse():
-    """`.` and `;` chains are read by a loop, whatever the recursion limit."""
+    """`.` and `;` chains, parentheses and `rec` bodies of ten thousand parse,
+    synthesise, render and parse back, at the default recursion limit."""
     n = 10_000
     sorts = ["a", "b", "c"]
     a = " . ".join(f"B!{sorts[i % 3]}" for i in range(n))
@@ -1619,3 +1622,25 @@ def test_chains_of_ten_thousand_parse():
     assert [_chain_length(c) for c in pair.values()] == [n, n]
     g = parse_global(" ; ".join(f"A -> B : {sorts[i % 3]}" for i in range(n)))
     assert _chain_length(g) == n
+    result = synthesis.synthesize(make_system(pair))
+    assert result.ok and result.global_type is g
+    assert parse_global(render_global(g)) is g
+    assert [parse_contract(render_contract(c)) for c in pair.values()] == list(pair.values())
+    assert parse_contract("(" * n + "A!a . end" + ")" * n) is parse_contract("A!a")
+    nested = "".join(f"rec t{i} . " for i in range(n)) + "B!a . t0"
+    assert render_contract(parse_contract(nested)) == nested
+
+
+def test_a_context_of_two_thousand_messages_loads_runs_and_is_checked(tmp_path, capsys):
+    text, who = pair_context(random.Random(0), 1, 2_000, False)
+    path = tmp_path / "pair.co2"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 0
+    assert "ran 4003 steps" in capsys.readouterr().out
+    assert main(["honesty", str(path), "--participant", who, "--state-bound", "50"]) == 0
+    assert capsys.readouterr().out.startswith(f"no violation for {who} up to 50 states")
+
+
+def test_no_source_file_sets_the_recursion_limit():
+    sources = Path(runtime.__file__).parent.rglob("*.py")
+    assert [p.name for p in sources if "setrecursionlimit" in p.read_text()] == []

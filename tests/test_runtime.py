@@ -673,10 +673,10 @@ def test_pingpong_renames_each_body_once_per_argument_tuple(monkeypatch):
     renamed = Counter()
     rename = runtime._rename
 
-    def counting(p, smap, pmap, namer, session_names):
+    def counting(p, smap, pmap, namer, session_names, *keep):
         if p in bodies:
             renamed[bodies[p], tuple(smap.values()), tuple(pmap.values())] += 1
-        return rename(p, smap, pmap, namer, session_names)
+        return rename(p, smap, pmap, namer, session_names, *keep)
 
     monkeypatch.setattr(runtime, "_rename", counting)
     trace = run(system, seed=0, max_steps=300)
