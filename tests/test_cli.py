@@ -131,9 +131,14 @@ def test_honesty_counts_states_beyond_the_bound_as_unknown(capsys):
     assert capsys.readouterr().out == "no violation for B2 up to 118 states (state bound 10000)\n"
 
 
-def test_depth_bound_is_a_usage_error(capsys):
+@pytest.mark.parametrize("argv", [
+    ["honesty", S1, "--participant", "B1"],
+    ["honesty", S1, "--participant", "B2", "--format", "json"],
+    ["honesty", ROBUST, "--participant", "B", "--state-bound", "5"],
+], ids=["violation", "json", "bounded"])
+def test_depth_bound_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["honesty", S1, "--participant", "B1", "--depth-bound", "5"])
+        main([*argv, "--depth-bound", "5"])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: co2run")
