@@ -12,8 +12,8 @@ a concrete counterexample trace or "no violation up to the bound".
 Every state a readiness question reaches is reachable from the context, so
 one `StateGraph` per search serves both: it expands each state once, stops
 expanding at its bound, and keeps each solved weak ready set, solved one
-strongly connected component at a time (Tarjan's `_sccs`, successors
-first). Nothing is cached between searches.
+strongly connected component at a time, successors first (Tarjan's `_sccs`,
+its recursion run on `contracts.descend`). Nothing is cached between searches.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional, TypeVar
 
 from .contracts import contract_ready_sets, enabled_moves, is_part_name, is_terminated
-from .contracts import End, head_normal, orphan_messages
+from .contracts import End, descend, head_normal, orphan_messages
 from .runtime import (
     Co2System,
     PDo,
@@ -151,53 +151,35 @@ def weak_process_ready_set(
 
 def _sccs(graph: dict[N, list[N]]) -> list[set[N]]:
     """The strongly connected components of a graph given as successor
-    lists, successors' components first (Tarjan's algorithm, iterative to
-    spare the recursion limit)."""
+    lists, successors' components first: Tarjan's algorithm, its recursion
+    a generator run on `descend`."""
     index: dict[N, int] = {}
     low: dict[N, int] = {}
-    on_stack: set[N] = set()
     stack: list[N] = []
+    on_stack: set[N] = set()
     out: list[set[N]] = []
-    counter = [0]
 
-    for root in graph:
-        if root in index:
-            continue
-        work: list[tuple[N, int]] = [(root, 0)]
-        while work:
-            node, child_i = work[-1]
-            if child_i == 0:
-                index[node] = low[node] = counter[0]
-                counter[0] += 1
-                stack.append(node)
-                on_stack.add(node)
-            advanced = False
-            children = graph[node]
-            while child_i < len(children):
-                child = children[child_i]
-                child_i += 1
-                if child not in index:
-                    work[-1] = (node, child_i)
-                    work.append((child, 0))
-                    advanced = True
-                    break
-                if child in on_stack:
-                    low[node] = min(low[node], index[child])
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == index[node]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == node:
-                        break
-                out.append(comp)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
+    def connect(v: N):
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        on_stack.add(v)
+        for w in graph[v]:
+            if w not in index:
+                yield connect(w)
+                low[v] = min(low[v], low[w])
+            elif w in on_stack:
+                low[v] = min(low[v], index[w])
+        if low[v] == index[v]:
+            comp: set[N] = set()
+            while v not in comp:
+                w = stack.pop()
+                on_stack.discard(w)
+                comp.add(w)
+            out.append(comp)
+
+    for v in graph:
+        if v not in index:
+            descend(connect(v))
     return out
 
 

@@ -25,8 +25,8 @@ from .contracts import (
     SendChoice,
     END,
     descend,
+    fold,
     frozen_union,
-    post_order,
     recv,
     recv_choice,
     send,
@@ -175,56 +175,36 @@ def project(g: GlobalType, who: str) -> Contract:
     Choices are projected as the deciding participant's internal choice;
     every other participant must either be told apart by what it receives
     (external-choice merge from one peer with distinct sorts) or behave
-    identically in all branches.
+    identically in all branches. End, and a recursion or parallel without
+    who, project to end. A `fold`: each distinct node is projected once."""
 
-    A fold over `post_order`, once per distinct node: a node's value is its
-    projection or the `ProjectionError` the first failing part of it gives,
-    so the error raised is the one a top-down walk would meet first. A
-    recursion or parallel without who projects to end, unentered."""
-    out: dict[int, object] = {}
-    got = lambda n: out.get(id(n), END)  # noqa: E731
-    for n in post_order(g, lambda n: who not in n.participants and isinstance(n, (GRec, GPar))):
-        out[id(n)] = _project_one(n, who, got)
-    result = got(g)
-    if isinstance(result, ProjectionError):
-        raise result
-    return result
-
-
-def _project_one(g: GlobalType, who: str, got):
-    """g's projection onto who, `got` giving its children's."""
-    if isinstance(g, GEnd):
-        return END
-    if isinstance(g, GRecVar):
-        return RecVar(g.var)
-    if isinstance(g, GPar):
-        sides = [b for b in g.branches if who in b.participants]
-        if len(sides) > 1:
-            return ProjectionError(f"{who} appears in more than one parallel branch")
-        return got(sides[0])
-    if isinstance(g, GChoice):
+    def step(g: GlobalType, got) -> Contract:
+        if isinstance(g, GMsg):
+            cont = got(g.cont)
+            if g.src == who:
+                return send(g.dst, g.sort, cont)
+            if g.dst == who:
+                return recv(g.src, g.sort, cont)
+            return cont
+        if isinstance(g, GRecVar):
+            return RecVar(g.var)
+        if isinstance(g, GRec):
+            body = got(g.body)
+            if isinstance(body, RecVar) and body.var == g.var:
+                return END
+            return Rec(g.var, body) if g.var in body.free_rec_vars else body
+        if isinstance(g, GPar):
+            sides = [b for b in g.branches if who in b.participants]
+            if len(sides) > 1:
+                raise ProjectionError(f"{who} appears in more than one parallel branch")
+            return got(sides[0])
         if g.decider is None:
-            return ProjectionError("choice without a unique decider")
+            raise ProjectionError("choice without a unique decider")
         projs = [got(b) for b in g.branches]
-        for p in projs:
-            if isinstance(p, ProjectionError):
-                return p
-        try:
-            return (_merge_internal if who == g.decider else _merge_external)(projs, who)
-        except ProjectionError as exc:
-            return exc
-    cont = got(g.body if isinstance(g, GRec) else g.cont)
-    if isinstance(cont, ProjectionError):
-        return cont
-    if isinstance(g, GRec):
-        if isinstance(cont, RecVar) and cont.var == g.var:
-            return END
-        return Rec(g.var, cont) if g.var in cont.free_rec_vars else cont
-    if g.src == who:
-        return send(g.dst, g.sort, cont)
-    if g.dst == who:
-        return recv(g.src, g.sort, cont)
-    return cont
+        return (_merge_internal if who == g.decider else _merge_external)(projs, who)
+
+    return fold(g, step, lambda n: END if who not in n.participants
+                and isinstance(n, (GEnd, GRec, GPar)) else None)
 
 
 def _merge_internal(projs: list[Contract], who: str) -> Contract:
@@ -271,36 +251,36 @@ def _merge_external(projs: list[Contract], who: str) -> Contract:
 
 def well_formed(g: GlobalType) -> tuple[bool, tuple[str, ...]]:
     """Check the choreography disciplines; returns (verdict, diagnostics)."""
-    found: dict[int, tuple[str, ...]] = {}  # a node's diagnostics, in top-down order
-    for node in post_order(g):
-        diags: tuple[str, ...] = ()
-        if isinstance(node, GMsg):
-            if node.src == node.dst:
-                diags = (f"self-interaction {node.src}->{node.dst}:{node.sort}",)
-            diags += found[id(node.cont)]
-        elif isinstance(node, GPar):
-            seen: frozenset[str] = frozenset()
-            for b in node.branches:
-                overlap = seen & b.participants
-                if overlap:
-                    diags += (f"parallel branches share participants {sorted(overlap)}",)
-                seen |= b.participants
-                diags += found[id(b)]
-        elif isinstance(node, GChoice):
-            if node.decider is None:
-                diags = ("choice without a unique deciding participant",)
-            for b in node.branches:
-                diags += found[id(b)]
-        elif isinstance(node, GRec):
-            diags = found[id(node.body)]
-        found[id(node)] = diags
-    diags = list(found[id(g)])
+    diags = list(fold(g, _diagnostics))
     for who in sorted(g.participants):
         try:
             project(g, who)
         except ProjectionError as exc:
             diags.append(str(exc))
     return (not diags, tuple(diags))
+
+
+def _diagnostics(node: GlobalType, got) -> tuple[str, ...]:
+    """node's discipline violations, in top-down order, duplicates kept."""
+    if isinstance(node, GMsg):
+        if node.src == node.dst:
+            return (f"self-interaction {node.src}->{node.dst}:{node.sort}",) + got(node.cont)
+        return got(node.cont)
+    if isinstance(node, GPar):
+        diags, seen = (), frozenset()
+        for b in node.branches:
+            overlap = seen & b.participants
+            if overlap:
+                diags += (f"parallel branches share participants {sorted(overlap)}",)
+            seen |= b.participants
+            diags += got(b)
+        return diags
+    if isinstance(node, GChoice):
+        own = ("choice without a unique deciding participant",) if node.decider is None else ()
+        return own + sum(map(got, node.branches), ())
+    if isinstance(node, GRec):
+        return got(node.body)
+    return ()
 
 
 # --------------------------------------------------------------------------

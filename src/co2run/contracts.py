@@ -48,9 +48,9 @@ _MAX_UNFOLD = 1000
 _NONE: frozenset[str] = frozenset()
 _set = object.__setattr__
 
-# first reprs nested deeper than this format their uncached children iteratively
-_REPR_NESTING = 50
-_repr_nesting = 0
+# folds and first reprs nested deeper than this go on children first, by `post_order`
+_FOLD_NESTING = 50
+_nesting = 0
 
 
 class ContractError(Exception):
@@ -81,9 +81,9 @@ class Frozen:
     (through `object.__setattr__`: values refuse assignment and deletion).
     The repr, `Class(field=value, ...)`, is built on first use from the
     children's cached reprs and kept in `_repr`; a child without one is
-    formatted first, by recursion while few first reprs are nested, else by
-    `post_order`, so a deep new term needs no deep stack. Pickling and copying rebuild
-    through the constructor; `replace` builds a copy with some fields changed.
+    formatted first, on `fold`'s two paths written inline (its closures would
+    slow a fresh value's repr). Pickling and copying rebuild through the
+    constructor; `replace` builds a copy with some fields changed.
     """
 
     __slots__ = ("_key", "_hash", "_repr")
@@ -135,18 +135,18 @@ class Frozen:
         return self._hash
 
     def __repr__(self) -> str:
-        global _repr_nesting
+        global _nesting
         text = getattr(self, "_repr", None)  # unset until first asked for
         if text is None:
-            if _repr_nesting < _REPR_NESTING:  # `%` asks the children: a shallow recursion
-                _repr_nesting += 1
+            if _nesting < _FOLD_NESTING:  # `%` asks the children: a shallow recursion
+                _nesting += 1
                 try:
                     text = self._repr_template % self._key
                 finally:
-                    _repr_nesting -= 1
+                    _nesting -= 1
                 _set(self, "_repr", text)
             else:  # deep in a new term: children first, so `%` reads their cache
-                for value in post_order(self, _has_repr):
+                for value in post_order(self, lambda v: getattr(v, "_repr", None) is not None):
                     _set(value, "_repr", value._repr_template % value._key)
                 text = self._repr
         return text
@@ -177,12 +177,8 @@ class Interned(Frozen):
 
 
 # --------------------------------------------------------------------------
-# Traversals: no walker recurses, so no term is too deep for one
+# Traversals: recursion bounded by a constant, so no term is too deep for one
 # --------------------------------------------------------------------------
-
-def _has_repr(value: Frozen) -> bool:
-    return getattr(value, "_repr", None) is not None
-
 
 def children(value: Frozen) -> list:
     """The `Frozen` values in the fields of `value`, in order, inside tuples too."""
@@ -212,6 +208,44 @@ def post_order(root: Frozen, keep=None) -> list:
             stack.append((value,))
             stack += reversed(children(value))
     return order
+
+
+def fold(root: Frozen, step, known=lambda node: None):
+    """root's value: `step(node, got)` builds a node's value, asking `got(child)`
+    for each child's; a node `known` gives a value (never None) is neither
+    stepped nor entered, and none is stepped twice (Filliâtre & Conchon, 2006).
+    `got` recurses while fewer than `_FOLD_NESTING` steps and first reprs are
+    nested; deeper, the unknown nodes below are stepped children first on
+    `post_order`, each error kept and raised when a `got` asks for it, so the
+    value and the first error are a recursive walk's."""
+    done: dict = {}
+
+    def got(node):
+        global _nesting
+        value = known(node)
+        if value is None:
+            value = done.get(id(node))
+        if value is None and _nesting < _FOLD_NESTING:
+            _nesting += 1
+            try:
+                value = done[id(node)] = step(node, got)
+            finally:
+                _nesting -= 1
+        elif value is None:
+            for n in post_order(node, lambda n: id(n) in done or known(n) is not None):
+                try:
+                    done[id(n)] = step(n, got)
+                except Exception as exc:
+                    done[id(n)] = exc
+            value = done[id(node)]
+        if isinstance(value, Exception):
+            raise value
+        return value
+
+    try:
+        return got(root)
+    finally:
+        del got  # it refers to itself: a cycle that would keep `done` until a collection
 
 
 def descend(call: Generator):
@@ -395,19 +429,16 @@ def subst_parts(c: Contract, mapping: Mapping[str, str]) -> Contract:
 
 def _rebuild(c: Contract, keep, mapping: Mapping[str, str], replacement=None) -> Contract:
     """c with peers renamed by mapping and variables replaced, but for subterms kept."""
-    out: dict[int, Contract] = {}
-    for n in post_order(c, keep):
-        if isinstance(n, RecVar):
-            out[id(n)] = replacement
-        elif isinstance(n, Rec):
-            out[id(n)] = Rec(n.var, out.get(id(n.body), n.body))
-        elif isinstance(n, SendChoice):
-            out[id(n)] = SendChoice(tuple((mapping.get(to, to), sort, out.get(id(k), k))
-                                          for to, sort, k in n.branches))
-        else:
-            out[id(n)] = RecvChoice(mapping.get(n.source, n.source),
-                                    tuple((sort, out.get(id(k), k)) for sort, k in n.branches))
-    return out.get(id(c), c)
+
+    def step(n: Contract, got) -> Contract:
+        if isinstance(n, SendChoice):
+            return SendChoice(tuple((mapping.get(to, to), s, got(k)) for to, s, k in n.branches))
+        if isinstance(n, RecvChoice):
+            return RecvChoice(mapping.get(n.source, n.source),
+                              tuple((s, got(k)) for s, k in n.branches))
+        return Rec(n.var, got(n.body)) if isinstance(n, Rec) else replacement  # a `RecVar`
+
+    return fold(c, step, lambda n: n if keep(n) else None)
 
 
 def unfold(c: Contract) -> Contract:

@@ -17,7 +17,7 @@ from ..choreo import (
 from ..contracts import (
     Contract,
     descend,
-    post_order,
+    fold,
     End,
     Rec,
     RecVar,
@@ -171,21 +171,20 @@ def _dangling_rec(g: GlobalType) -> bool:
 
 
 def global_to_json(g: GlobalType) -> dict:
-    out: dict[int, dict] = {}  # a fold: a shared node's object is shared too
-    for n in post_order(g):
-        if isinstance(n, GEnd):
-            d = {"kind": "end"}
-        elif isinstance(n, GRecVar):
-            d = {"kind": "var", "var": n.var}
-        elif isinstance(n, GRec):
-            d = {"kind": "rec", "var": n.var, "body": out[id(n.body)]}
-        elif isinstance(n, GMsg):
-            d = {"kind": "msg", "from": n.src, "to": n.dst, "sort": n.sort, "cont": out[id(n.cont)]}
-        else:
-            kind = "choice" if isinstance(n, GChoice) else "par"
-            d = {"kind": kind, "branches": [out[id(b)] for b in n.branches]}
-        out[id(n)] = d
-    return out[id(g)]
+    return fold(g, _json_step)  # a shared node's object is shared too
+
+
+def _json_step(n: GlobalType, got) -> dict:
+    if isinstance(n, GMsg):
+        return {"kind": "msg", "from": n.src, "to": n.dst, "sort": n.sort, "cont": got(n.cont)}
+    if isinstance(n, GEnd):
+        return {"kind": "end"}
+    if isinstance(n, GRecVar):
+        return {"kind": "var", "var": n.var}
+    if isinstance(n, GRec):
+        return {"kind": "rec", "var": n.var, "body": got(n.body)}
+    kind = "choice" if isinstance(n, GChoice) else "par"
+    return {"kind": kind, "branches": [got(b) for b in n.branches]}
 
 
 def global_from_json(data: dict) -> GlobalType:

@@ -46,6 +46,7 @@ from .contracts import (
     _lookup,
     contract_step,
     descend,
+    fold,
     frozen_union,
     head_normal,
     is_part_name,
@@ -495,21 +496,23 @@ def proc_subst(p: Process, smap: Mapping[str, str], pmap: Mapping[str, str]) -> 
 
 def _proc_key(p: Process) -> tuple:
     """p's sort key, cached in each process node, built children first."""
-    key = getattr(p, "_sort_key", None)
-    if key is None:
-        keyed = lambda q: not isinstance(q, _Proc) or getattr(q, "_sort_key", None)  # noqa: E731
-        for q in post_order(p, keyed):
-            if isinstance(q, PNil):
-                key = (0,)
-            elif isinstance(q, Sum):
-                key = (1, tuple((_prefix_key(pr), c._sort_key) for pr, c in q.branches))
-            elif isinstance(q, Par):
-                key = (2, tuple(r._sort_key for r in q.parts))
-            elif isinstance(q, Call):
-                key = (3, q.name, q.session_args, q.part_args)
-            else:
-                key = (4, repr(q))
-            _set(q, "_sort_key", key)
+    return getattr(p, "_sort_key", None) or fold(p, _key_step, _known_key)
+
+
+def _known_key(q) -> Optional[tuple]:  # a prefix is keyed with its sum: it is not entered
+    return getattr(q, "_sort_key", None) if isinstance(q, _Proc) else ()
+
+
+def _key_step(q: Process, got) -> tuple:
+    if isinstance(q, Sum):
+        key: tuple = (1, tuple((_prefix_key(pr), got(c)) for pr, c in q.branches))
+    elif isinstance(q, Par):
+        key = (2, tuple(map(got, q.parts)))
+    elif isinstance(q, Call):
+        key = (3, q.name, q.session_args, q.part_args)
+    else:
+        key = (0,) if isinstance(q, PNil) else (4, repr(q))
+    _set(q, "_sort_key", key)
     return key
 
 
@@ -528,36 +531,33 @@ def normalize_proc(p: Process) -> Process:
     form's `_normal` is True, not itself (a reference cycle), and its subterms
     are normal, so renormalizing a term changed in one place sorts one level.
     Only sums and parallels change; their parts are normalized first."""
-    for q in () if _normal_known(p) else post_order(p, _normal_known):
-        if isinstance(q, Par):
-            parts: list[Process] = []
-            for r in map(_normal_form, q.parts):
-                if isinstance(r, Par):
-                    parts.extend(r.parts)
-                elif not isinstance(r, PNil):
-                    parts.append(r)
-            n = Par(tuple(sorted(parts, key=_proc_key))) if len(parts) > 1 else \
-                parts[0] if parts else NIL
-        else:
-            branches = sorted(((pr, _normal_form(c)) for pr, c in q.branches),
-                              key=lambda b: (_prefix_key(b[0]), _proc_key(b[1])))
-            n = Sum(tuple(branches)) if branches else NIL
-        _set(n, "_normal", True)
-        if n is not q:
-            _set(q, "_normal", n)
-    return _normal_form(p)
+    return _known_normal(p) or fold(p, _normal_step, _known_normal)
 
 
-def _normal_known(q) -> bool:
-    return not isinstance(q, (Sum, Par)) or getattr(q, "_normal", None) is not None
+def _known_normal(q) -> Optional[Process]:
+    """q's normal form once known; a nil, call, delimitation or prefix is its own."""
+    n = getattr(q, "_normal", None) if isinstance(q, (Sum, Par)) else True
+    return q if n is True else n
 
 
-def _normal_form(p: Process) -> Process:
-    """p's cached normal form; a nil, call or delimitation is its own."""
-    n = getattr(p, "_normal", None)
-    if n is None:
-        _set(p, "_normal", True)
-    return p if n is None or n is True else n
+def _normal_step(q: Process, got) -> Process:
+    if isinstance(q, Par):
+        parts: list[Process] = []
+        for r in map(got, q.parts):
+            if isinstance(r, Par):
+                parts.extend(r.parts)
+            elif not isinstance(r, PNil):
+                parts.append(r)
+        n = Par(tuple(sorted(parts, key=_proc_key))) if len(parts) > 1 else \
+            parts[0] if parts else NIL
+    else:
+        branches = sorted(((pr, got(c)) for pr, c in q.branches),
+                          key=lambda b: (_prefix_key(b[0]), _proc_key(b[1])))
+        n = Sum(tuple(branches)) if branches else NIL
+    _set(n, "_normal", True)
+    if n is not q:
+        _set(q, "_normal", n)
+    return n
 
 
 def normalize(system: Co2System) -> Co2System:

@@ -5,13 +5,15 @@ each walker must give what its recursive twin gives, the very same node
 when the result is a term, and the same error when it raises."""
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
 
 import walk_oracle as oracle
-from co2run import runtime
+from co2run import contracts, runtime
 from co2run.choreo import (
+    GEND,
     GChoice,
     GlobalType,
     GMsg,
@@ -86,14 +88,14 @@ def _contexts(rng: random.Random) -> list[str]:
 
 def _raw_systems(texts: list[str], monkeypatch) -> list[runtime.Co2System]:
     """The systems the texts hold, as parsed, before `normalize`."""
-    monkeypatch.setattr(parse_module, "normalize", lambda system: system)
     out = []
-    for text in texts:
-        try:
-            out.append(parse_system(text))
-        except (ParseError, RecursionError):
-            pass
-    monkeypatch.undo()
+    with monkeypatch.context() as m:
+        m.setattr(parse_module, "normalize", lambda system: system)
+        for text in texts:
+            try:
+                out.append(parse_system(text))
+            except (ParseError, RecursionError):
+                pass
     return out
 
 
@@ -288,3 +290,44 @@ def _oracle_normalize(system: runtime.Co2System) -> runtime.Co2System:
     }
     return runtime.make_co2(processes, dict(system.pools), dict(system.sessions),
                             dict(system.definitions))
+
+
+# -- both paths of `fold` ------------------------------------------------------------
+
+@pytest.mark.parametrize("nesting", [0, 1, 3])
+def test_the_differentials_hold_when_folds_go_children_first(nesting, monkeypatch):
+    """At the default `_FOLD_NESTING` these inputs are shallow enough that
+    every fold and first repr recurses; below `nesting` steps they go on
+    `post_order` instead, and must still agree with the oracle."""
+    monkeypatch.setattr(contracts, "_FOLD_NESTING", nesting)
+    for differential in (
+        test_substitutions_and_renderings_of_contracts_agree_with_the_oracle,
+        test_projection_and_well_formedness_agree_with_the_oracle,
+        test_canonical_forms_renderings_and_json_agree_with_the_oracle,
+    ):
+        gc.collect()  # a term left from an earlier run would bring its cached values
+        differential()
+    for differential in (
+        test_first_reprs_agree_with_the_reference_on_new_terms_and_systems,
+        test_renaming_and_normal_forms_agree_with_the_oracle,
+    ):
+        gc.collect()
+        differential(monkeypatch)
+
+
+@pytest.mark.parametrize("nesting", [0, 1, 3, contracts._FOLD_NESTING])
+def test_a_deep_choice_without_a_decider_fails_before_a_parallel_inside_it(
+        nesting, monkeypatch):
+    """Projecting onto C meets the choice first, as a recursive walk from the
+    top does: a post-order that raised the first error it stepped would
+    meet the parallel naming C on both sides first."""
+    monkeypatch.setattr(contracts, "_FOLD_NESTING", nesting)
+    par = GPar((GMsg("C", "D", "x", GEND), GMsg("E", "C", "y", GEND)))
+    g: GlobalType = GChoice((GMsg("A", "B", "a", par), GMsg("B", "A", "b", GEND)))
+    for i in range(60):
+        g = GMsg("A", "B", f"m{i}", g)
+    want = (ProjectionError, "choice without a unique decider")
+    assert _outcome(oracle.project, g, "C") == want
+    assert _outcome(project, g, "C") == want
+    deeper = (ProjectionError, "C appears in more than one parallel branch")
+    assert _outcome(project, par, "C") == deeper

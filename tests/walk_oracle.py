@@ -1,6 +1,6 @@
 """The recursive term walkers the library had before every walker ran on
-`contracts.post_order` or `contracts.descend`: each recursed once per node
-level, so each was bound by Python's recursion limit. Kept verbatim, with the
+`contracts.fold` or `contracts.descend`: each recursed once per node level,
+so each was bound by Python's recursion limit. Kept verbatim, with the
 imports they need, as the oracle the differential walker tests compare the
 library against. Two changes: each calls its own copies, and the copies of
 `_proc_key` and `normalize_proc` keep their results in dicts of their own,
