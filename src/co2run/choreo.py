@@ -25,6 +25,7 @@ from .contracts import (
     SendChoice,
     END,
     descend,
+    each,
     fold,
     frozen_union,
     recv,
@@ -178,9 +179,9 @@ def project(g: GlobalType, who: str) -> Contract:
     identically in all branches. End, and a recursion or parallel without
     who, project to end. A `fold`: each distinct node is projected once."""
 
-    def step(g: GlobalType, got) -> Contract:
+    def step(g: GlobalType, got):
         if isinstance(g, GMsg):
-            cont = got(g.cont)
+            cont = yield got(g.cont)
             if g.src == who:
                 return send(g.dst, g.sort, cont)
             if g.dst == who:
@@ -189,7 +190,7 @@ def project(g: GlobalType, who: str) -> Contract:
         if isinstance(g, GRecVar):
             return RecVar(g.var)
         if isinstance(g, GRec):
-            body = got(g.body)
+            body = yield got(g.body)
             if isinstance(body, RecVar) and body.var == g.var:
                 return END
             return Rec(g.var, body) if g.var in body.free_rec_vars else body
@@ -197,10 +198,10 @@ def project(g: GlobalType, who: str) -> Contract:
             sides = [b for b in g.branches if who in b.participants]
             if len(sides) > 1:
                 raise ProjectionError(f"{who} appears in more than one parallel branch")
-            return got(sides[0])
+            return (yield got(sides[0]))
         if g.decider is None:
             raise ProjectionError("choice without a unique decider")
-        projs = [got(b) for b in g.branches]
+        projs = yield from each(got, g.branches)
         return (_merge_internal if who == g.decider else _merge_external)(projs, who)
 
     return fold(g, step, lambda n: END if who not in n.participants
@@ -260,12 +261,13 @@ def well_formed(g: GlobalType) -> tuple[bool, tuple[str, ...]]:
     return (not diags, tuple(diags))
 
 
-def _diagnostics(node: GlobalType, got) -> tuple[str, ...]:
+def _diagnostics(node: GlobalType, got):
     """node's discipline violations, in top-down order, duplicates kept."""
     if isinstance(node, GMsg):
+        cont = yield got(node.cont)
         if node.src == node.dst:
-            return (f"self-interaction {node.src}->{node.dst}:{node.sort}",) + got(node.cont)
-        return got(node.cont)
+            return (f"self-interaction {node.src}->{node.dst}:{node.sort}",) + cont
+        return cont
     if isinstance(node, GPar):
         diags, seen = (), frozenset()
         for b in node.branches:
@@ -273,13 +275,13 @@ def _diagnostics(node: GlobalType, got) -> tuple[str, ...]:
             if overlap:
                 diags += (f"parallel branches share participants {sorted(overlap)}",)
             seen |= b.participants
-            diags += got(b)
+            diags += yield got(b)
         return diags
     if isinstance(node, GChoice):
         own = ("choice without a unique deciding participant",) if node.decider is None else ()
-        return own + sum(map(got, node.branches), ())
+        return own + sum((yield from each(got, node.branches)), ())
     if isinstance(node, GRec):
-        return got(node.body)
+        return (yield got(node.body))
     return ()
 
 

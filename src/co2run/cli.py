@@ -19,7 +19,7 @@ from .analysis import (
     check_trace_properties,
     culpable,
 )
-from .contracts import ContractError, is_terminated, make_system
+from .contracts import is_terminated, make_system
 from .frontend import (
     ParseError,
     global_to_json,
@@ -30,7 +30,7 @@ from .frontend import (
     trace_from_jsonl,
     trace_to_jsonl,
 )
-from .runtime import FusePolicy, Trace, run, system_digest
+from .runtime import DEFAULT_POLICY, FUSE_MODES, FusePolicy, Trace, run, system_digest
 from .synthesis import synthesize
 
 EXIT_OK = 0
@@ -95,12 +95,7 @@ def cmd_synth(args) -> int:
                 print(f"{path}: duplicate contract for {name}", file=sys.stderr)
                 return EXIT_PARSE
             contracts[name] = c
-    try:
-        system = make_system(contracts)
-    except ContractError as exc:
-        print(f"invalid contracts: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    result = synthesize(system, max_configs=args.max_configs)
+    result = synthesize(make_system(contracts), max_configs=args.max_configs)
     if result.ok:
         g = result.global_type
         if args.format == "json":
@@ -277,10 +272,10 @@ def _count(text: str) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--fuse-min", type=int, default=2, metavar="N",
+    p.add_argument("--fuse-min", type=int, default=DEFAULT_POLICY.min_participants, metavar="N",
                    help="minimum session size for default-policy fuses")
-    p.add_argument("--fuse-mode", choices=("plain", "terminating", "recursive"),
-                   default="plain", help="mode for default-policy fuses")
+    p.add_argument("--fuse-mode", choices=FUSE_MODES,
+                   default=DEFAULT_POLICY.mode, help="mode for default-policy fuses")
     p.add_argument("--prefer-smallest", action="store_true",
                    help="fuse the smallest compliant subset instead of the largest")
     p.add_argument("-o", "--output", default=None,

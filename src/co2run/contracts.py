@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from types import GeneratorType
 from typing import Generator, Iterable, Mapping, Optional, Sequence, Union
 
 SEND = "send"
@@ -48,9 +49,9 @@ _MAX_UNFOLD = 1000
 _NONE: frozenset[str] = frozenset()
 _set = object.__setattr__
 
-# folds and first reprs nested deeper than this go on children first, by `post_order`
-_FOLD_NESTING = 50
-_nesting = 0
+# first reprs nested deeper than this go on children first, by `post_order`
+_REPR_NESTING = 50
+_repr_nesting = 0
 
 
 class ContractError(Exception):
@@ -81,9 +82,10 @@ class Frozen:
     (through `object.__setattr__`: values refuse assignment and deletion).
     The repr, `Class(field=value, ...)`, is built on first use from the
     children's cached reprs and kept in `_repr`; a child without one is
-    formatted first, on `fold`'s two paths written inline (its closures would
-    slow a fresh value's repr). Pickling and copying rebuild through the
-    constructor; `replace` builds a copy with some fields changed.
+    formatted first, recursively while fewer than `_REPR_NESTING` first reprs
+    are nested and children first on `post_order` below that. Pickling and
+    copying rebuild through the constructor; `replace` builds a copy with some
+    fields changed.
     """
 
     __slots__ = ("_key", "_hash", "_repr")
@@ -135,15 +137,15 @@ class Frozen:
         return self._hash
 
     def __repr__(self) -> str:
-        global _nesting
+        global _repr_nesting
         text = getattr(self, "_repr", None)  # unset until first asked for
         if text is None:
-            if _nesting < _FOLD_NESTING:  # `%` asks the children: a shallow recursion
-                _nesting += 1
+            if _repr_nesting < _REPR_NESTING:  # `%` asks the children: a shallow recursion
+                _repr_nesting += 1
                 try:
                     text = self._repr_template % self._key
                 finally:
-                    _nesting -= 1
+                    _repr_nesting -= 1
                 _set(self, "_repr", text)
             else:  # deep in a new term: children first, so `%` reads their cache
                 for value in post_order(self, lambda v: getattr(v, "_repr", None) is not None):
@@ -177,7 +179,7 @@ class Interned(Frozen):
 
 
 # --------------------------------------------------------------------------
-# Traversals: recursion bounded by a constant, so no term is too deep for one
+# Traversals: walkers run on `descend`'s stack, so no term is too deep for one
 # --------------------------------------------------------------------------
 
 def children(value: Frozen) -> list:
@@ -211,57 +213,53 @@ def post_order(root: Frozen, keep=None) -> list:
 
 
 def fold(root: Frozen, step, known=lambda node: None):
-    """root's value: `step(node, got)` builds a node's value, asking `got(child)`
-    for each child's; a node `known` gives a value (never None) is neither
-    stepped nor entered, and none is stepped twice (Filliâtre & Conchon, 2006).
-    `got` recurses while fewer than `_FOLD_NESTING` steps and first reprs are
-    nested; deeper, the unknown nodes below are stepped children first on
-    `post_order`, each error kept and raised when a `got` asks for it, so the
-    value and the first error are a recursive walk's."""
+    """root's value: `step(node, got)` is a generator that builds a node's
+    value, writing `(yield got(child))` for each child's; a node `known` gives
+    a value (never None) is neither stepped nor entered, and none is stepped
+    twice (Filliâtre & Conchon, 2006). The steps run on `descend`, in a
+    recursive walk's order, so the value and the first error are its."""
     done: dict = {}
 
-    def got(node):
-        global _nesting
+    def got(node):  # a value at once, or a walker that steps node and keeps its value
         value = known(node)
         if value is None:
             value = done.get(id(node))
-        if value is None and _nesting < _FOLD_NESTING:
-            _nesting += 1
-            try:
-                value = done[id(node)] = step(node, got)
-            finally:
-                _nesting -= 1
-        elif value is None:
-            for n in post_order(node, lambda n: id(n) in done or known(n) is not None):
-                try:
-                    done[id(n)] = step(n, got)
-                except Exception as exc:
-                    done[id(n)] = exc
-            value = done[id(node)]
-        if isinstance(value, Exception):
-            raise value
+        return walk(node) if value is None else value
+
+    def walk(node):
+        value = done[id(node)] = yield from step(node, got)
         return value
 
     try:
-        return got(root)
+        value = got(root)
+        return descend(value) if type(value) is GeneratorType else value
     finally:
-        del got  # it refers to itself: a cycle that would keep `done` until a collection
+        del got, walk  # each refers to the other: a cycle that would keep `done` until a collection
+
+
+def each(got, nodes: Iterable):
+    """For a `fold` step: `(yield from each(got, nodes))` lists the nodes' values."""
+    values = []
+    for node in nodes:
+        values.append((yield got(node)))
+    return values
 
 
 def descend(call: Generator):
     """Run `call` as a recursive function whose recursive calls are yielded
-    generators, each sent back its return value: the calls wait on an explicit
-    stack, not Python's. For walkers that carry context down a path."""
+    generators, each sent back its return value (any other yielded value is
+    sent straight back): the calls wait on an explicit stack, not Python's."""
     stack, value = [call], None
     while stack:
         try:
-            call = stack[-1].send(value)
+            value = stack[-1].send(value)
         except StopIteration as done:
             stack.pop()
             value = done.value
         else:
-            stack.append(call)
-            value = None
+            if type(value) is GeneratorType:
+                stack.append(value)
+                value = None
     return value
 
 
@@ -430,13 +428,18 @@ def subst_parts(c: Contract, mapping: Mapping[str, str]) -> Contract:
 def _rebuild(c: Contract, keep, mapping: Mapping[str, str], replacement=None) -> Contract:
     """c with peers renamed by mapping and variables replaced, but for subterms kept."""
 
-    def step(n: Contract, got) -> Contract:
+    def step(n: Contract, got):
         if isinstance(n, SendChoice):
-            return SendChoice(tuple((mapping.get(to, to), s, got(k)) for to, s, k in n.branches))
+            branches = []
+            for to, s, k in n.branches:
+                branches.append((mapping.get(to, to), s, (yield got(k))))
+            return SendChoice(tuple(branches))
         if isinstance(n, RecvChoice):
-            return RecvChoice(mapping.get(n.source, n.source),
-                              tuple((s, got(k)) for s, k in n.branches))
-        return Rec(n.var, got(n.body)) if isinstance(n, Rec) else replacement  # a `RecVar`
+            branches = []
+            for s, k in n.branches:
+                branches.append((s, (yield got(k))))
+            return RecvChoice(mapping.get(n.source, n.source), tuple(branches))
+        return Rec(n.var, (yield got(n.body))) if isinstance(n, Rec) else replacement  # a `RecVar`
 
     return fold(c, step, lambda n: n if keep(n) else None)
 
@@ -534,25 +537,29 @@ def _lookup(pairs: tuple, name: str):
     raise KeyError(name)
 
 
+def check_stipulated(name: str, c: Contract) -> None:
+    """Raise ContractError if c, as `name`'s contract, is open, unguarded or names `name`."""
+    if not is_part_name(name):
+        raise ContractError(f"{name!r} is not a participant name")
+    if c.free_rec_vars:
+        raise ContractError(f"contract of {name} has free recursion variables")
+    if not c.is_guarded:
+        raise ContractError(f"contract of {name} has unguarded recursion")
+    bad = c.free_participant_vars
+    if bad:
+        raise ContractError(
+            f"contract of {name} still mentions participant variables {sorted(bad)}")
+    if name in c.mentioned_participants:
+        raise ContractError(f"contract of {name} names {name} as its own peer")
+
+
 def make_system(
     contracts: Mapping[str, Contract],
     queues: Optional[Mapping[tuple[str, str], Sequence[str]]] = None,
 ) -> ContractSystem:
     """Compose named contracts with the (default empty) queue grid."""
     for name, c in contracts.items():
-        if not is_part_name(name):
-            raise ContractError(f"{name!r} is not a participant name")
-        if c.free_rec_vars:
-            raise ContractError(f"contract of {name} has free recursion variables")
-        if not c.is_guarded:
-            raise ContractError(f"contract of {name} has unguarded recursion")
-        bad = c.free_participant_vars
-        if bad:
-            raise ContractError(
-                f"contract of {name} still mentions participant variables {sorted(bad)}"
-            )
-        if name in c.mentioned_participants:
-            raise ContractError(f"contract of {name} names {name} as its own peer")
+        check_stipulated(name, c)
     names = sorted(contracts)
     grid = {}
     for a in names:

@@ -17,6 +17,7 @@ from ..choreo import (
 from ..contracts import (
     Contract,
     descend,
+    each,
     fold,
     End,
     Rec,
@@ -28,6 +29,7 @@ from ..contracts import (
 from ..runtime import (
     Call,
     Co2System,
+    DEFAULT_POLICY,
     Delim,
     FuseReport,
     PDo,
@@ -108,9 +110,9 @@ def _pieces(node) -> list:
         return [f"tell {node.target} @{node.session_var} {{ ", node.contract, " }"]
     if isinstance(node, PFuse):
         opts = []
-        if node.policy.min_participants != 2:
+        if node.policy.min_participants != DEFAULT_POLICY.min_participants:
             opts.append(f"min={node.policy.min_participants}")
-        if node.policy.mode != "plain":
+        if node.policy.mode != DEFAULT_POLICY.mode:
             opts.append(node.policy.mode)
         if node.policy.prefer_smallest:
             opts.append("smallest")
@@ -174,17 +176,18 @@ def global_to_json(g: GlobalType) -> dict:
     return fold(g, _json_step)  # a shared node's object is shared too
 
 
-def _json_step(n: GlobalType, got) -> dict:
+def _json_step(n: GlobalType, got):
     if isinstance(n, GMsg):
-        return {"kind": "msg", "from": n.src, "to": n.dst, "sort": n.sort, "cont": got(n.cont)}
+        return {"kind": "msg", "from": n.src, "to": n.dst, "sort": n.sort,
+                "cont": (yield got(n.cont))}
     if isinstance(n, GEnd):
         return {"kind": "end"}
     if isinstance(n, GRecVar):
         return {"kind": "var", "var": n.var}
     if isinstance(n, GRec):
-        return {"kind": "rec", "var": n.var, "body": got(n.body)}
+        return {"kind": "rec", "var": n.var, "body": (yield got(n.body))}
     kind = "choice" if isinstance(n, GChoice) else "par"
-    return {"kind": kind, "branches": [got(b) for b in n.branches]}
+    return {"kind": kind, "branches": (yield from each(got, n.branches))}
 
 
 def global_from_json(data: dict) -> GlobalType:

@@ -19,6 +19,7 @@ stipulated contracts and queue contents.
 """
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import NoReturn, Optional
 
 from ..contracts import (
@@ -27,6 +28,7 @@ from ..contracts import (
     END,
     Rec,
     RecVar,
+    check_stipulated,
     descend,
     is_part_name,
     make_system,
@@ -43,6 +45,7 @@ from ..runtime import (
     Call,
     Co2System,
     DEFAULT_POLICY,
+    FUSE_MODES,
     Delim,
     FusePolicy,
     NIL,
@@ -219,8 +222,10 @@ class _Parser:
                 self.fail(f"duplicate contract for {name}", i)
             self.pos += 2  # the name and ':'
             c = out[name] = descend(self.contract())
-            if name in c.mentioned_participants:
-                self.fail(f"contract of {name} names {name} as its own peer", i)
+            try:
+                check_stipulated(name, c)
+            except ContractError as exc:
+                self.fail(str(exc), i)
         return out
 
     # -- global types ----------------------------------------------------------
@@ -400,9 +405,7 @@ class _Parser:
         or not, give the parser's `fuse_policy`."""
         if not self.accept("("):
             return self.fuse_policy
-        minimum = 2
-        mode = "plain"
-        smallest = False
+        policy = DEFAULT_POLICY  # each option written changes one field
         while True:
             i = self.pos
             t = self.eat()
@@ -414,16 +417,16 @@ class _Parser:
                 minimum = int(self.eat())
                 if minimum < 2:
                     self.fail("sessions need at least two participants", j)
-            elif t in ("terminating", "recursive"):
-                mode = t
+                policy = replace(policy, min_participants=minimum)
+            elif t in FUSE_MODES and t != DEFAULT_POLICY.mode:
+                policy = replace(policy, mode=t)
             elif t == "smallest":
-                smallest = True
+                policy = replace(policy, prefer_smallest=True)
             else:
                 self.fail(f"unknown fuse option {t or 'end of input'!r}", i)
             if self.accept(","):
                 continue
             self.expect(")")
-            policy = FusePolicy(minimum, mode, smallest)
             return self.fuse_policy if policy == DEFAULT_POLICY else policy
 
     def _arg_lists(self, noun: str) -> tuple[list[str], list[str]]:

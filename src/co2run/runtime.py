@@ -46,6 +46,7 @@ from .contracts import (
     _lookup,
     contract_step,
     descend,
+    each,
     fold,
     frozen_union,
     head_normal,
@@ -62,7 +63,7 @@ PLAIN = "plain"
 TERMINATING = "terminating"
 RECURSIVE = "recursive"
 
-_MODES = (PLAIN, TERMINATING, RECURSIVE)
+FUSE_MODES = (PLAIN, TERMINATING, RECURSIVE)
 
 
 class ReductionError(Exception):
@@ -76,7 +77,7 @@ class FusePolicy:
     prefer_smallest: bool = False
 
     def __post_init__(self) -> None:
-        if self.mode not in _MODES:
+        if self.mode not in FUSE_MODES:
             raise ValueError(f"unknown fuse mode {self.mode!r}")
         if self.min_participants < 2:
             raise ValueError("sessions need at least two participants")
@@ -503,11 +504,14 @@ def _known_key(q) -> Optional[tuple]:  # a prefix is keyed with its sum: it is n
     return getattr(q, "_sort_key", None) if isinstance(q, _Proc) else ()
 
 
-def _key_step(q: Process, got) -> tuple:
+def _key_step(q: Process, got):
     if isinstance(q, Sum):
-        key: tuple = (1, tuple((_prefix_key(pr), got(c)) for pr, c in q.branches))
+        keys = []
+        for pr, c in q.branches:
+            keys.append((_prefix_key(pr), (yield got(c))))
+        key: tuple = (1, tuple(keys))
     elif isinstance(q, Par):
-        key = (2, tuple(map(got, q.parts)))
+        key = (2, tuple((yield from each(got, q.parts))))
     elif isinstance(q, Call):
         key = (3, q.name, q.session_args, q.part_args)
     else:
@@ -540,10 +544,10 @@ def _known_normal(q) -> Optional[Process]:
     return q if n is True else n
 
 
-def _normal_step(q: Process, got) -> Process:
+def _normal_step(q: Process, got):
     if isinstance(q, Par):
         parts: list[Process] = []
-        for r in map(got, q.parts):
+        for r in (yield from each(got, q.parts)):
             if isinstance(r, Par):
                 parts.extend(r.parts)
             elif not isinstance(r, PNil):
@@ -551,8 +555,10 @@ def _normal_step(q: Process, got) -> Process:
         n = Par(tuple(sorted(parts, key=_proc_key))) if len(parts) > 1 else \
             parts[0] if parts else NIL
     else:
-        branches = sorted(((pr, got(c)) for pr, c in q.branches),
-                          key=lambda b: (_prefix_key(b[0]), _proc_key(b[1])))
+        branches = []
+        for pr, c in q.branches:
+            branches.append((pr, (yield got(c))))
+        branches.sort(key=lambda b: (_prefix_key(b[0]), _proc_key(b[1])))
         n = Sum(tuple(branches)) if branches else NIL
     _set(n, "_normal", True)
     if n is not q:

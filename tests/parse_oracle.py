@@ -22,6 +22,7 @@ from co2run.contracts import (
     RecVar,
     RecvChoice,
     SendChoice,
+    check_stipulated,
     is_part_name,
     make_system,
     recv,
@@ -262,8 +263,10 @@ class _Parser:
                 self.fail(f"duplicate contract for {name.text}", name.span)
             self.pos += 2  # the name and ':'
             c = out[name.text] = self.contract()
-            if name.text in c.mentioned_participants:
-                self.fail(f"contract of {name.text} names {name.text} as its own peer", name.span)
+            try:
+                check_stipulated(name.text, c)
+            except ContractError as exc:
+                self.fail(str(exc), name.span)
         return out
 
     # -- global types ----------------------------------------------------------

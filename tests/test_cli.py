@@ -75,12 +75,17 @@ def test_run_parse_error(tmp_path):
 def test_synth_refuses_a_contract_naming_its_own_participant(tmp_path, capsys):
     # located at the entry's header, as a session block's error is
     f = tmp_path / "self.ctr"
-    for text, span in (("A: A!x\nB: end\n", "1:1-1:2"),
-                       ("B: end\n  A:\n    B?x . A!y\n", "2:3-2:4")):
+    own_peer = "contract of A names A as its own peer"
+    for text, span, message in (
+            ("A: A!x\nB: end\n", "1:1-1:2", own_peer),
+            ("B: end\n  A:\n    B?x . A!y\n", "2:3-2:4", own_peer),
+            ("A: B!x . a!y\n", "1:1-1:2",
+             "contract of A still mentions participant variables ['a']"),
+            ("B: end\nA: B!x . rec x . y\n", "2:1-2:2",
+             "contract of A has free recursion variables")):
         f.write_text(text)
         assert main(["synth", str(f)]) == 2
-        assert capsys.readouterr().err == (
-            f"{f}:{span}: error: contract of A names A as its own peer\n")
+        assert capsys.readouterr().err == f"{f}:{span}: error: {message}\n"
 
 
 @pytest.mark.parametrize("contract", ["A!x", "A?x"])

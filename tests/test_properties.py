@@ -703,9 +703,11 @@ def test_named_contracts_agree_with_the_regex_reader_after_one_edit(entries, bre
 
 def regex_reader(text):
     """The former reader, refusing as the grammar now does a contract that
-    names its own participant as peer (the CLI refused it after reading)."""
+    names its own participant as peer or has free recursion or participant
+    variables (the CLI refused these after reading)."""
     out = regex_named_contracts(text)
-    if any(name in c.mentioned_participants for name, c in out.items()):
+    if any(name in c.mentioned_participants or c.free_rec_vars or c.free_participant_vars
+           for name, c in out.items()):
         raise ParseError([])
     return out
 

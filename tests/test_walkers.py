@@ -7,11 +7,13 @@ from __future__ import annotations
 
 import gc
 import random
+import sys
+import weakref
 
 import pytest
 
 import walk_oracle as oracle
-from co2run import contracts, runtime
+from co2run import choreo, contracts, runtime
 from co2run.choreo import (
     GEND,
     GChoice,
@@ -292,14 +294,14 @@ def _oracle_normalize(system: runtime.Co2System) -> runtime.Co2System:
                             dict(system.definitions))
 
 
-# -- both paths of `fold` ------------------------------------------------------------
+# -- `fold` and both paths of a first repr ----------------------------------------------
 
 @pytest.mark.parametrize("nesting", [0, 1, 3])
 def test_the_differentials_hold_when_folds_go_children_first(nesting, monkeypatch):
-    """At the default `_FOLD_NESTING` these inputs are shallow enough that
-    every fold and first repr recurses; below `nesting` steps they go on
-    `post_order` instead, and must still agree with the oracle."""
-    monkeypatch.setattr(contracts, "_FOLD_NESTING", nesting)
+    """At the default `_REPR_NESTING` these inputs are shallow enough that
+    every first repr recurses; below `nesting` reprs they go on `post_order`
+    instead, and the walkers must still agree with the oracle."""
+    monkeypatch.setattr(contracts, "_REPR_NESTING", nesting)
     for differential in (
         test_substitutions_and_renderings_of_contracts_agree_with_the_oracle,
         test_projection_and_well_formedness_agree_with_the_oracle,
@@ -315,13 +317,13 @@ def test_the_differentials_hold_when_folds_go_children_first(nesting, monkeypatc
         differential(monkeypatch)
 
 
-@pytest.mark.parametrize("nesting", [0, 1, 3, contracts._FOLD_NESTING])
+@pytest.mark.parametrize("nesting", [0, 1, 3, contracts._REPR_NESTING])
 def test_a_deep_choice_without_a_decider_fails_before_a_parallel_inside_it(
         nesting, monkeypatch):
     """Projecting onto C meets the choice first, as a recursive walk from the
     top does: a post-order that raised the first error it stepped would
     meet the parallel naming C on both sides first."""
-    monkeypatch.setattr(contracts, "_FOLD_NESTING", nesting)
+    monkeypatch.setattr(contracts, "_REPR_NESTING", nesting)
     par = GPar((GMsg("C", "D", "x", GEND), GMsg("E", "C", "y", GEND)))
     g: GlobalType = GChoice((GMsg("A", "B", "a", par), GMsg("B", "A", "b", GEND)))
     for i in range(60):
@@ -331,3 +333,83 @@ def test_a_deep_choice_without_a_decider_fails_before_a_parallel_inside_it(
     assert _outcome(project, g, "C") == want
     deeper = (ProjectionError, "C appears in more than one parallel branch")
     assert _outcome(project, par, "C") == deeper
+
+
+def test_a_fold_steps_only_the_nodes_its_steps_ask_for(monkeypatch):
+    """Projecting onto A asks for the parallel's side naming A: the C–D side
+    is never stepped, however deep the parallel lies."""
+    def chain(src, dst, n, tag, cont=GEND):
+        for i in range(n):
+            cont = GMsg(src, dst, f"{tag}{i}", cont)
+        return cont
+
+    g = chain("A", "B", 60, "lead", GPar((chain("A", "B", 100, "ab"), chain("C", "D", 100, "cd"))))
+    steps = 0
+
+    def counting_fold(root, step, known):
+        def counted(node, got):
+            nonlocal steps
+            steps += 1
+            return step(node, got)
+        return contracts.fold(root, counted, known)
+
+    monkeypatch.setattr(choreo, "fold", counting_fold)
+    assert project(g, "A") is oracle.project(g, "A")
+    assert steps == 60 + 1 + 100  # the lead, the parallel and the A–B side
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_walkers_run_within_a_constant_stack_depth():
+    """Fresh deep terms are walked within 150 frames of the caller's depth:
+    projection, a first repr, substitution and normal forms."""
+    n = 10_000
+    g: GlobalType = GEND
+    c: Contract = contracts.END
+    for i in range(n):
+        g = GMsg("A", "B", f"deep{i}", g)
+        c = contracts.send("x", f"deep{i}", c)
+    sums = []
+    for side in ("l", "r"):
+        p: runtime.Process = runtime.NIL
+        for i in range(3_000):
+            p = runtime.Sum(((runtime.PDo("s", "B", f"{side}{i}", contracts.SEND), p),))
+        sums.append(p)
+    par = runtime.Par((sums[1], sums[0]))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 150)
+    try:
+        projected = project(g, "A")
+        text = repr(g)
+        renamed = subst_parts(c, {"x": "B"})
+        normal = normalize_proc(par)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert projected.branches[0][:2] == ("B", f"deep{n - 1}")
+    assert text.startswith(f"GMsg(src='A', dst='B', sort='deep{n - 1}', cont=GMsg(")
+    assert renamed.mentioned_participants == {"B"}
+    assert normal.parts == tuple(sums)
+
+
+def test_a_fold_leaves_no_reference_cycle():
+    """With the collector off, what a fold's steps built is freed as soon as
+    nothing outside the fold holds it."""
+    g: GlobalType = GEND
+    for i in range(6):
+        g = GMsg("A", "B", f"acyclic{i}", g)
+    gc.disable()
+    try:
+        c = project(g, "A")
+        built = []
+        while c is not contracts.END:
+            built.append(weakref.ref(c))
+            c = c.branches[0][2]
+        assert len(built) == 6
+        assert [r for r in built if r() is not None] == []
+    finally:
+        gc.enable()
