@@ -380,11 +380,10 @@ def check_trace_properties(trace_steps, digests, system: Co2System) -> PropertyR
         if is_terminated(t):
             done.append(sname)
         else:
-            live.append((sname, tuple(sorted(culpable(state, sname)))))
-            violations.append(
-                f"terminal state: session {sname} did not complete; "
-                f"culpable: {', '.join(sorted(culpable(state, sname))) or 'nobody'}"
-            )
+            who = tuple(sorted(culpable(state, sname)))
+            live.append((sname, who))
+            violations.append(f"terminal state: session {sname} did not complete; "
+                              f"culpable: {', '.join(who) or 'nobody'}")
     return PropertyReport(
         steps_replayed=len(trace_steps),
         violations=tuple(violations),

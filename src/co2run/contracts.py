@@ -20,8 +20,8 @@ nodes of `runtime`) are hash-consed:
     `free_rec_vars` and `is_guarded`; a `Rec` also memoises its one-step
     unfolding. Global-type nodes carry `participants`, `has_recursion`,
     `has_end`, their first interaction layer and, on a choice, the
-    `decider`; prefix and process nodes carry `names`, their free session
-    and participant variables and the calls they make;
+    `decider`; prefix and process nodes carry `names` and their free
+    session and participant variables;
   * every node caches its `repr` on first use, built from its children's
     and byte-identical to a plain dataclass's repr, so a repr-based digest
     formats only the nodes that are new;

@@ -26,12 +26,12 @@ from ..contracts import (
     Contract,
     ContractError,
     END,
-    Rec,
     RecVar,
     check_stipulated,
     descend,
     is_part_name,
     make_system,
+    rec,
     recv,
     recv_choice,
     send,
@@ -83,6 +83,8 @@ class _Parser:
         self.texts, self.starts = tokenize(text)
         self.pos = 0
         self.fuse_policy = DEFAULT_POLICY  # what a fuse with the default options gets
+        self.block = ""  # the system-file block being read, as a call's refusal names it
+        self.calls: list = []  # per call read: its name's token index, block and arities
 
     # -- token plumbing ----------------------------------------------------
 
@@ -128,6 +130,14 @@ class _Parser:
     def done(self) -> bool:
         return self.texts[self.pos] == ""
 
+    def checked(self, at: int, make, *args, **kwargs):
+        """`make(*args, **kwargs)`, with the ContractError or ValueError it
+        raises made a diagnostic at token index `at`."""
+        try:
+            return make(*args, **kwargs)
+        except (ContractError, ValueError) as exc:
+            self.fail(str(exc), at)
+
     # -- contracts -----------------------------------------------------------
 
     # these and their global-type and process twins are generators for
@@ -156,10 +166,9 @@ class _Parser:
                 self.fail("external choice must receive from one participant, "
                           f"got {sorted(set(sources))}", i)
         branches = [b for _, u in units for b in u.branches]
-        try:
-            return send_choice(branches) if internal else recv_choice(sources[0], branches)
-        except ContractError as exc:
-            self.fail(str(exc), units[0][0])
+        if internal:
+            return self.checked(units[0][0], send_choice, branches)
+        return self.checked(units[0][0], recv_choice, sources[0], branches)
 
     def contract_unit(self):
         """A `.` chain of prefixes and what ends it; the loop reads the
@@ -196,10 +205,7 @@ class _Parser:
             i = self.pos
             var = self.name("recursion variable", False, "recursion variables are lowercase")
             self.expect(".")
-            node = Rec(var, (yield self.contract()))
-            if not node.is_guarded:
-                self.fail(f"unguarded recursion on {var!r}", i)
-            return node
+            return self.checked(i, rec, var, (yield self.contract()))
         if is_part_name(t):
             self.fail("a bare identifier here is a recursion variable (lowercase)", self.pos - 1)
         return RecVar(t)
@@ -222,10 +228,7 @@ class _Parser:
                 self.fail(f"duplicate contract for {name}", i)
             self.pos += 2  # the name and ':'
             c = out[name] = descend(self.contract())
-            try:
-                check_stipulated(name, c)
-            except ContractError as exc:
-                self.fail(str(exc), i)
+            self.checked(i, check_stipulated, name, c)
         return out
 
     # -- global types ----------------------------------------------------------
@@ -363,9 +366,11 @@ class _Parser:
         if self.texts[self.pos + 1] == "(":
             if not is_part_name(t):
                 self.fail("process definitions are named uppercase")
+            i = self.pos
             self.pos += 2  # the name and (
             sess_args, part_args = self._arg_lists("argument")
             self.expect(")")
+            self.calls.append((i, self.block, len(sess_args), len(part_args)))
             return Call(t, tuple(sess_args), tuple(part_args))
         self.fail(f"expected a process, found {t!r}")
 
@@ -414,10 +419,7 @@ class _Parser:
                 j = self.pos
                 if not (self.texts[j].isascii() and self.texts[j].isdigit()):
                     self.fail("min= needs a number")  # `²` and `٣` are digits, not ASCII ones
-                minimum = int(self.eat())
-                if minimum < 2:
-                    self.fail("sessions need at least two participants", j)
-                policy = replace(policy, min_participants=minimum)
+                policy = self.checked(j, replace, policy, min_participants=int(self.eat()))
             elif t in FUSE_MODES and t != DEFAULT_POLICY.mode:
                 policy = replace(policy, mode=t)
             elif t == "smallest":
@@ -462,37 +464,45 @@ class _Parser:
             if t not in ("participant", "def", "session"):
                 self.fail("expected 'participant', 'def' or 'session' at top level")
             self.pos += 1
+            i = self.pos
             if t == "participant":
                 name = self.name("participant name", True, "participant names start uppercase")
                 if name in processes:
-                    self.fail(f"duplicate participant {name}", self.pos - 1)
+                    self.fail(f"duplicate participant {name}", i)
+                self.block = f"participant {name}"
                 self.expect("{")
                 processes[name] = descend(self.process())
                 self.expect("}")
             elif t == "def":
                 name = self.name("definition name", True, "definition names start uppercase")
                 if name in definitions:
-                    self.fail(f"duplicate definition {name}", self.pos - 1)
+                    self.fail(f"duplicate definition {name}", i)
+                self.block = f"def {name}"
                 self.expect("(")
                 sess_params, part_params = self._arg_lists("argument")
                 self.expect(")")
                 self.expect("=")
                 body = descend(self.process())
+                free = body.free_session_vars.difference(sess_params)
+                free |= body.free_participant_vars.difference(part_params)
+                if free:
+                    self.fail(f"def {name} uses {sorted(free)[0]!r} which is neither a parameter "
+                              "nor delimited", i)
                 definitions[name] = ProcDef(tuple(sess_params), tuple(part_params), body)
             else:
-                i = self.pos
                 name = self.name("session name", False, "session names start lowercase")
                 if name in sessions:
                     self.fail(f"duplicate session {name}", i)
                 self.expect("{")
                 sessions[name] = self._session_body(i)
                 self.expect("}")
-        self._validate_calls(processes, definitions)
-        try:
-            system = make_co2(processes, {}, sessions, definitions)  # type: ignore[arg-type]
-        except (ContractError, ValueError) as exc:
-            self.fail(str(exc))
-        return normalize(system)
+        for i, block, n_session, n_part in self.calls:  # once every definition is known
+            d = definitions.get(self.texts[i])
+            if d is None:
+                self.fail(f"call to undefined process {self.texts[i]} in {block}", i)
+            if len(d.session_params) != n_session or len(d.part_params) != n_part:
+                self.fail(f"arity mismatch calling {self.texts[i]} in {block}", i)
+        return normalize(make_co2(processes, {}, sessions, definitions))  # type: ignore[arg-type]
 
     def _session_body(self, header: int):
         contracts: dict[str, Contract] = {}
@@ -519,36 +529,9 @@ class _Parser:
             if name in contracts:
                 self.fail(f"duplicate contract for {name}", i)
             self.expect(":")
-            c = descend(self.contract())
-            bad = c.free_participant_vars
-            if bad:
-                self.fail(f"stipulated contract of {name} mentions variables {sorted(bad)}", i)
-            contracts[name] = c
-        try:
-            return make_system(contracts, queues)
-        except ContractError as exc:
-            self.fail(str(exc), header)
-
-    def _validate_calls(self, processes, definitions) -> None:
-        def check(p: Process, where: str):
-            for callee, n_session, n_part in p.calls:
-                if callee not in definitions:
-                    self.fail(f"call to undefined process {callee} in {where}")
-                d = definitions[callee]
-                if len(d.session_params) != n_session or len(d.part_params) != n_part:
-                    self.fail(f"arity mismatch calling {callee} in {where}")
-
-        for name, proc in processes.items():
-            check(proc, f"participant {name}")
-        for name, d in definitions.items():
-            check(d.body, f"def {name}")
-            free = d.body.free_session_vars.difference(d.session_params)
-            free |= d.body.free_participant_vars.difference(d.part_params)
-            if free:
-                self.fail(
-                    f"def {name} uses {sorted(free)[0]!r} which is neither a parameter "
-                    f"nor delimited"
-                )
+            c = contracts[name] = descend(self.contract())
+            self.checked(i, check_stipulated, name, c)
+        return self.checked(header, make_system, contracts, queues)
 
 
 # --------------------------------------------------------------------------

@@ -16,12 +16,12 @@ globally unique identifiers, so substitutions can be applied globally.
 
 Process and prefix nodes are hash-consed like contracts (`contracts.Interned`)
 and carry, built from their children's, `names` (the identifiers they
-mention), their free session and participant variables and the calls they
-make; process nodes also cache their sort key and normal form. So minting
-fresh names, substitution, the repr-based state digest, state hashing and
+mention) and their free session and participant variables; process nodes
+also cache their sort key and normal form. So minting fresh names,
+substitution, the repr-based state digest, state hashing and
 renormalization after a step cost time only for new nodes. This module alone
 knows the binding rules: `_rename` resolves scopes, and substitution and the
-parser's call checks read the cached facts.
+parser's definition checks read the cached facts.
 """
 from __future__ import annotations
 
@@ -98,25 +98,23 @@ class _Named(Interned):
     """Prefix and process nodes keep, computed from their children's,
     `names` (every identifier they mention: participant and session names
     and variables, sorts, called definitions), `free_session_vars` (the
-    session references, names included, that no enclosing `Delim` binds),
-    `free_participant_vars` (the same for lowercase participant references,
-    a told contract's too) and `calls` (one `(definition, session arity,
-    participant arity)` entry per call, in pre-order, first occurrences)."""
+    session references, names included, that no enclosing `Delim` binds)
+    and `free_participant_vars` (the same for lowercase participant
+    references, a told contract's too)."""
 
-    __slots__ = ("names", "free_session_vars", "free_participant_vars", "calls")
+    __slots__ = ("names", "free_session_vars", "free_participant_vars")
 
     def _derive(self) -> None:
-        self._facts(_NONE, _NONE, _NONE, ())
+        self._facts(_NONE, _NONE, _NONE)
 
-    def _facts(self, names, session_vars, participant_vars, calls) -> None:
+    def _facts(self, names, session_vars, participant_vars) -> None:
         _set(self, "names", names)
         _set(self, "free_session_vars", session_vars)
         _set(self, "free_participant_vars", participant_vars)
-        _set(self, "calls", calls)
 
     def _join(self, nodes: Sequence["_Named"]) -> None:
-        """Attach the union of the nodes' facts, reusing a node's set or tuple
-        when the others add nothing to it (`frozen_union`, inlined for speed)."""
+        """Attach the union of the nodes' facts, reusing a node's set when
+        the others add nothing to it (`frozen_union`, inlined for speed)."""
         for slot in ("names", "free_session_vars", "free_participant_vars"):
             out = _NONE
             for q in nodes:
@@ -124,13 +122,6 @@ class _Named(Interned):
                 if not s <= out:
                     out = s if out <= s else out | s
             _set(self, slot, out)
-        calls: tuple = ()
-        for q in nodes:
-            if not calls:
-                calls = q.calls
-            elif q.calls and q.calls is not calls:
-                calls += tuple(c for c in q.calls if c not in calls)
-        _set(self, "calls", calls)
 
 
 class PTau(_Named):
@@ -148,7 +139,7 @@ class PTell(_Named):
         target = _NONE if is_part_name(self.target) else frozenset((self.target,))
         parts = frozen_union(self.contract.free_participant_vars, target)
         names = frozen_union(self.contract.mentioned_participants, own)
-        self._facts(names, frozenset((self.session_var,)), parts, ())
+        self._facts(names, frozenset((self.session_var,)), parts)
 
 
 class PFuse(_Named):
@@ -166,7 +157,7 @@ class PDo(_Named):
     def _derive(self) -> None:
         peer = _NONE if is_part_name(self.peer) else frozenset((self.peer,))
         self._facts(frozenset((self.session, self.peer, self.sort)), frozenset((self.session,)),
-                    peer, ())
+                    peer)
 
 
 Prefix = Union[PTau, PTell, PFuse, PDo]
@@ -208,7 +199,7 @@ class Delim(_Proc):
         b = self.body
         self._facts(frozen_union(b.names, frozenset(self.session_vars + self.part_vars)),
                     b.free_session_vars.difference(self.session_vars),
-                    b.free_participant_vars.difference(self.part_vars), b.calls)
+                    b.free_participant_vars.difference(self.part_vars))
 
 
 class Call(_Proc):
@@ -220,8 +211,7 @@ class Call(_Proc):
     def _derive(self) -> None:
         sargs, pargs = self.session_args, self.part_args
         self._facts(frozenset((self.name, *sargs, *pargs)), frozenset(sargs),
-                    frozenset(a for a in pargs if not is_part_name(a)),
-                    ((self.name, len(sargs), len(pargs)),))
+                    frozenset(a for a in pargs if not is_part_name(a)))
 
 
 Process = Union[PNil, Sum, Par, Delim, Call]
@@ -696,8 +686,10 @@ def _search_agreement(
     pool: tuple[LatentContract, ...], policy: FusePolicy
 ) -> Optional[Agreement]:
     n = len(pool)
-    # per latent: head-normal form (None: refused whatever pi), variables, peers
+    # per latent: head-normal form (None: refused whatever pi, as is one naming
+    # its promiser, pi never mapping a variable to its owner), variables, peers
     heads = [None if k.contract.free_rec_vars or not k.contract.is_guarded
+             or k.promiser in k.contract.mentioned_participants
              else head_normal(k.contract) for k in pool]
     variables_of = [sorted(k.contract.free_participant_vars) for k in pool]
     actions: dict[int, tuple] = {}  # index -> peer_actions, as subsets need them
@@ -743,10 +735,7 @@ def _search_agreement(
                 contracts = {pool[i].promiser: instance(i, pi) for i in idxs}
                 if not can_start({p: head_normal(c) for p, c in contracts.items()}):
                     continue
-                try:
-                    t = make_system(contracts)
-                except ContractError:
-                    continue
+                t = make_system(contracts)
                 result = synthesize(t)
                 if result.ok and policy_check(result.global_type, policy):
                     return Agreement(latents, tuple(sorted(pi.items())), t, result.global_type)
@@ -787,7 +776,8 @@ def find_agreement(
     the fuse prefix simply stays blocked.
 
     Candidates that `synthesize` is sure to reject are skipped unbuilt, by
-    its own tests `synthesis.can_start` and `synthesis.answered`. The latter
+    its own tests `synthesis.can_start` and `synthesis.answered`, and so are
+    contracts `make_system` refuses whatever the assignment. `answered`
     runs each time the walk over assignments (in `itertools.product` order)
     fixes a variable; a prefix that fails skips all its completions. Skipping
     never changes which agreement wins, only how fast; there is no budget.

@@ -4,7 +4,11 @@ text into flat lists of token texts and offsets and loops read the `.` and
 recursive-descent `_Parser` over those tokens that recursed once per chain
 prefix. Kept verbatim, with the imports they need, as the oracle the
 differential parser tests compare the front end against: on every input
-both must give the very same node or the same diagnostics.
+both must give the very same node or the same diagnostics. Only the
+well-formedness checks follow the front end's: `check_stipulated` refuses a
+`.ctr` entry or a session block's contract at its participant, a
+definition's free variable is refused at its name once its body is read,
+and a bad call at the call's name once every definition is known.
 """
 from __future__ import annotations
 
@@ -137,6 +141,8 @@ class _Parser:
         self.pos = 0
         self.diags: list[Diagnostic] = []
         self.fuse_policy = DEFAULT_POLICY  # what a fuse with the default options gets
+        self.block = ""  # the system-file block being read, as a call's refusal names it
+        self.calls: list = []  # per call read: its name's token, block and arities
 
     # -- token plumbing ----------------------------------------------------
 
@@ -405,6 +411,7 @@ class _Parser:
             self.eat()  # (
             sess_args, part_args = self._arg_lists("argument")
             self.expect(")")
+            self.calls.append((name, self.block, len(sess_args), len(part_args)))
             return Call(name.text, tuple(sess_args), tuple(part_args))
         self.fail(f"expected a process, found {t.text!r}")
 
@@ -490,6 +497,7 @@ class _Parser:
                     self.fail("participant names start uppercase", name.span)
                 if name.text in processes:
                     self.fail(f"duplicate participant {name.text}", name.span)
+                self.block = f"participant {name.text}"
                 self.expect("{")
                 processes[name.text] = self.process()
                 self.expect("}")
@@ -500,11 +508,19 @@ class _Parser:
                     self.fail("definition names start uppercase", name.span)
                 if name.text in definitions:
                     self.fail(f"duplicate definition {name.text}", name.span)
+                self.block = f"def {name.text}"
                 self.expect("(")
                 sess_params, part_params = self._arg_lists("argument")
                 self.expect(")")
                 self.expect("=")
                 body = self.process()
+                free = body.free_session_vars.difference(sess_params)
+                free |= body.free_participant_vars.difference(part_params)
+                if free:
+                    self.fail(
+                        f"def {name.text} uses {sorted(free)[0]!r} which is neither a parameter "
+                        f"nor delimited", name.span
+                    )
                 definitions[name.text] = ProcDef(
                     tuple(sess_params), tuple(part_params), body
                 )
@@ -522,11 +538,13 @@ class _Parser:
                 self.fail(
                     "expected 'participant', 'def' or 'session' at top level"
                 )
-        self._validate_calls(processes, definitions)
-        try:
-            system = make_co2(processes, {}, sessions, definitions)  # type: ignore[arg-type]
-        except (ContractError, ValueError) as exc:
-            self.fail(str(exc))
+        for name, block, n_session, n_part in self.calls:
+            if name.text not in definitions:
+                self.fail(f"call to undefined process {name.text} in {block}", name.span)
+            d = definitions[name.text]
+            if len(d.session_params) != n_session or len(d.part_params) != n_part:
+                self.fail(f"arity mismatch calling {name.text} in {block}", name.span)
+        system = make_co2(processes, {}, sessions, definitions)  # type: ignore[arg-type]
         return normalize(system)
 
     def _session_body(self, header: Token):
@@ -556,39 +574,15 @@ class _Parser:
             if name.text in contracts:
                 self.fail(f"duplicate contract for {name.text}", name.span)
             self.expect(":")
-            c = self.contract()
-            bad = c.free_participant_vars
-            if bad:
-                self.fail(
-                    f"stipulated contract of {name.text} mentions variables {sorted(bad)}",
-                    name.span,
-                )
-            contracts[name.text] = c
+            c = contracts[name.text] = self.contract()
+            try:
+                check_stipulated(name.text, c)
+            except ContractError as exc:
+                self.fail(str(exc), name.span)
         try:
             return make_system(contracts, queues)
         except ContractError as exc:
             self.fail(str(exc), header.span)
-
-    def _validate_calls(self, processes, definitions) -> None:
-        def check(p: Process, where: str):
-            for callee, n_session, n_part in p.calls:
-                if callee not in definitions:
-                    self.fail(f"call to undefined process {callee} in {where}")
-                d = definitions[callee]
-                if len(d.session_params) != n_session or len(d.part_params) != n_part:
-                    self.fail(f"arity mismatch calling {callee} in {where}")
-
-        for name, proc in processes.items():
-            check(proc, f"participant {name}")
-        for name, d in definitions.items():
-            check(d.body, f"def {name}")
-            free = d.body.free_session_vars.difference(d.session_params)
-            free |= d.body.free_participant_vars.difference(d.part_params)
-            if free:
-                self.fail(
-                    f"def {name} uses {sorted(free)[0]!r} which is neither a parameter "
-                    f"nor delimited"
-                )
 
 
 # --------------------------------------------------------------------------

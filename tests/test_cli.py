@@ -98,8 +98,19 @@ def test_session_naming_its_own_participant_is_a_located_error(command, contract
             "honesty": ["honesty", str(f), "--participant", "A"],
             "check": ["check", str(tmp_path / "none.trace.jsonl"), str(f)]}[command]
     assert main(argv) == 2
-    assert capsys.readouterr().err == (
-        f"{f}:1:9-1:10: error: contract of A names A as its own peer\n")
+    assert capsys.readouterr().err == (  # at the participant whose contract it is
+        f"{f}:1:13-1:14: error: contract of A names A as its own peer\n")
+
+
+def test_session_block_refuses_each_contract_at_its_participant(tmp_path, capsys):
+    # with the message a `.ctr` entry gets for the same contract
+    f = tmp_path / "open.co2"
+    for contract, message in (
+            ("B!x . a!y", "contract of A still mentions participant variables ['a']"),
+            ("B!x . rec t . y", "contract of A has free recursion variables")):
+        f.write_text(f"session s {{\n  A: {contract}  B: A?x }}\nparticipant B {{ 0 }}\n")
+        assert main(["run", str(f)]) == 2
+        assert capsys.readouterr().err == f"{f}:2:3-2:4: error: {message}\n"
 
 
 def test_honesty_violation(tmp_path, capsys):

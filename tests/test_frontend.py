@@ -105,20 +105,25 @@ def test_call_arity_mismatch_rejected():
 
 
 def test_bad_calls_are_reported_in_source_order():
-    text = "participant A { tau . (Z() | X()) + do u b!p . X(u) } def X(u) = 0"
-    with pytest.raises(ParseError) as exc:
-        parse_system(text)
-    assert [d.message for d in exc.value.diagnostics] == [
-        "call to undefined process Z in participant A"
-    ]
-    text = "participant A { (u) (X(u, u) | Y()) } def X(u) = 0"
-    with pytest.raises(ParseError, match="arity mismatch calling X in participant A"):
-        parse_system(text)
+    # each at the name of the call it is about, not at the end of input
+    for text, message, where in (
+            ("participant A { tau . (Z() | X()) + do u b!p . X(u) } def X(u) = 0",
+             "call to undefined process Z in participant A", (1, 24, 1, 25)),
+            ("participant A { (u) (X(u, u) | Y()) } def X(u) = 0",
+             "arity mismatch calling X in participant A", (1, 22, 1, 23)),
+            ("def Y() = (u) X(u, u)\nparticipant A { Y() }\ndef X(u) = 0",
+             "arity mismatch calling X in def Y", (1, 15, 1, 16))):
+        with pytest.raises(ParseError) as exc:
+            parse_system(text)
+        assert [(d.message, d.span) for d in exc.value.diagnostics] == [(message, where)]
 
 
 def test_def_free_variable_rejected():
-    with pytest.raises(ParseError, match="neither a parameter"):
-        parse_system("participant A { 0 } def X(u) = do u b!p . X(u)")
+    # at the definition's name, before the rest of the file is read
+    with pytest.raises(ParseError) as exc:
+        parse_system("participant A { 0 }\ndef X(u) = do u b!p . X(u)\nparticipant B {")
+    assert [(d.message, d.span) for d in exc.value.diagnostics] == [
+        ("def X uses 'b' which is neither a parameter nor delimited", (2, 5, 2, 6))]
 
 
 def test_diagnostics_carry_spans():

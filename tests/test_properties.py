@@ -392,9 +392,9 @@ def ref_normalize(p):
 
 
 # -- the walkers that the cached `names`, `free_session_vars`,
-# `free_participant_vars`, `calls`, `has_recursion`, `has_end`, `_first` and
-# `decider`, and the renaming inside `proc_subst`, replaced; kept verbatim as
-# oracles ---------------------------------------------------------------------
+# `free_participant_vars`, `has_recursion`, `has_end`, `_first` and `decider`,
+# the parser's recorded calls and the renaming inside `proc_subst` replaced;
+# kept verbatim as oracles ----------------------------------------------------
 
 def _proc_identifiers(p, out: set[str]) -> None:
     if isinstance(p, Sum):
@@ -628,9 +628,30 @@ def test_cached_process_names_match_the_walker(p):
     # binding every reference of the other kind leaves the free ones of one kind
     assert p.free_session_vars == _free_proc_vars(p, frozenset(), p.names)
     assert p.free_participant_vars == _free_proc_vars(p, p.names, frozenset())
+
+
+def _calls_in(p: Process) -> tuple:
     calls: dict = {}
     _proc_calls(p, calls)
-    assert p.calls == tuple(calls)
+    return tuple(calls)
+
+
+# processes as a source file writes them, making at least one call to P or Q
+calling_source_processes = st.recursive(st.just(PNil()) | calls, _source_layer,
+                                        max_leaves=10).filter(_calls_in)
+
+
+@settings(max_examples=100, deadline=None)
+@given(calling_source_processes)
+def test_an_undefined_call_is_refused_at_the_first_call_the_walker_finds(p):
+    text = f"participant A {{ {render_process(p)} }}"
+    with pytest.raises(ParseError) as exc:
+        parse_system(text)
+    name = _calls_in(p)[0][0]
+    start = re.search(r"[PQ]\(", text).start()  # the first call written
+    assert text[start] == name
+    assert [(d.message, d.span) for d in exc.value.diagnostics] == [
+        (f"call to undefined process {name} in participant A", (1, start + 1, 1, start + 2))]
 
 
 @settings(max_examples=100, deadline=None)

@@ -486,6 +486,12 @@ def test_pruned_search_agrees_with_the_exhaustive_one(monkeypatch):
     assert all(found[policy, hit] for policy in POLICIES for hit in (True, False)), found
 
 
+def test_a_latent_naming_its_own_promiser_past_its_head_never_fuses():
+    # the head is answered and starts the session, so only the rule that a
+    # contract may not name its own participant refuses it
+    assert find_agreement((_latent("A", "B!m . A!n"), _latent("B", "A?m"))) is None
+
+
 def test_fuse_with_a_variable_bound_to_a_promiser_without_a_dual_action():
     # v may only become A, although A never receives the a that P sends on v:
     # the branch that sends it is never taken
