@@ -9,8 +9,10 @@ for readiness in every reachable state; that is undecidable in general, so
 `check_honesty` explores one context up to a state bound and reports either
 a concrete counterexample trace or "no violation up to the bound".
 
-Every state a readiness question reaches is reachable from the context, so
-one `StateGraph` per search serves both: it expands each state once, stops
+Readiness reads only the checked participant's process and sessions, so
+honesty fires only the steps of its `_group`; the others stay idle. Every
+state a readiness question reaches is reachable from the context, so one
+`StateGraph` per search serves both: it expands each state once, stops
 expanding at its bound, and keeps each solved weak ready set, solved one
 strongly connected component at a time, successors first (Tarjan's `_sccs`,
 its recursion run on `contracts.descend`). Nothing is cached between searches.
@@ -50,14 +52,16 @@ class ReplayError(Exception):
 class StateGraph:
     """The states one search reaches, each expanded at most once.
 
-    Expanding a state fires each of its enabled steps; at most `bound`
-    states are expanded, and a state reached after that stays unexpanded:
-    what lies beyond it is unknown. The graph also keeps the solved weak
-    ready sets, keyed by (who, session, state). Build one per search.
+    Expanding a state fires each enabled step of a `group` member (of all
+    without a group); at most `bound` states are expanded, and a state
+    reached after that stays unexpanded: what lies beyond it is unknown.
+    The graph also keeps the solved weak ready sets, keyed by
+    (who, session, state). Build one per search.
     """
 
-    def __init__(self, bound: int = 10_000):
+    def __init__(self, bound: int = 10_000, group: Optional[frozenset[str]] = None):
         self.bound = bound
+        self.group = group
         self.edges: dict = {}  # expanded state -> its successors
         self.weak: dict = {}  # (who, session, state) -> (pairs, cut)
         self.fired: dict = {}  # replay: (state, participant) -> steps, (state, step) -> successor
@@ -67,7 +71,9 @@ class StateGraph:
         None when the state lies beyond the bound."""
         out = self.edges.get(state)
         if out is None and len(self.edges) < self.bound:
-            out = self.edges[state] = tuple(apply_step(state, s) for s in enabled_steps(state))
+            group = self.group
+            out = self.edges[state] = tuple(apply_step(state, s) for s in enabled_steps(state)
+                                            if group is None or s.actor in group)
         return out
 
 
@@ -250,14 +256,15 @@ def check_honesty(system: Co2System, who: str, state_bound: int = 10_000) -> Hon
     The input must contain no latent or stipulated contract of `who` yet.
     The search is breadth-first and stops at the first state where `who`
     is not ready; at most `state_bound` states are expanded, for the search
-    and its readiness questions together. A violation comes with the trace
-    that reaches it, replayable from the normalized input; absence of one
-    is only conclusive when no state was left unknown.
+    and its readiness questions together, `who`'s `_group` alone moving. A
+    violation comes with the trace that reaches it, replayable from the
+    normalized input; absence of one is only conclusive when no state was
+    left unknown.
     """
     root = normalize(system)
     if not is_initial_for(root, who):
         raise AnalysisError(f"system is not {who}-initial")
-    graph = StateGraph(state_bound)
+    graph = StateGraph(state_bound, _group(root, who))
     parent = {root: None}  # state -> (previous state, label); also the seen set
     queue = deque([root])
     explored = unknown = 0
@@ -281,6 +288,43 @@ def check_honesty(system: Co2System, who: str, state_bound: int = 10_000) -> Hon
                 queue.append(nxt)
     return HonestyVerdict(violation_found=witness is not None, states_explored=explored,
                           unknown_states=unknown, witness=witness, witness_reports=witness_reports)
+
+
+def _group(root: Co2System, who: str) -> frozenset[str]:
+    """`who`'s class of identifiers under these links: a participant to the
+    participant names its process and the definitions it calls mention, and
+    to its free variables; a pool host to each latent's promiser, variable
+    and peers; a session to its participants and their peers. Sorts and
+    definition names link nothing. Outsiders' steps touch no member."""
+    up: dict[str, str] = {}  # union-find: identifier -> its parent
+
+    def find(x: str) -> str:
+        while up.setdefault(x, x) != x:
+            x = up[x]
+        return x
+
+    def link(a: str, names) -> None:
+        for n in names:
+            up[find(n)] = find(a)
+
+    defs = dict(root.definitions)
+    for name, p in root.processes:
+        link(name, p.free_session_vars | p.free_participant_vars)
+        called, bodies = set(), [p]
+        while bodies:
+            names = bodies.pop().names
+            link(name, (n for n in names if is_part_name(n) and n not in defs))
+            for d in names & defs.keys() - called:
+                called.add(d)
+                bodies.append(defs[d].body)
+    for host, pool in root.pools:
+        for k in pool:
+            link(host, (k.promiser, k.session_var, *k.contract.mentioned_participants))
+    for sname, t in root.sessions:
+        for pname, c in t.contracts:
+            link(sname, (pname, *c.mentioned_participants))
+    top = find(who)
+    return frozenset(n for n in up if find(n) == top)
 
 
 def _trace_to(state: Co2System, parent: dict) -> Trace:

@@ -494,7 +494,7 @@ class _Parser:
                 if name in sessions:
                     self.fail(f"duplicate session {name}", i)
                 self.expect("{")
-                sessions[name] = self._session_body(i)
+                sessions[name] = self._session_body()
                 self.expect("}")
         for i, block, n_session, n_part in self.calls:  # once every definition is known
             d = definitions.get(self.texts[i])
@@ -504,14 +504,17 @@ class _Parser:
                 self.fail(f"arity mismatch calling {self.texts[i]} in {block}", i)
         return normalize(make_co2(processes, {}, sessions, definitions))  # type: ignore[arg-type]
 
-    def _session_body(self, header: int):
+    def _session_body(self):
         contracts: dict[str, Contract] = {}
         queues: dict[tuple[str, str], tuple[str, ...]] = {}
+        ends: list[tuple[int, str, str]] = []  # each queue's first name and its two ends
         while not self.at("}"):
             if self.accept("queue"):
+                i = self.pos
                 frm = self.ident("participant name")
                 self.expect("->")
                 to = self.ident("participant name")
+                ends.append((i, frm, to))
                 self.expect(":")
                 self.expect("[")
                 msgs: list[str] = []
@@ -531,7 +534,10 @@ class _Parser:
             self.expect(":")
             c = contracts[name] = descend(self.contract())
             self.checked(i, check_stipulated, name, c)
-        return self.checked(header, make_system, contracts, queues)
+        for i, frm, to in ends:  # once every contract of the block is read
+            if frm == to or frm not in contracts or to not in contracts:
+                self.fail(f"queue {frm}->{to} does not connect two distinct participants", i)
+        return make_system(contracts, queues)
 
 
 # --------------------------------------------------------------------------

@@ -8,7 +8,9 @@ both must give the very same node or the same diagnostics. Only the
 well-formedness checks follow the front end's: `check_stipulated` refuses a
 `.ctr` entry or a session block's contract at its participant, a
 definition's free variable is refused at its name once its body is read,
-and a bad call at the call's name once every definition is known.
+a bad call at the call's name once every definition is known, and a
+session block's queue at its first name once the block's contracts are
+read.
 """
 from __future__ import annotations
 
@@ -532,7 +534,7 @@ class _Parser:
                 if name.text in sessions:
                     self.fail(f"duplicate session {name.text}", name.span)
                 self.expect("{")
-                sessions[name.text] = self._session_body(name)
+                sessions[name.text] = self._session_body()
                 self.expect("}")
             else:
                 self.fail(
@@ -547,9 +549,10 @@ class _Parser:
         system = make_co2(processes, {}, sessions, definitions)  # type: ignore[arg-type]
         return normalize(system)
 
-    def _session_body(self, header: Token):
+    def _session_body(self):
         contracts: dict[str, Contract] = {}
         queues: dict[tuple[str, str], tuple[str, ...]] = {}
+        ends: list[tuple[Token, Token]] = []
         while not self.at("}"):
             t = self.peek()
             if t.text == "queue":
@@ -567,6 +570,7 @@ class _Parser:
                             break
                 self.expect("]")
                 queues[(frm.text, to.text)] = tuple(msgs)
+                ends.append((frm, to))
                 continue
             name = self.ident("participant name")
             if not is_part_name(name.text):
@@ -579,10 +583,11 @@ class _Parser:
                 check_stipulated(name.text, c)
             except ContractError as exc:
                 self.fail(str(exc), name.span)
-        try:
-            return make_system(contracts, queues)
-        except ContractError as exc:
-            self.fail(str(exc), header.span)
+        for frm, to in ends:
+            if frm.text == to.text or frm.text not in contracts or to.text not in contracts:
+                self.fail(f"queue {frm.text}->{to.text} does not connect two distinct "
+                          "participants", frm.span)
+        return make_system(contracts, queues)
 
 
 # --------------------------------------------------------------------------

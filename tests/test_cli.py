@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -10,6 +11,7 @@ import co2run
 from co2run.cli import main
 from co2run.fixtures import fixture_path
 from co2run.frontend import parse_global, trace_from_jsonl
+from corpus import pair_context
 
 
 TRIO = str(fixture_path("store_trio.ctr"))
@@ -113,6 +115,18 @@ def test_session_block_refuses_each_contract_at_its_participant(tmp_path, capsys
         assert capsys.readouterr().err == f"{f}:2:3-2:4: error: {message}\n"
 
 
+def test_session_block_refuses_a_queue_at_its_first_name(tmp_path, capsys):
+    # checked once the block's contracts are read: a queue may come first
+    f = tmp_path / "queue.co2"
+    for text, span, ends in (
+            ("session s { A: B!x  B: A?x queue A -> A : [x] }\n", "1:34-1:35", "A->A"),
+            ("session s {\n  queue A -> C : []\n  A: B!x  B: A?x }\n", "2:9-2:10", "A->C")):
+        f.write_text(text)
+        assert main(["run", str(f)]) == 2
+        assert capsys.readouterr().err == (
+            f"{f}:{span}: error: queue {ends} does not connect two distinct participants\n")
+
+
 def test_honesty_violation(tmp_path, capsys):
     witness = tmp_path / "w.trace.jsonl"
     code = main(["honesty", S1, "--participant", "B1", "--trace", str(witness)])
@@ -159,6 +173,34 @@ def test_depth_bound_is_a_usage_error(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage: co2run")
     assert "unrecognized arguments: --depth-bound 5" in err
+
+
+def test_honesty_on_four_pairs_explores_only_the_checked_pair(tmp_path, capsys):
+    # the other pairs share no name with A0, so their steps are never fired:
+    # the answer is exact where the whole product hit the bound of 10,000
+    # states and left 9,990 undecided
+    text, who = pair_context(Random(0), 4, 4, False)
+    f = tmp_path / "pairs.co2"
+    f.write_text(text)
+    assert main(["honesty", str(f), "--participant", who, "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["result"] == "NoViolationUpToBound"
+    assert (report["statesExplored"], report["unknownStates"]) == (13, 0)
+
+
+def test_honesty_witness_of_a_pair_replays_on_the_whole_file(tmp_path, capsys):
+    # the witness fires only B0's pair, and `check` replays it, digest by
+    # digest, on the file that holds both pairs
+    text, who = pair_context(Random(0), 2, 4, True)
+    f, witness = tmp_path / "pairs.co2", tmp_path / "w.trace.jsonl"
+    f.write_text(text)
+    assert main(["honesty", str(f), "--participant", who, "--trace", str(witness)]) == 3
+    steps = trace_from_jsonl(witness.read_text())[0]
+    assert steps and {label.actor for label in steps} <= {"A0", "B0"}
+    capsys.readouterr()
+    assert main(["check", str(witness), str(f), "--format", "json"]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["stepsReplayed"] == len(steps)
 
 
 def test_honesty_precondition(capsys):

@@ -26,6 +26,7 @@ from co2run.cli import main  # noqa: E402
 from co2run.analysis import (  # noqa: E402
     AnalysisError,
     StateGraph,
+    _group,
     _trace_to,
     check_honesty,
     is_initial_for,
@@ -112,7 +113,7 @@ from co2run.runtime import (  # noqa: E402
 
 from corpus import SORTS as CORPUS_SORTS  # noqa: E402
 from corpus import corpus_system, pair_context, random_global, reference_repr  # noqa: E402
-from corpus import recursive_pair_context  # noqa: E402
+from corpus import broker_context, recursive_pair_context  # noqa: E402
 from corpus import random_contract, regex_named_contracts, single_edit_mutants  # noqa: E402
 import parse_oracle  # noqa: E402
 from walk_oracle import _struct_key  # noqa: E402
@@ -1300,6 +1301,10 @@ def _honesty_outcome(verdict) -> tuple:
 
 
 def test_honesty_agrees_with_the_oracle_on_fixtures_and_generated_pairs():
+    # the search fires only the steps of `who`'s group; the oracle fires
+    # every step. All but the count of states is compared with the oracle on
+    # the whole context, and that count with the oracle on the context
+    # restricted to the group's participants, pools and sessions
     contexts = [(fixture_text(name), who)
                 for name in FIXTURES for who, _ in parse_system(fixture_text(name)).processes]
     rng = random.Random(2)
@@ -1307,6 +1312,7 @@ def test_honesty_agrees_with_the_oracle_on_fixtures_and_generated_pairs():
     contexts += [pair_context(rng, pairs, n, dishonest)
                  for pairs, n in sizes for dishonest in (False, True)]
     outcomes = set()
+    sliced = 0
     for text, who in contexts:
         system = parse_system(text)
         try:
@@ -1317,11 +1323,131 @@ def test_honesty_agrees_with_the_oracle_on_fixtures_and_generated_pairs():
             continue
         got = check_honesty(system, who)
         assert want.unknown_states == 0 and want.states_explored < 10_000, who
+        root = normalize(system)
+        group = _group(root, who)
+        if not {n for n, _ in root.processes} <= group:
+            alone = runtime.Co2System(*(tuple(x for x in field if x[0] in group)
+                                        for field in (root.processes, root.pools, root.sessions)),
+                                      root.definitions)
+            want = replace(want, states_explored=check_honesty_oracle(alone, who).states_explored)
+            sliced += 1
         assert _honesty_outcome(got) == _honesty_outcome(want), (text, who)
         outcomes.add(got.violation_found)
     assert outcomes == {False, True}
+    assert sliced >= 8  # every 2-pair context
     _steps.cache_clear()
     _after.cache_clear()
+
+
+# The group rule: a step whose actor lies outside `who`'s group commutes with
+# the group's steps, because it changes nothing a group member's steps or
+# readiness read.
+
+def _full_graph(root: runtime.Co2System, bound: int = 400) -> dict:
+    """state -> (actor, successor) of every enabled step, up to `bound` states."""
+    edges: dict = {}
+    todo = [root]
+    while todo and len(edges) < bound:
+        state = todo.pop()
+        if state not in edges:
+            edges[state] = [(s.actor, apply_step(state, s)[0]) for s in enabled_steps(state)]
+            todo.extend(nxt for _, nxt in edges[state] if nxt not in edges)
+    return edges
+
+
+def _what_the_group_holds(state: runtime.Co2System, group: frozenset) -> tuple:
+    """The members' processes and pools, and every session holding a member."""
+    return (tuple(x for x in state.processes if x[0] in group),
+            tuple(x for x in state.pools if x[0] in group),
+            tuple(x for x in state.sessions if group.intersection(x[1].participants)))
+
+
+def _outside_steps_leave_the_group_alone(system: runtime.Co2System) -> int:
+    """Check the group rule on every state of the full graph; returns how many
+    steps lay outside the group checked."""
+    root = normalize(system)
+    edges = _full_graph(root)
+    checked = 0
+    for who, _ in root.processes:
+        group = _group(root, who)
+        for state, out in edges.items():
+            held = _what_the_group_holds(state, group)
+            for actor, nxt in out:
+                if actor not in group:
+                    assert _what_the_group_holds(nxt, group) == held, (render_system(root), who)
+                    checked += 1
+    return checked
+
+
+# two pairs calling the same definitions, whose bodies name no participant
+SHARED_DEFINITION = """
+participant A0 { tell A0 @x { rec t . B0!m . B0?n . t } . fuse(recursive) . Ping(x; B0) }
+participant B0 { tell A0 @y { rec t . A0?m . A0!n . t } . Pong(y; A0) }
+participant A1 { tell A1 @x { rec t . B1!m . B1?n . t } . fuse(recursive) . Ping(x; B1) }
+participant B1 { tell A1 @y { rec t . A1?m . A1!n . t } . Pong(y; A1) }
+def Ping(u; a) = do u a!m . do u a?n . Ping(u; a)
+def Pong(u; a) = do u a?m . do u a!n . Pong(u; a)
+"""
+
+
+# A reaches H only through the body of the definition it calls, and C's
+# process names nobody: only its contract in s joins it to A and B
+UNNAMED_LINKS = """
+participant A { Ask() | do s B!x }
+participant B { do s A?x }
+participant C { tau }
+participant H { fuse }
+session s { A: B!x  B: A?x . C!y  C: B?y }
+def Ask() = (u) tell H @u { G!m } . do u G!m
+"""
+
+
+def _pool_variable_context() -> runtime.Co2System:
+    """A's free session variable x is the variable of B's latent in H's pool,
+    and A's process names neither H nor B: H's fuse rewrites x in A's process."""
+    system = parse_system("participant A { do x C!m }\nparticipant C { tau }\n"
+                          "participant H { fuse }\n")
+    pool = [runtime.LatentContract("B", "x", parse_contract("d?m")),
+            runtime.LatentContract("D", "y", parse_contract("b!m"))]
+    return make_co2(dict(system.processes), {"H": pool})
+
+
+def test_honesty_group_of_two_pairs_sharing_definitions_is_one_pair():
+    root = normalize(parse_system(SHARED_DEFINITION))
+    assert {n for n in _group(root, "A0") if is_part_name(n)} == {"A0", "B0"}
+    one_pair = "".join(line for line in SHARED_DEFINITION.splitlines(True) if "1 " not in line)
+    verdict = check_honesty(root, "A0", state_bound=500)
+    assert (verdict.violation_found, verdict.unknown_states) == (False, 0)
+    assert verdict.states_explored == check_honesty(parse_system(one_pair), "A0").states_explored
+    assert _outside_steps_leave_the_group_alone(root) > 0
+
+
+def test_honesty_group_joins_a_free_session_variable_to_the_pool_holding_it():
+    root = normalize(_pool_variable_context())
+    assert {n for n in _group(root, "A") if is_part_name(n)} == {"A", "B", "C", "D", "H"}
+    (fuse,) = [s for s in enabled_steps(root) if s.kind == "fuse"]
+    after, _ = apply_step(root, fuse)
+    assert after.process("A") != root.process("A")  # x became the new session
+    assert _outside_steps_leave_the_group_alone(root) == 0  # nobody is outside A's group
+
+
+def test_honesty_group_steps_outside_it_leave_the_group_alone():
+    rng = random.Random(11)
+    named = [SHARED_DEFINITION, UNNAMED_LINKS]
+    texts = [fixture_text(name) for name in FIXTURES]
+    texts += [pair_context(rng, pairs, n, dishonest)[0]
+              for pairs, n in ((2, 2), (2, 3), (2, 4), (3, 2)) for dishonest in (False, True)]
+    texts += [recursive_pair_context(rng, 2, n) for n in (2, 3)]
+    texts += [broker_context(rng, k, agree) for k in (3, 4) for agree in (False, True)]
+    mutants = [m for text in texts + named for m in single_edit_mutants(rng, text, 4)]
+    systems = [_pool_variable_context(), *map(parse_system, named)]
+    for text in texts + mutants:
+        try:
+            systems.append(parse_system(text))
+        except ParseError:
+            continue
+    assert len(systems) > len(texts) + 20
+    assert sum(map(_outside_steps_leave_the_group_alone, systems)) > 1_000
 
 
 # -- the four system classes as the frozen dataclasses they were before they
