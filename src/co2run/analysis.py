@@ -13,18 +13,18 @@ Readiness reads only the checked participant's process and sessions, so
 honesty fires only the steps of its `_group`; the others stay idle. Every
 state a readiness question reaches is reachable from the context, so one
 `StateGraph` per search serves both: it expands each state once, stops
-expanding at its bound, and keeps each solved weak ready set, solved one
-strongly connected component at a time, successors first (Tarjan's `_sccs`,
-its recursion run on `contracts.descend`). Nothing is cached between searches.
+expanding at its bound, and keeps each weak ready set it solves, a least
+fixpoint in which what a state offers flows back to its predecessors
+(Kildall's worklist, POPL 1973). Nothing is cached between searches.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, TypeVar
+from typing import Optional
 
 from .contracts import contract_ready_sets, enabled_moves, is_part_name, is_terminated
-from .contracts import End, descend, head_normal, orphan_messages
+from .contracts import End, head_normal, orphan_messages
 from .runtime import (
     Co2System,
     PDo,
@@ -37,9 +37,6 @@ from .runtime import (
     proc_items,
     system_digest,
 )
-
-N = TypeVar("N")
-
 
 class AnalysisError(Exception):
     pass
@@ -64,7 +61,6 @@ class StateGraph:
         self.group = group
         self.edges: dict = {}  # expanded state -> its successors
         self.weak: dict = {}  # (who, session, state) -> (pairs, cut)
-        self.fired: dict = {}  # replay: (state, participant) -> steps, (state, step) -> successor
 
     def successors(self, state: Co2System) -> Optional[tuple[tuple[Co2System, StepLabel], ...]]:
         """(successor, label) of each enabled step, in `enabled_steps` order;
@@ -72,8 +68,9 @@ class StateGraph:
         out = self.edges.get(state)
         if out is None and len(self.edges) < self.bound:
             group = self.group
-            out = self.edges[state] = tuple(apply_step(state, s) for s in enabled_steps(state)
-                                            if group is None or s.actor in group)
+            actors = [None] if group is None else [a for a, _ in state.processes if a in group]
+            out = self.edges[state] = tuple(apply_step(state, s)
+                                            for a in actors for s in enabled_steps(state, a))
         return out
 
 
@@ -116,10 +113,11 @@ def weak_process_ready_set(
     """Interactions `who` can offer after steps that leave the session alone.
 
     W(s) is the immediate ready set of s united with W(s') over every step
-    s -> s' but `who`'s own actions on this session. The states not solved
-    yet are gathered, then solved one strongly connected component at a
-    time, successors first. Returns W(system) and a cut flag: whether some
-    state on the way lay beyond the graph's bound.
+    s -> s' but `who`'s own actions on this session: the least solution.
+    The unsolved states are gathered; what each offers, and whether it lies
+    beyond the graph's bound, flows back to its predecessors, a solved
+    successor joining as a final seed, until nothing grows. Returns W(system)
+    and a cut flag: whether some state on the way lay beyond the bound.
     """
     graph = StateGraph() if graph is None else graph
     solved = graph.weak
@@ -137,56 +135,25 @@ def weak_process_ready_set(
             if not (label.actor == who and label.kind == "do" and label.session == session)
         ]
         todo.extend(n for n in nexts or () if (who, session, n) not in solved)
-    local = {s: [n for n in nexts or () if n in kept] for s, nexts in kept.items()}
-    for scc in _sccs(local):
-        pairs: set[tuple[str, str]] = set()
-        cut = False
-        for state in scc:
-            pairs |= process_ready_set(state, who, session)
-            cut |= kept[state] is None
-            for n in kept[state] or ():
-                if n not in scc:
-                    more, more_cut = solved[who, session, n]
-                    pairs |= more
-                    cut |= more_cut
-        result = (frozenset(pairs), cut)
-        for state in scc:
-            solved[who, session, state] = result
+    pairs = {s: set(process_ready_set(s, who, session)) for s in kept}
+    cut = {s: nexts is None for s, nexts in kept.items()}
+    preds: dict[Co2System, list[Co2System]] = {}
+    for state, nexts in kept.items():
+        for n in nexts or ():
+            preds.setdefault(n, []).append(state)
+            if n not in kept:  # solved by an earlier question: a final seed
+                pairs[n], cut[n] = solved[who, session, n]
+    work = list(pairs)
+    while work:  # what a state gains flows back to its predecessors
+        n = work.pop()
+        for state in preds.get(n, ()):
+            if not pairs[n] <= pairs[state] or cut[n] > cut[state]:
+                pairs[state] |= pairs[n]
+                cut[state] |= cut[n]
+                work.append(state)
+    for state in kept:
+        solved[who, session, state] = (frozenset(pairs[state]), cut[state])
     return solved[who, session, system]
-
-
-def _sccs(graph: dict[N, list[N]]) -> list[set[N]]:
-    """The strongly connected components of a graph given as successor
-    lists, successors' components first: Tarjan's algorithm, its recursion
-    a generator run on `descend`."""
-    index: dict[N, int] = {}
-    low: dict[N, int] = {}
-    stack: list[N] = []
-    on_stack: set[N] = set()
-    out: list[set[N]] = []
-
-    def connect(v: N):
-        index[v] = low[v] = len(index)
-        stack.append(v)
-        on_stack.add(v)
-        for w in graph[v]:
-            if w not in index:
-                yield connect(w)
-                low[v] = min(low[v], low[w])
-            elif w in on_stack:
-                low[v] = min(low[v], index[w])
-        if low[v] == index[v]:
-            comp: set[N] = set()
-            while v not in comp:
-                w = stack.pop()
-                on_stack.discard(w)
-                comp.add(w)
-            out.append(comp)
-
-    for v in graph:
-        if v not in index:
-            descend(connect(v))
-    return out
 
 
 @dataclass(frozen=True)
@@ -339,17 +306,16 @@ def _trace_to(state: Co2System, parent: dict) -> Trace:
     return Trace(tuple(reversed(labels)), tuple(reversed(digests)), state)
 
 
-def _replay_one(graph: StateGraph, state: Co2System, label: StepLabel,
+def _replay_one(fired: dict, state: Co2System, label: StepLabel,
                 expected_digest: Optional[str], number: int) -> Co2System:
     """Fire the enabled step carrying this label, the trace's step `number`.
 
     Only the label's actor's steps of the label's kind are fired, each once
-    per state. Distinct branches can produce identical labels (two internal
-    steps, say); when a digest is recorded it picks the right one. When no
-    enabled step carries the label, the error lists the labels of every
-    enabled step.
+    per state in one replay's `fired` memo. Distinct branches can produce
+    identical labels (two internal steps, say); when a digest is recorded it
+    picks the right one. When no enabled step carries the label, the error
+    lists the labels of every enabled step.
     """
-    fired = graph.fired
     if (state, label.actor) not in fired:
         fired[state, label.actor] = enabled_steps(state, label.actor)
     candidates = []
@@ -361,7 +327,7 @@ def _replay_one(graph: StateGraph, state: Co2System, label: StepLabel,
             if produced == label:
                 candidates.append(nxt)
     if not candidates:
-        enabled = ", ".join(str(produced) for _, produced in graph.successors(state)) or "none"
+        enabled = ", ".join(str(apply_step(state, s)[1]) for s in enabled_steps(state)) or "none"
         raise ReplayError(f"step {number}: no enabled step matches {label}; enabled: {enabled}")
     for nxt in candidates:
         if expected_digest is None or system_digest(nxt) == expected_digest:
@@ -413,9 +379,9 @@ def check_trace_properties(trace_steps, digests, system: Co2System) -> PropertyR
             violations.extend(f"{at}: {v}" for v in faults[sname, t])
 
     assert_culpability(state, "initial state")
-    graph = StateGraph(len(trace_steps) + 1)  # a replayed loop revisits its states
+    fired: dict = {}  # a replayed loop revisits its states
     for i, label in enumerate(trace_steps):
-        state = _replay_one(graph, state, label, digests[i] if digests else None, i + 1)
+        state = _replay_one(fired, state, label, digests[i] if digests else None, i + 1)
         assert_culpability(state, f"step {i + 1}")
 
     live = []

@@ -132,12 +132,6 @@ GlobalType = Union[GEnd, GRecVar, GRec, GMsg, GChoice, GPar]
 GEND = GEnd()
 
 
-def gmsg(src: str, dst: str, sort: str, cont: GlobalType = GEND) -> GMsg:
-    if src == dst:
-        raise ValueError(f"self-interaction {src}->{dst}")
-    return GMsg(src, dst, sort, cont)
-
-
 def gchoice(branches: Iterable[GlobalType]) -> GlobalType:
     flat: list[GlobalType] = []
     for b in branches:

@@ -38,7 +38,6 @@ from ..runtime import (
     PTau,
     PTell,
     Par,
-    Prefix,
     Process,
     StepLabel,
     Sum,
@@ -70,10 +69,6 @@ def render_contract(c: Contract) -> str:
 
 def render_global(g: GlobalType) -> str:
     return _emit(g)
-
-
-def render_prefix(p: Prefix) -> str:
-    return _emit(p)
 
 
 def render_process(p: Process) -> str:

@@ -514,6 +514,8 @@ class _Parser:
                 frm = self.ident("participant name")
                 self.expect("->")
                 to = self.ident("participant name")
+                if (frm, to) in queues:
+                    self.fail(f"duplicate queue {frm}->{to}", i)
                 ends.append((i, frm, to))
                 self.expect(":")
                 self.expect("[")

@@ -3,16 +3,17 @@
 `execution_oracle` is the independent brute-force check of synthesis: it
 explores every bounded-queue run of the raw FIFO semantics (k-bounded runs,
 after Deniélou & Yoshida, ICALP 2013) and looks for stuck states and
-starved loops. `exculpation_within` searches for the moves by which a
-culpable participant discharges itself.
+starved loops, judging each loop by its strongly connected component
+(`_sccs`). `exculpation_within` searches for the moves by which a culpable
+participant discharges itself.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, TypeVar
 
-from co2run.analysis import _sccs, culpable
+from co2run.analysis import culpable
 from co2run.contracts import (
     ContractSystem,
     End,
@@ -20,6 +21,7 @@ from co2run.contracts import (
     RECV,
     SEND,
     contract_step,
+    descend,
     enabled_moves,
     head_normal,
     is_terminated,
@@ -30,6 +32,8 @@ ALL_RUNS_COMPLETE = "all-runs-complete"
 STUCK_CONFIG = "stuck-config"
 CYCLE_WITHOUT_PROGRESS = "cycle-without-progress"
 BUDGET_EXHAUSTED = "budget-exhausted"
+
+N = TypeVar("N")
 
 
 @dataclass(frozen=True)
@@ -45,6 +49,40 @@ def _bounded_moves(system: ContractSystem, bound: int) -> tuple[MoveLabel, ...]:
             continue
         moves.append(m)
     return tuple(moves)
+
+
+def _sccs(graph: dict[N, list[N]]) -> list[set[N]]:
+    """The strongly connected components of a graph given as successor
+    lists, successors' components first: Tarjan's algorithm, its recursion
+    a generator run on `descend`."""
+    index: dict[N, int] = {}
+    low: dict[N, int] = {}
+    stack: list[N] = []
+    on_stack: set[N] = set()
+    out: list[set[N]] = []
+
+    def connect(v: N):
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        on_stack.add(v)
+        for w in graph[v]:
+            if w not in index:
+                yield connect(w)
+                low[v] = min(low[v], low[w])
+            elif w in on_stack:
+                low[v] = min(low[v], index[w])
+        if low[v] == index[v]:
+            comp: set[N] = set()
+            while v not in comp:
+                w = stack.pop()
+                on_stack.discard(w)
+                comp.add(w)
+            out.append(comp)
+
+    for v in graph:
+        if v not in index:
+            descend(connect(v))
+    return out
 
 
 def execution_oracle(

@@ -10,7 +10,7 @@ well-formedness checks follow the front end's: `check_stipulated` refuses a
 definition's free variable is refused at its name once its body is read,
 a bad call at the call's name once every definition is known, and a
 session block's queue at its first name once the block's contracts are
-read.
+read, or at once when the block already has a queue between the same ends.
 """
 from __future__ import annotations
 
@@ -560,6 +560,8 @@ class _Parser:
                 frm = self.ident("participant name")
                 self.expect("->")
                 to = self.ident("participant name")
+                if (frm.text, to.text) in queues:
+                    self.fail(f"duplicate queue {frm.text}->{to.text}", frm.span)
                 self.expect(":")
                 self.expect("[")
                 msgs: list[str] = []

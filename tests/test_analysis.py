@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -19,10 +20,10 @@ from co2run.analysis import (
 )
 from co2run.contracts import is_terminated
 from co2run.frontend import parse_system, trace_from_jsonl, trace_to_jsonl
-from co2run.fixtures import fixture_text
+from co2run.fixtures import FIXTURES, fixture_text
 from co2run.runtime import StepLabel, apply_step, enabled_steps, normalize, run, system_digest
 
-from corpus import pair_context
+from corpus import pair_context, recursive_pair_context
 from oracle import exculpation_within
 from test_runtime import _drive, S1_PLAN, traced_contexts, walk
 
@@ -165,38 +166,76 @@ def test_weak_ready_set_monotone_in_bound():
     assert small <= big and not exhausted
 
 
-def _reach(graph, v):
-    seen, todo = {v}, [v]
+def _weak_by_reachability(graph, state, who, session):
+    """W and the cut flag by brute force: the union of the immediate ready
+    sets of every state `graph.successors` reaches from `state` by steps that
+    leave the session alone; cut when one of them lies beyond the bound."""
+    pairs, cut = set(), False
+    seen, todo = {state}, [state]
     while todo:
-        for w in graph[todo.pop()]:
-            if w not in seen:
-                seen.add(w)
-                todo.append(w)
-    return seen
+        at = todo.pop()
+        pairs |= process_ready_set(at, who, session)
+        edges = graph.successors(at)
+        cut |= edges is None
+        for nxt, label in edges or ():
+            if nxt not in seen and not (
+                    label.actor == who and label.kind == "do" and label.session == session):
+                seen.add(nxt)
+                todo.append(nxt)
+    return frozenset(pairs), cut
 
 
-def test_sccs_partition_the_nodes_into_mutually_reachable_sets_successors_first():
-    rng = random.Random(43)
-    for _ in range(400):
-        n = rng.randint(1, 14)
-        density = rng.random() * 0.35
-        graph = {v: [w for w in range(n) if rng.random() < density] for v in range(n)}
-        comps = analysis._sccs(graph)
-        assert sorted(v for c in comps for v in c) == list(range(n))
-        where = {v: i for i, c in enumerate(comps) for v in c}
-        reach = {v: _reach(graph, v) for v in graph}
-        for v in graph:
-            for w in graph:
-                assert (where[v] == where[w]) == (w in reach[v] and v in reach[w])
-            assert all(where[w] <= where[v] for w in graph[v])
+# A cycles through internal steps, offering B!a on one side of the cycle
+# and B!b on the other: every state on it must see both
+SPINNING_OFFERS = """
+participant A { tell A @x { B!a (+) B!b } . fuse . L(x) }
+def L(u) = tau . (do u B!a + tau . M(u))
+def M(u) = tau . (do u B!b + tau . L(u))
+participant B { tell A @y { A?a + A?b } . (do y A?a + do y A?b) }
+"""
 
 
-def test_sccs_of_a_ten_thousand_node_cycle_and_path():
-    """At the default recursion limit: the recursion runs on `descend`."""
-    n = 10_000
-    assert analysis._sccs({v: [(v + 1) % n] for v in range(n)}) == [set(range(n))]
-    path = {v: [v + 1] if v + 1 < n else [] for v in range(n)}
-    assert analysis._sccs(path) == [{v} for v in reversed(range(n))]
+def test_weak_ready_sets_and_cut_flags_agree_with_a_brute_force_union():
+    # every question on one context shares its graph, so later questions
+    # start from the sets earlier ones solved. The states are asked about in
+    # walk order; deepest first; and deepest first once the walk's states
+    # are expanded, so that an expanded state meets a successor solved with
+    # a cut, as in the honesty search. Each set a question solves on the way
+    # is checked once, and the asked state's at every question
+    rng = random.Random(29)
+    texts = [fixture_text(name) for name in FIXTURES] + [SPINNING_OFFERS]
+    texts += [pair_context(rng, pairs, n, dishonest)[0]
+              for pairs, n in ((1, 3), (2, 3), (2, 4)) for dishonest in (False, True)]
+    texts += [recursive_pair_context(rng, pairs, n) for pairs, n in ((1, 2), (2, 3))]
+    asked = cut = 0
+    for text in texts:
+        state = normalize(parse_system(text))
+        states = [state]
+        for _ in range(12):
+            steps = enabled_steps(state)
+            if not steps:
+                break
+            state, _ = apply_step(state, rng.choice(steps))
+            states.append(state)
+        for bound, (order, expand) in itertools.product(
+                (1, 3, 10, 100, 10_000), ((1, False), (-1, False), (-1, True))):
+            graph = StateGraph(bound)
+            for state in states if expand else ():
+                graph.successors(state)
+            for state in states[::order]:
+                for sname, t in state.sessions:
+                    for who in t.participants:
+                        before = graph.weak.keys() - {(who, sname, state)}
+                        weak_process_ready_set(state, who, sname, graph)
+                        expanded = len(graph.edges)
+                        for key in graph.weak.keys() - before:
+                            got = graph.weak[key]
+                            assert got == _weak_by_reachability(graph, key[2], *key[:2]), (
+                                text, bound, key[:2])
+                            asked += 1
+                            cut += got[1]
+                        assert len(graph.edges) == expanded  # the question expanded all it reaches
+    assert asked > 1_000 and 100 < cut < asked
 
 
 def test_ready_vacuous_for_finished_contract():
@@ -240,9 +279,9 @@ def test_buggy_buyer_is_dishonest():
     )
     # the witness replays to a state where B1 is culpable
     state = normalize(_load("store_s1.co2"))
-    graph = StateGraph()
+    fired = {}
     for i, label in enumerate(verdict.witness.steps):
-        state = _replay_one(graph, state, label, None, i + 1)
+        state = _replay_one(fired, state, label, None, i + 1)
     assert culpable(state, report.session) == frozenset(["B1"])
     v, _ = ready(state, "B1")
     assert v is False
@@ -290,7 +329,8 @@ def test_group_honesty_example():
 
 def _count_expansions(monkeypatch) -> list:
     """The (state, participant) pairs `analysis` asks `enabled_steps` about,
-    in order; the participant is None when every participant's steps are asked for."""
+    in order. Honesty and replay name one participant per call; the
+    participant is None when every participant's steps are asked for."""
     calls = []
 
     def counted(state, participant=None):
@@ -332,14 +372,23 @@ def test_honest_pairs_progress_and_a_dishonest_twin_is_blamed():
 def test_honesty_expands_each_state_once_and_at_most_the_bound(monkeypatch):
     calls = _count_expansions(monkeypatch)
     system = _load("store_s12.co2")
+    group = analysis._group(normalize(system), "B2")
     for bound in (1, 10, 50, 10_000):
         calls.clear()
         verdict = check_honesty(system, "B2", state_bound=bound)
-        assert len(calls) == len(set(calls)) <= bound
+        # each (state, member) pair once, and members only
+        assert len(calls) == len(set(calls))
+        assert all(who in group for _, who in calls)
+        assert len({state for state, _ in calls}) <= bound
         assert verdict.states_explored <= bound
     # the complete search expands each of the 118 reachable states once
-    assert len(calls) == verdict.states_explored == 118
+    assert len({state for state, _ in calls}) == verdict.states_explored == 118
     assert verdict.unknown_states == 0
+    # of two pairs, only the checked one is ever asked for steps
+    text, who = pair_context(random.Random(0), 2, 3, False)
+    calls.clear()
+    check_honesty(parse_system(text), who)
+    assert {p for _, p in calls} == {"A0", "B0"}
 
 
 def test_replay_expands_each_revisited_state_once(monkeypatch):
@@ -394,11 +443,11 @@ def test_stuck_trace_reports_progress_violation():
 
 def test_label_directed_replay_picks_the_first_matching_successor():
     for name, system, trace in traced_contexts():
-        graph, blind = StateGraph(), StateGraph()  # blind: replay without digests
+        fired, blind = {}, {}  # blind: replay without digests
         for i, (state, label, nxt) in enumerate(walk(system, trace)):
             successors = StateGraph().successors(state)
             digest = trace.digests[i]
-            assert _replay_one(graph, state, label, digest, i + 1) == nxt == next(
+            assert _replay_one(fired, state, label, digest, i + 1) == nxt == next(
                 n for n, produced in successors if produced == label and system_digest(n) == digest
             ), (name, i)
             assert _replay_one(blind, state, label, None, i + 1) == next(

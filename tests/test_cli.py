@@ -116,15 +116,20 @@ def test_session_block_refuses_each_contract_at_its_participant(tmp_path, capsys
 
 
 def test_session_block_refuses_a_queue_at_its_first_name(tmp_path, capsys):
-    # checked once the block's contracts are read: a queue may come first
+    # checked once the block's contracts are read: a queue may come first;
+    # a second queue between the same ends would replace the first
     f = tmp_path / "queue.co2"
-    for text, span, ends in (
-            ("session s { A: B!x  B: A?x queue A -> A : [x] }\n", "1:34-1:35", "A->A"),
-            ("session s {\n  queue A -> C : []\n  A: B!x  B: A?x }\n", "2:9-2:10", "A->C")):
+    for text, span, message in (
+            ("session s { A: B!x  B: A?x queue A -> A : [x] }\n", "1:34-1:35",
+             "queue A->A does not connect two distinct participants"),
+            ("session s {\n  queue A -> C : []\n  A: B!x  B: A?x }\n", "2:9-2:10",
+             "queue A->C does not connect two distinct participants"),
+            ("session s { A: B!x . B!y  B: A?x . A?y\n"
+             "  queue A -> B : [x]  queue A -> B : [y, x] }\n"
+             "participant B { do s A?x }\n", "2:29-2:30", "duplicate queue A->B")):
         f.write_text(text)
         assert main(["run", str(f)]) == 2
-        assert capsys.readouterr().err == (
-            f"{f}:{span}: error: queue {ends} does not connect two distinct participants\n")
+        assert capsys.readouterr().err == f"{f}:{span}: error: {message}\n"
 
 
 def test_honesty_violation(tmp_path, capsys):

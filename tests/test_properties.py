@@ -86,7 +86,7 @@ from co2run.frontend import (  # noqa: E402
     render_system,
 )
 from co2run.frontend import lex  # noqa: E402
-from co2run.frontend.emit import _dangling_rec, render_prefix  # noqa: E402
+from co2run.frontend.emit import _dangling_rec  # noqa: E402
 from co2run.runtime import (  # noqa: E402
     DEFAULT_POLICY,
     NIL,
@@ -852,15 +852,16 @@ def render_process_walker(p: Process) -> str:
     if isinstance(p, Sum):
         parts = []
         for prefix, cont in p.branches:
+            head = render_process(Sum(((prefix, NIL),)))
             if isinstance(cont, PNil):
-                parts.append(render_prefix(prefix))
+                parts.append(head)
             else:
                 tail = render_process_walker(cont)
                 if isinstance(cont, Sum) and len(cont.branches) > 1:
                     tail = f"({tail})"
                 elif isinstance(cont, Par):
                     tail = f"({tail})"
-                parts.append(f"{render_prefix(prefix)} . {tail}")
+                parts.append(f"{head} . {tail}")
         return " + ".join(parts)
     if isinstance(p, Par):
         bits = []

@@ -18,7 +18,7 @@ from co2run.synthesis import (
 )
 
 from corpus import corpus_system
-from oracle import ALL_RUNS_COMPLETE, CYCLE_WITHOUT_PROGRESS, STUCK_CONFIG, execution_oracle
+from oracle import ALL_RUNS_COMPLETE, CYCLE_WITHOUT_PROGRESS, STUCK_CONFIG, _sccs, execution_oracle
 from test_choreo import G_STORE2_TEXT, G_STORE3_TEXT
 
 
@@ -223,6 +223,40 @@ def test_oracle_accepts_late_join_of_finished_participant():
     result = synthesize(t)
     assert result.ok
     assert project(result.global_type, "C") == parse_contract("B?p")
+
+
+def _reach(graph, v):
+    seen, todo = {v}, [v]
+    while todo:
+        for w in graph[todo.pop()]:
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return seen
+
+
+def test_sccs_partition_the_nodes_into_mutually_reachable_sets_successors_first():
+    rng = random.Random(43)
+    for _ in range(400):
+        n = rng.randint(1, 14)
+        density = rng.random() * 0.35
+        graph = {v: [w for w in range(n) if rng.random() < density] for v in range(n)}
+        comps = _sccs(graph)
+        assert sorted(v for c in comps for v in c) == list(range(n))
+        where = {v: i for i, c in enumerate(comps) for v in c}
+        reach = {v: _reach(graph, v) for v in graph}
+        for v in graph:
+            for w in graph:
+                assert (where[v] == where[w]) == (w in reach[v] and v in reach[w])
+            assert all(where[w] <= where[v] for w in graph[v])
+
+
+def test_sccs_of_a_ten_thousand_node_cycle_and_path():
+    """At the default recursion limit: the recursion runs on `descend`."""
+    n = 10_000
+    assert _sccs({v: [(v + 1) % n] for v in range(n)}) == [set(range(n))]
+    path = {v: [v + 1] if v + 1 < n else [] for v in range(n)}
+    assert _sccs(path) == [{v} for v in reversed(range(n))]
 
 
 def test_synthesize_returns_canonical_global_types():
