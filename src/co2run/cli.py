@@ -23,6 +23,7 @@ from .contracts import is_terminated, make_system
 from .frontend import (
     ParseError,
     global_to_json,
+    json_text,
     parse_named_contracts,
     parse_system,
     render_contract,
@@ -99,8 +100,8 @@ def cmd_synth(args) -> int:
     if result.ok:
         g = result.global_type
         if args.format == "json":
-            _emit(json.dumps({"globalType": global_to_json(g), "text": render_global(g)},
-                             sort_keys=True, indent=2), args.output)
+            _emit(json_text({"globalType": global_to_json(g), "text": render_global(g)}),
+                  args.output)
         else:
             _emit(render_global(g), args.output)
         return EXIT_OK
@@ -109,11 +110,11 @@ def cmd_synth(args) -> int:
         for name, c in result.config:
             lines.append(f"  {name}: {render_contract(c)}")
     if args.format == "json":
-        _emit(json.dumps({
+        _emit(json_text({
             "failure": result.reason,
             "detail": result.detail,
             "config": {n: render_contract(c) for n, c in (result.config or ())},
-        }, sort_keys=True, indent=2), args.output)
+        }), args.output)
     else:
         _emit("\n".join(lines), args.output)
     return EXIT_NO_AGREEMENT

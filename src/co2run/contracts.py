@@ -17,11 +17,11 @@ nodes of `runtime`) are hash-consed:
   * every node carries values computed once, from its children's values,
     when it is built: its hash, `mentioned_participants` (every peer
     reference, names and variables), `free_participant_vars`,
-    `free_rec_vars` and `is_guarded`; a `Rec` also memoises its one-step
-    unfolding. Global-type nodes carry `participants`, `has_recursion`,
-    `has_end`, their first interaction layer and, on a choice, the
-    `decider`; prefix and process nodes carry `names` and their free
-    session and participant variables;
+    `free_rec_vars`, `has_recursion` (a recursion variable occurs) and
+    `is_guarded`; a `Rec` also memoises its one-step unfolding. Global-type
+    nodes carry `participants`, `has_recursion`, `has_end`, their first
+    interaction layer and, on a choice, the `decider`; prefix and process
+    nodes carry `names` and their free session and participant variables;
   * every node caches its `repr` on first use, built from its children's
     and byte-identical to a plain dataclass's repr, so a repr-based digest
     formats only the nodes that are new;
@@ -282,18 +282,20 @@ class _Contract(Interned):
         "mentioned_participants",
         "free_participant_vars",
         "free_rec_vars",
+        "has_recursion",
         "is_guarded",
         "_head_vars",  # free recursion variables not under a prefix
     )
 
     def _derive_choice(self, peers: Iterable[str], conts: Iterable["Contract"]) -> None:
         mentioned = part_vars = rec_vars = _NONE
-        guarded = True
+        guarded, recursive = True, False
         for c in conts:
             mentioned = frozen_union(mentioned, c.mentioned_participants)
             part_vars = frozen_union(part_vars, c.free_participant_vars)
             rec_vars = frozen_union(rec_vars, c.free_rec_vars)
             guarded = guarded and c.is_guarded
+            recursive = recursive or c.has_recursion
         for p in peers:
             if p not in mentioned:
                 mentioned = mentioned | {p}
@@ -302,6 +304,7 @@ class _Contract(Interned):
         _set(self, "mentioned_participants", mentioned)
         _set(self, "free_participant_vars", part_vars)
         _set(self, "free_rec_vars", rec_vars)
+        _set(self, "has_recursion", recursive)
         _set(self, "is_guarded", guarded)
         _set(self, "_head_vars", _NONE)
 
@@ -321,6 +324,7 @@ class RecVar(_Contract):
         self._derive_choice((), ())
         free = frozenset([self.var])
         _set(self, "free_rec_vars", free)
+        _set(self, "has_recursion", True)
         _set(self, "_head_vars", free)
 
 
@@ -334,6 +338,7 @@ class Rec(_Contract):
         _set(self, "mentioned_participants", body.mentioned_participants)
         _set(self, "free_participant_vars", body.free_participant_vars)
         _set(self, "free_rec_vars", body.free_rec_vars - {var})
+        _set(self, "has_recursion", body.has_recursion)
         _set(self, "_head_vars", body._head_vars - {var})
         # guarded iff the body is and does not reach this binder prefix-free
         _set(self, "is_guarded", body.is_guarded and var not in body._head_vars)

@@ -8,6 +8,7 @@ from .parse import (
 from .emit import (
     global_from_json,
     global_to_json,
+    json_text,
     render_contract,
     render_global,
     render_process,
@@ -25,6 +26,7 @@ __all__ = [
     "parse_system",
     "global_from_json",
     "global_to_json",
+    "json_text",
     "render_contract",
     "render_global",
     "render_process",

@@ -185,6 +185,33 @@ def _json_step(n: GlobalType, got):
     return {"kind": kind, "branches": (yield from each(got, n.branches))}
 
 
+def json_text(value) -> str:
+    """`json.dumps(value, sort_keys=True, indent=2)` for dicts with string
+    keys, lists, tuples and scalars, written off an explicit stack as `_emit`
+    writes text, so no nesting is too deep for it. Keys and scalars go
+    through `json.dumps`, so they are escaped as it escapes them."""
+    out, stack = [], [(value, "\n")]  # text, or a value and the break before its lines
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+        elif item[0] and isinstance(item[0], (dict, list, tuple)):
+            v, newline = item
+            inner = newline + "  "
+            if isinstance(v, dict):
+                brackets = "{}"
+                entries = [(f"{inner}{json.dumps(k)}: ", x) for k, x in sorted(v.items())]
+            else:
+                brackets, entries = "[]", [(inner, x) for x in v]
+            pieces = []
+            for i, (head, x) in enumerate(entries):
+                pieces += [("," if i else brackets[0]) + head, (x, inner)]
+            stack += [newline + brackets[1], *reversed(pieces)]
+        else:
+            out.append(json.dumps(item[0]))
+    return "".join(out)
+
+
 def global_from_json(data: dict) -> GlobalType:
     return descend(_from_json(data))
 

@@ -10,6 +10,13 @@ steps (one buffered message at a time), recording the interaction structure:
   * a participant whose internal choice is fully matched by the head of the
     corresponding receiver decides a choice in the global type.
 
+Each configuration whose live contracts hold no recursion variable is
+derived once per call: each step shrinks such a contract, so its derivation
+meets no binder of the path and is the same on every path that reaches it,
+and a choice whose branches rejoin reuses the shared tail. The
+`max_configs` bound still counts every configuration the unmemoized descent
+visits: a reuse is charged what the first derivation was.
+
 A configuration with an unmatched send branch, or with waiting participants
 and nobody able to move, has no choreography. Whatever the descent produces
 must finally project back onto the original contracts (extra, never-used
@@ -184,12 +191,19 @@ def answered(name: str, head: Contract, actions: Mapping[str, tuple]) -> bool:
 
 
 def synthesize(system: ContractSystem, max_configs: int = 10_000) -> SynthResult:
-    """Derive a canonical global type for the system, or explain why not."""
+    """Derive a canonical global type for the system, or explain why not.
+
+    Each recursion-free configuration is derived once; `max_configs` still
+    counts every configuration the unmemoized descent visits, so a spent
+    bound fails (UNBOUNDED) where and as that descent fails."""
     for frm, to, msgs in system.queues:
         if msgs:
             raise ContractError(f"synthesis needs empty queues; {frm}->{to} holds {msgs}")
     budget = [max_configs]
     fresh = [0]
+    # a recursion-free configuration -> its global type and the configurations
+    # its derivation charged to the budget
+    derived: dict[Config, tuple[GlobalType, int]] = {}
 
     def norm(config: Config) -> Config:
         return tuple((n, head_normal(c)) for n, c in config)
@@ -203,6 +217,14 @@ def synthesize(system: ContractSystem, max_configs: int = 10_000) -> SynthResult
         if key in env:
             used.add(env[key])
             return GRecVar(env[key])
+        # each step shrinks a recursion-free contract, so such a configuration
+        # meets no binder of the path: its derivation is the same on every path
+        memo = not any(c.has_recursion for _, c in key)
+        hit = derived.get(key) if memo else None
+        if hit is not None and hit[1] <= budget[0]:  # else derive it: the bound fails as before
+            budget[0] -= hit[1]
+            return hit[0]
+        before = budget[0]
         budget[0] -= 1
         if budget[0] < 0:
             raise _Fail(UNBOUNDED, f"more than {max_configs} configurations", config)
@@ -211,8 +233,14 @@ def synthesize(system: ContractSystem, max_configs: int = 10_000) -> SynthResult
             parts = []
             for comp in comps:
                 parts.append((yield go(comp, {}, used)))
-            return gpar(parts)
+            g = gpar(parts)
+        else:
+            g = yield interact(key, env, used)
+        if memo:
+            derived[key] = (g, before - budget[0])
+        return g
 
+    def interact(key: Config, env: dict[Config, str], used: set[str]):
         var = f"x{fresh[0]}"
         fresh[0] += 1
         env[key] = var  # the path's binders: added here, removed on the way back

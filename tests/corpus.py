@@ -7,7 +7,8 @@ choreographies (compliant by construction), raw random contract systems
 fixed seed reproduces the corpus exactly. `pair_context` writes CO2
 contexts whose honesty verdict is known from how they were built,
 `recursive_pair_context` CO2 contexts that run forever through calls, and
-`broker_context` contexts heavy in `tell` and `fuse`.
+`broker_context` contexts heavy in `tell` and `fuse`. `rejoining_system`
+builds contracts whose choices rejoin, for the synthesis memo.
 `single_edit_mutants` edits a text in one place, for differential and
 robustness tests over near-miss inputs.
 `reference_repr` recomputes the repr the term nodes and system values
@@ -38,7 +39,9 @@ from co2run.contracts import (
     RecVar,
     RecvChoice,
     SendChoice,
+    recv,
     recv_choice,
+    send,
     send_choice,
 )
 from co2run.frontend import Diagnostic, ParseError, parse_contract
@@ -208,6 +211,43 @@ def projected_system(rng: random.Random) -> dict[str, Contract]:
         except (ContractError, ProjectionError):
             continue
     return {"A": send_choice([("B", "p", END)]), "B": recv_choice("A", [("p", END)])}
+
+
+def rejoining_system(rng: random.Random, blocks: int, poison: bool = False) -> dict[str, Contract]:
+    """Contracts of 2-4 parties that run `blocks` blocks in order, each a
+    message or a choice whose two branches (one private message each) both
+    go on with the later blocks, so several paths reach one configuration.
+    A choice may have two more branches into a loop of its two parties, one
+    at the loop's start and one in its middle: the loop's middle is reached
+    on a path that closes the loop above it and on one that does not. With
+    `poison`, one block's send carries a sort its receiver does not offer:
+    on every path through a message, in one branch of a choice."""
+    names = [f"R{i}" for i in range(rng.randint(2, 4))]
+    conts = {n: END for n in names}
+    poisoned = rng.randrange(blocks) if poison else None
+    for i in reversed(range(blocks)):
+        a, b = rng.sample(names, 2)
+        if rng.random() < 0.4:
+            sort = rng.choice(SORTS)
+            conts[a] = send(b, "z" if i == poisoned else sort, conts[a])
+            conts[b] = recv(a, sort, conts[b])
+            continue
+        sends, recvs = [], []
+        for sort in SORTS:
+            x, y = rng.sample((a, b), 2)
+            private = rng.choice(SORTS)
+            own = {a: conts[a], b: conts[b]}
+            own[x] = send(y, "z" if i == poisoned and not sends else private, own[x])
+            own[y] = recv(x, private, own[y])
+            sends.append((b, sort, own[a]))
+            recvs.append((sort, own[b]))
+        if rng.random() < 0.25:  # a loop of two messages, entered at its start and its middle
+            loop_a = Rec("t", send(b, "p", send(b, "q", RecVar("t"))))
+            loop_b = Rec("t", recv(a, "p", recv(a, "q", RecVar("t"))))
+            sends += [(b, "loop", loop_a), (b, "mid", send(b, "q", loop_a))]
+            recvs += [("loop", loop_b), ("mid", recv(a, "q", loop_b))]
+        conts[a], conts[b] = send_choice(sends), recv_choice(a, recvs)
+    return conts
 
 
 # --------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import json
+import json.scanner
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from random import Random
 
@@ -9,9 +11,19 @@ import pytest
 
 import co2run
 from co2run.cli import main
-from co2run.fixtures import fixture_path
-from co2run.frontend import parse_global, trace_from_jsonl
-from corpus import pair_context
+from co2run.contracts import make_system
+from co2run.fixtures import CONTRACT_FILES, fixture_path, fixture_text
+from co2run.frontend import (
+    global_to_json,
+    json_text,
+    parse_global,
+    parse_named_contracts,
+    render_contract,
+    render_global,
+    trace_from_jsonl,
+)
+from co2run.synthesis import synthesize
+from corpus import pair_context, random_global
 
 
 TRIO = str(fixture_path("store_trio.ctr"))
@@ -51,6 +63,71 @@ def test_synth_json_output_stable(capsys):
     assert first == second
     data = json.loads(first)
     assert data["globalType"]["kind"] == "msg"
+
+
+def _dumps(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("name", CONTRACT_FILES)
+@pytest.mark.parametrize("bound", [1, 10_000])
+def test_synth_json_is_what_json_dumps_writes(name, bound, capsys):
+    code = main(["synth", str(fixture_path(name)), "--format", "json", "--max-configs", str(bound)])
+    result = synthesize(make_system(parse_named_contracts(fixture_text(name))), bound)
+    if result.ok:
+        g = result.global_type
+        payload = {"globalType": global_to_json(g), "text": render_global(g)}
+    else:
+        payload = {"failure": result.reason, "detail": result.detail,
+                   "config": {n: render_contract(c) for n, c in result.config}}
+    assert code == (0 if result.ok else 1)
+    assert capsys.readouterr().out == _dumps(payload) + "\n"
+
+
+def test_json_text_is_what_json_dumps_writes_on_corpus_global_types():
+    rng = Random(3)
+    for _ in range(300):
+        g = random_global(rng)
+        payload = {"globalType": global_to_json(g), "text": render_global(g), "a\u00e9": [(), {}]}
+        assert json_text(payload) == _dumps(payload)
+
+
+class DeepDecoder(json.JSONDecoder):
+    """The standard decoder on its pure-Python scanner. From Python 3.12 on
+    the C scanner's nesting limit is fixed; this one recurses in Python, so
+    the recursion limit bounds it."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.scan_once = json.scanner.py_make_scanner(self)
+
+
+def _loads_deep(text: str):
+    """`json.loads` of a text nested a few thousand levels deep: two frames
+    a level, in a thread with the stack for them."""
+    got, limit, size = [], sys.getrecursionlimit(), threading.stack_size(256 << 20)
+    sys.setrecursionlimit(limit + 2 * text.count("{"))
+    try:
+        reader = threading.Thread(target=lambda: got.append(json.loads(text, cls=DeepDecoder)))
+        reader.start()
+        reader.join(timeout=60)
+        assert not reader.is_alive()
+    finally:
+        threading.stack_size(size)
+        sys.setrecursionlimit(limit)
+    return got[0]
+
+
+def test_synth_json_of_a_two_thousand_message_pair(tmp_path, capsys):
+    """Deeper than the `json` encoder's nesting limit: the report is written
+    off an explicit stack, and reads back as the text form."""
+    n = 2_000
+    path = tmp_path / "pair.ctr"
+    path.write_text(f"A: {' . '.join(['B!a'] * n)}\nB: {' . '.join(['A?a'] * n)}\n")
+    assert main(["synth", str(path)]) == 0
+    text = capsys.readouterr().out
+    assert main(["synth", str(path), "--format", "json"]) == 0
+    assert _loads_deep(capsys.readouterr().out)["text"] + "\n" == text
 
 
 def test_run_writes_trace_and_summary(tmp_path, capsys):

@@ -3,8 +3,9 @@ the parsers against the renderer, the former regex `.ctr` reader and the
 former tokenizer and parser (`parse_oracle`), the parser's fuse policy,
 `canonicalize` and the renderers against the walkers they replaced, the
 move relation and ready sets against the former `enabled_moves`,
-`contract_step` and `contract_ready_sets`, and the honesty search against
-the former one, which ran a readiness search per state."""
+`contract_step` and `contract_ready_sets`, the honesty search against
+the former one, which ran a readiness search per state, and synthesis
+against the execution oracle."""
 import copy
 import itertools
 import pickle
@@ -115,6 +116,8 @@ from corpus import SORTS as CORPUS_SORTS  # noqa: E402
 from corpus import corpus_system, pair_context, random_global, reference_repr  # noqa: E402
 from corpus import broker_context, recursive_pair_context  # noqa: E402
 from corpus import random_contract, regex_named_contracts, single_edit_mutants  # noqa: E402
+from corpus import random_raw_system  # noqa: E402
+from oracle import ALL_RUNS_COMPLETE, execution_oracle  # noqa: E402
 import parse_oracle  # noqa: E402
 from walk_oracle import _struct_key  # noqa: E402
 
@@ -285,6 +288,10 @@ def ref_free_rec(c):
     if isinstance(c, Rec):
         return ref_free_rec(c.body) - {c.var}
     return frozenset().union(*(ref_free_rec(k) for k in _children(c)))
+
+
+def ref_has_recursion(c):
+    return isinstance(c, RecVar) or any(map(ref_has_recursion, _children(c)))
 
 
 def ref_guarded(c, pending=frozenset()):
@@ -609,6 +616,7 @@ def test_cached_contract_values_match_the_walkers(c):
     assert c.mentioned_participants == ref_mentioned(c)
     assert c.free_participant_vars == ref_part_vars(c)
     assert c.free_rec_vars == ref_free_rec(c)
+    assert c.has_recursion == ref_has_recursion(c)
     assert c.is_guarded == ref_guarded(c)
     assert hash(c) == ref_hash(c)
 
@@ -1749,6 +1757,60 @@ def test_every_code_point_tokenizes_as_by_the_oracle():
     for c in chars:
         for text in (c, "a" + c, c + "a", "1" + c, c + "1", "a" + c + "b"):
             assert new_tokens(text) == oracle_tokens(text), text
+
+
+# -- synthesis against the execution oracle -------------------------------------
+
+CROSS_SEND = "cross-send"
+SEND_PERMUTATION = "send-permutation choice"
+
+
+def converse_boundary(result: synthesis.SynthResult) -> Optional[str]:
+    """The named boundary a failed synthesis lies on, or None. A cross-send:
+    stuck where two participants each head a send to the other, which queues
+    absorb. A send-permutation choice: a race where the racing sender's
+    choice sends to two peers or more, in an order no global type can fix."""
+    heads = dict(result.config or ())
+    targets = {n: {b[0] for b in c.branches} for n, c in heads.items()
+               if isinstance(c, SendChoice)}
+    if result.reason == synthesis.STUCK and any(
+            n in targets.get(peer, ()) for n, peers in targets.items() for peer in peers):
+        return CROSS_SEND
+    if result.reason == synthesis.MIXED_RACE:
+        racer = synthesis._senders(heads)[1][0][0]
+        if len(targets[racer]) > 1:
+            return SEND_PERMUTATION
+    return None
+
+
+@pytest.mark.parametrize("text, boundary", [
+    ("A: B!p . B?q\nB: A!q . A?p", CROSS_SEND),
+    ("A: B!p . C!q (+) C!q . B!p\nB: A?p . C!p\nC: B?p . A?q", SEND_PERMUTATION),
+    ("A: B!p\nB: A?q", None),
+    ("A: B!p . C!q (+) B!q\nB: A?p . C!p\nC: A?q", None),
+])
+def test_converse_boundaries_name_the_pinned_misses_and_nothing_else(text, boundary):
+    system = make_system(parse_named_contracts(text))
+    result = synthesis.synthesize(system)
+    assert not result.ok and converse_boundary(result) == boundary
+    complete = execution_oracle(system, 1).kind == ALL_RUNS_COMPLETE
+    assert complete == (boundary is not None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 3))
+def test_synthesis_is_sound_and_its_misses_lie_on_named_boundaries(rng, buffer_bound):
+    """A choreography means every run completes. A system whose every run
+    completes but that has no choreography must lie on a named boundary;
+    any other such miss is a defect, to be reported and kept as a regression."""
+    contracts = random_raw_system(rng)
+    system = make_system(contracts)
+    result = synthesis.synthesize(system)
+    complete = execution_oracle(system, buffer_bound).kind == ALL_RUNS_COMPLETE
+    if result.ok:
+        assert complete, contracts
+    elif complete:
+        assert converse_boundary(result) is not None, (contracts, result)
 
 
 def _chain_length(node) -> int:

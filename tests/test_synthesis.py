@@ -3,13 +3,24 @@ import random
 import pytest
 
 from co2run.choreo import canonicalize, project, well_formed
-from co2run.contracts import ContractError, END, head_normal, make_system, recv, send
+from co2run.contracts import (
+    END,
+    ContractError,
+    head_normal,
+    make_system,
+    recv,
+    recv_choice,
+    send,
+    send_choice,
+)
 from co2run.frontend import parse_contract, parse_global, parse_named_contracts
 from co2run.fixtures import fixture_text
+from co2run import synthesis
 from co2run.synthesis import (
     MIXED_RACE,
     NOT_PROJECTABLE,
     STUCK,
+    UNBOUNDED,
     answered,
     can_start,
     peer_actions,
@@ -190,6 +201,38 @@ def test_budget_exhaustion_is_reported_distinctly():
     assert not r.ok and r.reason == "unbounded"
     o = execution_oracle(t, 1, max_configs=2)
     assert o.kind == "budget-exhausted"
+
+
+def _rejoining_choices(k: int) -> dict:
+    """A picks l or r k times; each branch sends one private message and both
+    go on with the next choice, so 2^i paths reach the i-th one."""
+    a, b = END, END
+    for _ in range(k):
+        a = send_choice([("B", "l", send("B", "x", a)), ("B", "r", recv("B", "y", a))])
+        b = recv_choice("A", [("l", recv("A", "x", b)), ("r", send("A", "y", b))])
+    return {"A": a, "B": b}
+
+
+def test_rejoining_choices_derive_each_configuration_once(monkeypatch):
+    k = 10
+    system = make_system(_rejoining_choices(k))
+    derived = []
+
+    def components(config):
+        derived.append(config)
+        return split(config)
+
+    split = synthesis._components
+    monkeypatch.setattr(synthesis, "_components", components)
+    assert synthesize(system).ok
+    # a choice, and after each of its branches the private message: 3 per choice
+    assert len(derived) == len(set(derived)) == 3 * k
+    # the bound still counts every configuration of the unmemoized descent,
+    # 3 + 2 * (the next choice's count) per choice
+    visited = 3 * (2 ** k - 1)
+    assert synthesize(system, max_configs=visited).ok
+    spent = synthesize(system, max_configs=visited - 1)
+    assert spent.reason == UNBOUNDED and spent.detail == f"more than {visited - 1} configurations"
 
 
 def test_oracle_verdicts():

@@ -13,7 +13,7 @@ import weakref
 import pytest
 
 import walk_oracle as oracle
-from co2run import choreo, contracts, runtime
+from co2run import choreo, contracts, runtime, synthesis
 from co2run.choreo import (
     GEND,
     GChoice,
@@ -58,6 +58,7 @@ from corpus import (
     random_raw_system,
     recursive_pair_context,
     reference_repr,
+    rejoining_system,
     single_edit_mutants,
 )
 
@@ -225,6 +226,38 @@ def test_synthesis_and_projection_matching_agree_with_the_oracle():
         for (a, ca), (b, cb) in zip(system.contracts, system.contracts[1:]):
             assert projection_matches(ca, cb) == oracle.projection_matches(ca, cb)
     assert len(outcomes) >= 3
+
+
+def test_memoized_synthesis_agrees_with_the_oracle_at_every_bound(monkeypatch):
+    """`synthesize` derives each recursion-free configuration once and charges
+    a reuse what the first derivation charged; the oracle derives it on
+    every path. The whole results agree at every bound, binding or not."""
+    derived = {"memo": 0, "oracle": 0}
+
+    def counting(side, split):
+        def components(config):
+            derived[side] += 1
+            return split(config)
+        return components
+
+    monkeypatch.setattr(synthesis, "_components", counting("memo", synthesis._components))
+    monkeypatch.setattr(oracle, "_components", counting("oracle", oracle._components))
+    rng = random.Random(7)
+    outcomes: dict = {}
+    for _ in range(30):
+        for contracts in (corpus_system(rng), random_raw_system(rng), projected_system(rng),
+                          rejoining_system(rng, rng.randint(1, 8), rng.random() < 0.3)):
+            try:
+                system = make_system(contracts)
+            except ContractError:
+                continue
+            for bound in (*range(1, 81), 10_000):
+                got = synthesize(system, max_configs=bound)
+                want = oracle.synthesize(system, max_configs=bound)
+                assert got == want, (contracts, bound, got, want)
+                outcomes[want.reason] = outcomes.get(want.reason, 0) + 1
+    assert len(outcomes) == 5 and outcomes["unbounded"] > 300, outcomes
+    assert derived["memo"] < derived["oracle"] * 0.8, derived
 
 
 def test_synthesis_keeps_well_formed_types():

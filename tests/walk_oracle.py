@@ -6,6 +6,9 @@ library against. Two changes: each calls its own copies, and the copies of
 `_proc_key` and `normalize_proc` keep their results in dicts of their own,
 not in the nodes' `_sort_key` and `_normal` slots, so the library's caches
 stay the library's. A `repr` oracle is `corpus.reference_repr`.
+`synthesize` also derives a configuration again on every path that
+reaches it, so it is the differential oracle of the library's memo of
+recursion-free configurations and of how that memo charges the bound.
 """
 from __future__ import annotations
 
