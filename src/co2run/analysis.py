@@ -365,18 +365,13 @@ def check_trace_properties(trace_steps, digests, system: Co2System) -> PropertyR
     state = normalize(system)
     violations: list[str] = []
 
-    faults: dict = {}  # (session name, session value) -> its violations, less the place
-
     def assert_culpability(s: Co2System, at: str) -> None:
         for sname, t in s.sessions:
-            if (sname, t) not in faults:
-                found = faults[sname, t] = []
-                if not is_terminated(t):
-                    if not culpable(s, sname):
-                        found.append(f"session {sname} is unfinished but nobody is culpable")
-                    for frm, to, msg in orphan_messages(t):
-                        found.append(f"orphan message {frm}->{to}:{msg} in {sname}")
-            violations.extend(f"{at}: {v}" for v in faults[sname, t])
+            if not is_terminated(t):
+                if not culpable(s, sname):
+                    violations.append(f"{at}: session {sname} is unfinished but nobody is culpable")
+                for frm, to, msg in orphan_messages(t):
+                    violations.append(f"{at}: orphan message {frm}->{to}:{msg} in {sname}")
 
     assert_culpability(state, "initial state")
     fired: dict = {}  # a replayed loop revisits its states

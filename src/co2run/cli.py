@@ -2,7 +2,7 @@
 
 Exit codes are a stable contract: 0 success, 1 synthesis found no
 choreography, 2 parse errors, 3 a property or honesty violation, 4 a
-precondition failure, 5 trace replay divergence.
+precondition failure, 5 trace replay divergence, 6 an internal error.
 """
 from __future__ import annotations
 
@@ -40,6 +40,7 @@ EXIT_PARSE = 2
 EXIT_VIOLATION = 3
 EXIT_PRECONDITION = 4
 EXIT_REPLAY = 5
+EXIT_INTERNAL = 6
 
 
 def _color_enabled() -> bool:
@@ -330,7 +331,11 @@ def main(argv=None) -> int:
             args.policy = FusePolicy(args.fuse_min, args.fuse_mode, args.prefer_smallest)
         except ValueError as exc:
             parser.error(str(exc))
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except Exception as exc:  # a crash is no verdict; SystemExit and KeyboardInterrupt pass
+        print(f"internal error: {type(exc).__name__}: {exc}".splitlines()[0], file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

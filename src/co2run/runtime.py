@@ -113,15 +113,9 @@ class _Named(Interned):
         _set(self, "free_participant_vars", participant_vars)
 
     def _join(self, nodes: Sequence["_Named"]) -> None:
-        """Attach the union of the nodes' facts, reusing a node's set when
-        the others add nothing to it (`frozen_union`, inlined for speed)."""
+        """Attach the union of the nodes' facts."""
         for slot in ("names", "free_session_vars", "free_participant_vars"):
-            out = _NONE
-            for q in nodes:
-                s = getattr(q, slot)
-                if not s <= out:
-                    out = s if out <= s else out | s
-            _set(self, slot, out)
+            _set(self, slot, frozen_union(*(getattr(q, slot) for q in nodes)))
 
 
 class PTau(_Named):
@@ -248,7 +242,7 @@ class LatentContract(Frozen):
 
 
 class Co2System(Frozen):
-    __slots__ = ("processes", "pools", "sessions", "definitions", "_session_names")
+    __slots__ = ("processes", "pools", "sessions", "definitions")
     processes: tuple[tuple[str, Process], ...]
     pools: tuple[tuple[str, tuple[LatentContract, ...]], ...]
     sessions: tuple[tuple[str, ContractSystem], ...]
@@ -256,9 +250,7 @@ class Co2System(Frozen):
 
     @property
     def session_names(self) -> frozenset[str]:
-        if getattr(self, "_session_names", None) is None:  # derived once, when first asked for
-            _set(self, "_session_names", frozenset(n for n, _ in self.sessions))
-        return self._session_names
+        return frozenset(n for n, _ in self.sessions)
 
     def process(self, name: str) -> Process:
         return _lookup(self.processes, name)

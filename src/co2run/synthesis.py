@@ -87,31 +87,19 @@ class _Fail(Exception):
 
 
 def _components(config: Config) -> list[Config]:
-    """Split the live participants along the talks-to graph."""
+    """Split the live participants into the groups that talk to each other,
+    in the order of each group's first member, members in configuration order."""
     live = [(n, c) for n, c in config if not isinstance(c, End)]
-    names = [n for n, _ in live]
-    present = set(names)
-    adj: dict[str, set[str]] = {n: set() for n in names}
+    group = {n: [n] for n, _ in live}  # a participant -> its group's members
     for n, c in live:
         for peer in c.mentioned_participants:
-            if peer in present and peer != n:
-                adj[n].add(peer)
-                adj[peer].add(n)
-    seen: set[str] = set()
-    comps: list[Config] = []
-    for start in names:
-        if start in seen:
-            continue
-        stack, comp = [start], set()
-        while stack:
-            n = stack.pop()
-            if n in comp:
-                continue
-            comp.add(n)
-            stack.extend(adj[n] - comp)
-        seen |= comp
-        comps.append(tuple((n, c) for n, c in live if n in comp))
-    return comps
+            if group.get(peer, group[n]) is not group[n]:  # a live peer in another group
+                group[n] += group[peer]
+                group.update(dict.fromkeys(group[peer], group[n]))
+    comps: dict[str, list] = {}  # one member of each group -> the group's live pairs
+    for p in live:
+        comps.setdefault(group[p[0]][0], []).append(p)
+    return [tuple(comp) for comp in comps.values()]
 
 
 def _matched_branches(

@@ -483,3 +483,55 @@ def test_negative_counts_are_usage_errors(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage: co2run")
     assert f"argument {argv[-1]}: must not be negative, got -1" in err
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+@pytest.mark.parametrize("command, name", [
+    ("synth", "synthesize"),
+    ("run", "run"),
+    ("honesty", "check_honesty"),
+    ("check", "check_trace_properties"),
+])
+@pytest.mark.parametrize("exc", [RecursionError("maximum recursion depth exceeded"),
+                                 MemoryError(), ValueError("first line\nsecond line")],
+                         ids=lambda exc: type(exc).__name__)
+def test_an_unexpected_exception_exits_6_with_one_line(command, name, exc, monkeypatch,
+                                                         tmp_path, capsys):
+    """A crash is never a verdict: whatever the command raises, it exits 6
+    with `internal error: <type>: <first line of the message>` and no traceback."""
+    empty = tmp_path / "empty.trace.jsonl"
+    empty.write_text("")
+    argv = {"synth": [PAIR], "run": [S1], "honesty": [S1, "--participant", "B1"],
+            "check": [str(empty), S1]}[command]
+    monkeypatch.setattr(co2run.cli, name, _raise(exc))
+    assert main([command, *argv]) == 6
+    captured = capsys.readouterr()
+    first = str(exc).splitlines()[0] if str(exc) else ""
+    assert captured.err == f"internal error: {type(exc).__name__}: {first}\n"
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("exc", [KeyboardInterrupt(), SystemExit(3)],
+                         ids=lambda exc: type(exc).__name__)
+def test_an_interrupt_or_an_exit_passes_through_the_guard(exc, monkeypatch):
+    monkeypatch.setattr(co2run.cli, "synthesize", _raise(exc))
+    with pytest.raises(type(exc)):
+        main(["synth", PAIR])
+
+
+def test_run_trace_of_a_thousand_message_pair_is_no_crash_passing_as_a_verdict(tmp_path, capsys):
+    """A fuse report nested deeper than the standard `json` encoder allows
+    made `run --trace` exit 1, the "no choreography" code, with a traceback.
+    Now it exits 6; once traces no longer nest their global types it may
+    exit 0, but never anything else."""
+    system = tmp_path / "pair1000.co2"
+    system.write_text(pair_context(Random(0), 1, 1000, False)[0])
+    code = main(["run", str(system), "--trace", str(tmp_path / "out.trace.jsonl")])
+    err = capsys.readouterr().err
+    assert code in (0, 6), (code, err)
+    assert "Traceback" not in err

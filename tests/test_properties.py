@@ -4,10 +4,12 @@ former tokenizer and parser (`parse_oracle`), the parser's fuse policy,
 `canonicalize` and the renderers against the walkers they replaced, the
 move relation and ready sets against the former `enabled_moves`,
 `contract_step` and `contract_ready_sets`, the honesty search against
-the former one, which ran a readiness search per state, and synthesis
-against the execution oracle."""
+the former one, which ran a readiness search per state, synthesis
+against the execution oracle, and honesty, `run` and `check` against each
+other through the paper's progress theorem."""
 import copy
 import itertools
+import json
 import pickle
 import random
 import re
@@ -30,6 +32,7 @@ from co2run.analysis import (  # noqa: E402
     _group,
     _trace_to,
     check_honesty,
+    culpable,
     is_initial_for,
     process_ready_set,
     ready,
@@ -67,6 +70,7 @@ from co2run.contracts import (  # noqa: E402
     head_normal,
     is_part_name,
     is_part_var,
+    is_terminated,
     make_system,
     recv_choice,
     send_choice,
@@ -74,7 +78,7 @@ from co2run.contracts import (  # noqa: E402
     subst_rec,
     unfold,
 )
-from co2run.fixtures import FIXTURES, fixture_text  # noqa: E402
+from co2run.fixtures import FIXTURES, fixture_path, fixture_text  # noqa: E402
 from co2run.frontend import (  # noqa: E402
     ParseError,
     parse_contract,
@@ -1856,3 +1860,160 @@ def test_a_context_of_two_thousand_messages_loads_runs_and_is_checked(tmp_path, 
 def test_no_source_file_sets_the_recursion_limit():
     sources = Path(runtime.__file__).parent.rglob("*.py")
     assert [p.name for p in sources if "setrecursionlimit" in p.read_text()] == []
+
+
+# -- the paper's theorem as a cross-check of three verdicts: honesty gives
+# progress, so no honest participant is culpable where a run stops ----------
+
+THEOREM_STATE_BOUND = 3_000
+THEOREM_MAX_STEPS = 1_000
+THEOREM_SEEDS = (1, 2, 3)
+CO2_FIXTURES = [name for name in FIXTURES if name.endswith(".co2")]
+
+
+def _theorem_context(kind: str, rng: random.Random) -> str:
+    if kind == "fixture":
+        return fixture_text(rng.choice(CO2_FIXTURES))
+    if kind == "pair":
+        return pair_context(rng, rng.randint(1, 2), rng.randint(1, 5), rng.random() < 0.5)[0]
+    if kind == "recursive":
+        return recursive_pair_context(rng, rng.randint(1, 2), rng.randint(1, 3))
+    return broker_context(rng, rng.randint(3, 4), rng.random() < 0.5)
+
+
+def _honest_participants(system) -> set[str]:
+    """H: the participants whose honesty search finds no violation and leaves
+    no state unknown; a context that is not initial for one leaves it out."""
+    honest = set()
+    for who, _ in system.processes:
+        try:
+            verdict = check_honesty(system, who, THEOREM_STATE_BOUND)
+        except AnalysisError:
+            continue
+        if not verdict.violation_found and verdict.unknown_states == 0:
+            honest.add(who)
+    return honest
+
+
+def _culpable_honest_where_runs_stop(system) -> tuple[int, list]:
+    """How many of the seeded runs stop by themselves, and each (seed,
+    session, participant) where one stops with a member of H culpable in an
+    unfinished session."""
+    honest = _honest_participants(system)
+    stopped, found = 0, []
+    for seed in THEOREM_SEEDS:
+        trace = runtime.run(system, seed=seed, max_steps=THEOREM_MAX_STEPS)
+        if len(trace.steps) == THEOREM_MAX_STEPS:
+            continue  # cut, not stopped: the theorem says nothing
+        stopped += 1
+        for sname, t in trace.terminal.sessions:
+            if not is_terminated(t):
+                found += [(seed, sname, who)
+                          for who in sorted(culpable(trace.terminal, sname) & honest)]
+    return stopped, found
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(("fixture", "pair", "recursive", "broker")),
+       st.randoms(use_true_random=False), st.booleans())
+def test_no_honest_participant_is_culpable_where_a_run_stops(kind, rng, mutate):
+    """Honesty gives progress: in a run that stops by itself (fewer than
+    `max_steps` steps, so `enabled_steps` of its last state S is empty), no
+    participant p of H is culpable in an unfinished session s of S.
+
+    The argument, against the code's definitions. Let t be s's contract
+    system at S and c = t.contract(p).
+    1. `check_honesty` left no state unknown and found no violation, so it
+       expanded every state reachable from the normalized context by steps of
+       p's `_group` G, and `ready(·, p)` was True at each of them (None counts
+       as unknown, False is a violation).
+    2. Steps of participants outside G touch no member of G, and the
+       enabledness of a member's step reads only G's names (the links of
+       `_group`). Dropping the outsiders' steps from the run gives G-steps
+       enabled from the root; they reach a state S' of the search whose
+       members' processes, member hosts' pools and sessions holding members
+       are those of S, up to the fresh names a `fuse` chose. Neither
+       readiness nor culpability reads how those names are spelled.
+    3. p culpable: `next_moves(t, p)` is not empty, so `head_normal(c)` is a
+       `SendChoice` with a branch to a participant of t, or a `RecvChoice`
+       whose source's queue to p holds one of its sorts at its head.
+       Either way c is no `End`, so `contract_ready_sets(c)` is not empty,
+       and `ready` True gives a ready set X in it with X <= W, W =
+       `weak_process_ready_set(S', p, s)`.
+    4. S has no enabled step, so S' has no enabled G-step, the graph gives S'
+       no successors and W is `process_ready_set(S', p, s)`: the (peer, sort)
+       of each `do s` with a participant-name peer that heads a branch of a
+       top-level `Sum` of p's process.
+    5. A receive's X holds (q, m) for every sort m it offers, the queue's head
+       among them; a send's X is {(q, m)} for one branch. So p's process heads
+       a branch with `do s q?m` or `do s q!m`. When its direction is the
+       contract's and q is a participant of t, `_prefix_enabled` finds the
+       move in `next_moves(t, p)`: S has an enabled step, a contradiction.
+    Two cases escape the argument:
+    - a send branch to a peer outside t. Only a `session` block stipulates
+      such a contract (a fused contract's sends all appear in the
+      choreography it projects), and a participant with an unfinished
+      contract in a block is not initial, so it is not in H;
+    - a `do` whose direction is not the contract's. `process_ready_set`
+      keeps (peer, sort) and drops the direction, so honesty calls such a
+      process ready though its `do` never fires: a defect of the honesty
+      verdict, kept as the named regression below. The mutants reach it
+      only by turning one `do`'s `!` into `?` or back.
+    """
+    text = _theorem_context(kind, rng)
+    if mutate:
+        text = single_edit_mutants(rng, text, 1)[0]
+    try:
+        system = parse_system(text)
+    except ParseError:
+        return
+    _, found = _culpable_honest_where_runs_stop(system)
+    assert found == [], (text, found)
+
+
+@pytest.mark.xfail(strict=True, reason="`process_ready_set` drops a do's direction, so honesty "
+                                       "calls A0 ready for a send its process only receives")
+def test_a_do_that_receives_what_the_contract_sends_is_no_honest_participant_culpable():
+    """The single-edit mutant of a one-message `pair_context` that turns A0's
+    `do xA0 B0!` into `do xA0 B0?`. `honesty` finds A0 honest; every run
+    stops after both tells and the fuse, with A0 culpable in s1."""
+    text, _ = pair_context(random.Random(0), 1, 1, False)
+    mutant = text.replace("do xA0 B0!", "do xA0 B0?")
+    assert len(mutant) == len(text) and mutant != text
+    system = parse_system(mutant)
+    assert _honest_participants(system) == {"A0", "B0"}
+    stopped, found = _culpable_honest_where_runs_stop(system)
+    assert stopped == len(THEOREM_SEEDS)
+    assert found == []  # fails: A0 at every seed
+
+
+def test_no_honest_participant_is_culpable_where_a_run_stops_through_the_cli(tmp_path, capsys):
+    """The property's twin on the `.co2` fixtures, read off the CLI's JSON:
+    `honesty` for every participant, then `run --trace` and `check`, whose
+    culpable lists must hold no participant `honesty` found honest."""
+    stopped = honest_seen = 0
+    for name in CO2_FIXTURES:
+        path = str(fixture_path(name))
+        honest = set()
+        for who, _ in parse_system(fixture_text(name)).processes:
+            code = main(["honesty", path, "--participant", who, "--format", "json"])
+            out = capsys.readouterr().out
+            if code == 0:
+                report = json.loads(out)
+                if report["unknownStates"] == 0:
+                    honest.add(who)
+            else:
+                assert code in (3, 4), (name, who, code)
+        honest_seen += len(honest)
+        trace = str(tmp_path / f"{name}.trace.jsonl")
+        for seed in THEOREM_SEEDS:
+            argv = ["run", path, "--seed", str(seed), "--max-steps", str(THEOREM_MAX_STEPS)]
+            assert main([*argv, "--trace", trace, "--format", "json"]) == 0
+            if json.loads(capsys.readouterr().out)["steps"] == THEOREM_MAX_STEPS:
+                continue
+            stopped += 1
+            assert main(["check", trace, path, "--format", "json"]) in (0, 3)
+            live = json.loads(capsys.readouterr().out)["liveSessions"]
+            assert [(name, seed, s, who) for s, who_list in live.items()
+                    for who in who_list if who in honest] == []
+    assert stopped > 10 and honest_seen > 5, (stopped, honest_seen)

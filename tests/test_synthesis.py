@@ -213,6 +213,29 @@ def _rejoining_choices(k: int) -> dict:
     return {"A": a, "B": b}
 
 
+def test_components_merge_groups_that_a_later_participant_links():
+    """E, last, talks to A and to D: A's group and C and D's merge into one,
+    placed at its first member, members in configuration order."""
+    a, c, b = ("A", send("Z", "x")), ("C", send("D", "z")), ("B", recv("Z", "y"))
+    d, e = ("D", recv("C", "z")), ("E", send("A", "x", send("D", "y")))
+    assert synthesis._components((a, c, b, d, e)) == [(a, c, d, e), (b,)]
+    assert synthesis._components((d, e, c, b, a)) == [(d, e, c, a), (b,)]
+
+
+def test_components_drop_ended_participants():
+    a, b, c = ("A", send("B", "x")), ("B", END), ("C", recv("A", "x"))
+    assert synthesis._components((a, b, c)) == [(a, c)]
+    assert synthesis._components((a, b)) == [(a,)]
+    assert synthesis._components((b,)) == []
+
+
+def test_components_peer_outside_the_configuration_links_nothing():
+    a, c = ("A", send("Z", "x")), ("C", recv("Z", "y"))
+    assert synthesis._components((a, c)) == [(a,), (c,)]
+    b = ("B", recv("Z", "y", send("A", "w")))  # one peer outside, one inside
+    assert synthesis._components((a, b, c)) == [(a, b), (c,)]
+
+
 def test_rejoining_choices_derive_each_configuration_once(monkeypatch):
     k = 10
     system = make_system(_rejoining_choices(k))
