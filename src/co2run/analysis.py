@@ -24,10 +24,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .contracts import contract_ready_sets, enabled_moves, is_part_name, is_terminated
-from .contracts import End, head_normal, orphan_messages
+from .contracts import RECV, SEND, End, SendChoice, head_normal, orphan_messages
 from .runtime import (
     Co2System,
     PDo,
+    Revisits,
     StepLabel,
     Sum,
     Trace,
@@ -88,12 +89,17 @@ def process_ready_set(system: Co2System, who: str, session: str) -> frozenset[tu
 
     Collects the (peer, sort) of every do prefix on this session that heads
     a top-level choice branch of who's process, regardless of whether the
-    session currently permits it.
+    session currently permits it, in the direction of who's contract there:
+    sends when its head is an internal choice, receives otherwise. A ready
+    set holds only actions of that direction, so a `do` of the other one
+    never covers it.
     """
     try:
         proc = system.process(who)
+        head = head_normal(system.session(session).contract(who))
     except KeyError:
         return frozenset()
+    direction = SEND if isinstance(head, SendChoice) else RECV
     pairs: set[tuple[str, str]] = set()
     for item in proc_items(proc):
         if isinstance(item, Sum):
@@ -101,6 +107,7 @@ def process_ready_set(system: Co2System, who: str, session: str) -> frozenset[tu
                 if (
                     isinstance(prefix, PDo)
                     and prefix.session == session
+                    and prefix.dir == direction
                     and is_part_name(prefix.peer)
                 ):
                     pairs.add((prefix.peer, prefix.sort))
@@ -306,26 +313,28 @@ def _trace_to(state: Co2System, parent: dict) -> Trace:
     return Trace(tuple(reversed(labels)), tuple(reversed(digests)), state)
 
 
-def _replay_one(fired: dict, state: Co2System, label: StepLabel,
+def _replay_one(revisits: Revisits, state: Co2System, label: StepLabel,
                 expected_digest: Optional[str], number: int) -> Co2System:
     """Fire the enabled step carrying this label, the trace's step `number`.
 
-    Only the label's actor's steps of the label's kind are fired, each once
-    per state in one replay's `fired` memo. Distinct branches can produce
-    identical labels (two internal steps, say); when a digest is recorded it
-    picks the right one. When no enabled step carries the label, the error
-    lists the labels of every enabled step.
+    Only the label's actor's steps of the label's kind are fired; at a state
+    the replay reaches again, they come from its `revisits` record. Distinct
+    branches can produce identical labels (two internal steps, say); when a
+    digest is recorded it picks the right one. When no enabled step carries
+    the label, the error lists the labels of every enabled step.
     """
-    if (state, label.actor) not in fired:
-        fired[state, label.actor] = enabled_steps(state, label.actor)
+    known = revisits.record(state)  # actor -> its steps, step -> (successor, label)
+    steps = known.get(label.actor)
+    if steps is None:
+        steps = known[label.actor] = enabled_steps(state, label.actor)
     candidates = []
-    for step in fired[state, label.actor]:
+    for step in steps:
         if step.kind == label.kind:
-            if (state, step) not in fired:
-                fired[state, step] = apply_step(state, step)
-            nxt, produced = fired[state, step]
-            if produced == label:
-                candidates.append(nxt)
+            fired = known.get(step)
+            if fired is None:
+                fired = known[step] = apply_step(state, step)
+            if fired[1] == label:
+                candidates.append(fired[0])
     if not candidates:
         enabled = ", ".join(str(apply_step(state, s)[1]) for s in enabled_steps(state)) or "none"
         raise ReplayError(f"step {number}: no enabled step matches {label}; enabled: {enabled}")
@@ -374,9 +383,9 @@ def check_trace_properties(trace_steps, digests, system: Co2System) -> PropertyR
                     violations.append(f"{at}: orphan message {frm}->{to}:{msg} in {sname}")
 
     assert_culpability(state, "initial state")
-    fired: dict = {}  # a replayed loop revisits its states
+    revisits = Revisits()  # a replayed loop reaches its states again
     for i, label in enumerate(trace_steps):
-        state = _replay_one(fired, state, label, digests[i] if digests else None, i + 1)
+        state = _replay_one(revisits, state, label, digests[i] if digests else None, i + 1)
         assert_culpability(state, f"step {i + 1}")
 
     live = []

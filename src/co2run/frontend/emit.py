@@ -317,6 +317,8 @@ def trace_from_jsonl(text: str) -> tuple[tuple[StepLabel, ...], tuple[str, ...]]
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"trace line {lineno} is not valid JSON: {exc}") from exc
+        except RecursionError as exc:  # json's reader recurses once per level
+            raise ValueError(f"trace line {lineno}: nested too deeply to read: {exc}") from None
         try:
             label = _label_from_json(record)
             number = record["step"]

@@ -905,6 +905,36 @@ def touched(system: Co2System, label: StepLabel) -> Iterable[str]:
 # Scheduler
 # --------------------------------------------------------------------------
 
+class Revisits:
+    """What one walk, a `run` or a replay, derived at the states it reaches
+    more than once.
+
+    `record(state)` hands out the dict in which the walk keeps what it
+    derives at `state`. On a first visit that is a throwaway dict, and the
+    state is remembered only by its hash, cached when it was built; from the
+    second visit on it is the dict kept under the state itself. So a walk
+    that never returns keeps no state, and a looping one derives each of its
+    states at most twice. Two states sharing a hash only keep a record that
+    is not needed.
+    """
+
+    __slots__ = ("seen", "kept")
+
+    def __init__(self) -> None:
+        self.seen: set[int] = set()  # the hash of every state met
+        self.kept: dict[Co2System, dict] = {}  # state met again -> its record
+
+    def record(self, state: Co2System) -> dict:
+        h = hash(state)
+        if h not in self.seen:
+            self.seen.add(h)
+            return {}
+        got = self.kept.get(state)
+        if got is None:
+            got = self.kept[state] = {}
+        return got
+
+
 def _step_key(system: Co2System, step: Step) -> tuple:
     item = proc_items(system.process(step.actor))[step.item]
     if step.kind == "call":
@@ -927,6 +957,8 @@ def run(
     Each participant's enabled steps are kept, and after a step only those
     of the participants it `touched` are recomputed: the actor, a tell's
     target, the participants of a do's session, everyone after a fuse.
+    At a state the run reaches again, the enabled steps and the chosen
+    step's successor come from its `Revisits` record.
     """
     rng = random.Random(seed)
     state = normalize(system)
@@ -935,17 +967,26 @@ def run(
     labels: list[StepLabel] = []
     digests: list[str] = []
     stale: Iterable[str] = own  # at first, every participant
+    revisits = Revisits()
     for _ in range(max_steps):
+        known = revisits.record(state)  # actor -> its pairs, step -> (successor, label)
         for actor in stale:
             if actor in own:
-                own[actor] = [(s, _step_key(state, s)) for s in enabled_steps(state, actor)]
+                pairs = known.get(actor)
+                if pairs is None:
+                    pairs = known[actor] = [(s, _step_key(state, s))
+                                            for s in enabled_steps(state, actor)]
+                own[actor] = pairs
         keyed = [sk for pairs in own.values() for sk in pairs]
         if not keyed:
             break
         ages = {k: ages.get(k, 0) + 1 for _, k in keyed}
         pool = [sk for sk in keyed if ages[sk[1]] >= fairness_window] or keyed
         choice, chosen_key = pool[rng.randrange(len(pool))]
-        state, label = apply_step(state, choice)
+        fired = known.get(choice)
+        if fired is None:
+            fired = known[choice] = apply_step(state, choice)
+        state, label = fired
         stale = touched(state, label)
         ages.pop(chosen_key, None)
         labels.append(label)

@@ -5,10 +5,13 @@ explores every bounded-queue run of the raw FIFO semantics (k-bounded runs,
 after Deniélou & Yoshida, ICALP 2013) and looks for stuck states and
 starved loops, judging each loop by its strongly connected component
 (`_sccs`). `exculpation_within` searches for the moves by which a culpable
-participant discharges itself.
+participant discharges itself. `reference_run` is `runtime.run`'s scheduler
+with no memo: it asks every participant for its steps and fires the chosen
+one at every round.
 """
 from __future__ import annotations
 
+import random
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional, TypeVar
@@ -26,7 +29,8 @@ from co2run.contracts import (
     head_normal,
     is_terminated,
 )
-from co2run.runtime import Co2System, apply_step, enabled_steps
+from co2run.runtime import Co2System, Trace, _step_key, apply_step, enabled_steps, normalize
+from co2run.runtime import system_digest
 
 ALL_RUNS_COMPLETE = "all-runs-complete"
 STUCK_CONFIG = "stuck-config"
@@ -169,3 +173,26 @@ def exculpation_within(system: Co2System, who: str, session: str, max_moves: int
                     seen.add(nxt)
                     queue.append((nxt, moves + 1))
     return False
+
+
+def reference_run(system: Co2System, seed: int = 0, max_steps: int = 10_000,
+                  fairness_window: int = 64) -> Trace:
+    """The trace `runtime.run` must yield: the same seeded, fair choice
+    among the enabled steps, each round asking every participant for its
+    steps and firing the chosen one afresh."""
+    rng = random.Random(seed)
+    state = normalize(system)
+    ages: dict = {}
+    labels, digests = [], []
+    for _ in range(max_steps):
+        keyed = [(s, _step_key(state, s)) for s in enabled_steps(state)]
+        if not keyed:
+            break
+        ages = {k: ages.get(k, 0) + 1 for _, k in keyed}
+        pool = [sk for sk in keyed if ages[sk[1]] >= fairness_window] or keyed
+        choice, key = pool[rng.randrange(len(pool))]
+        state, label = apply_step(state, choice)
+        ages.pop(key, None)
+        labels.append(label)
+        digests.append(system_digest(state))
+    return Trace(tuple(labels), tuple(digests), state)

@@ -1,10 +1,14 @@
 import dataclasses
 import itertools
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
 
 import pytest
 
-from co2run import analysis
+from co2run import analysis, runtime
 from co2run.analysis import (
     AnalysisError,
     ReplayError,
@@ -21,7 +25,15 @@ from co2run.analysis import (
 from co2run.contracts import is_terminated
 from co2run.frontend import parse_system, trace_from_jsonl, trace_to_jsonl
 from co2run.fixtures import FIXTURES, fixture_text
-from co2run.runtime import StepLabel, apply_step, enabled_steps, normalize, run, system_digest
+from co2run.runtime import (
+    Revisits,
+    StepLabel,
+    apply_step,
+    enabled_steps,
+    normalize,
+    run,
+    system_digest,
+)
 
 from corpus import pair_context, recursive_pair_context
 from oracle import exculpation_within
@@ -279,9 +291,9 @@ def test_buggy_buyer_is_dishonest():
     )
     # the witness replays to a state where B1 is culpable
     state = normalize(_load("store_s1.co2"))
-    fired = {}
+    revisits = Revisits()
     for i, label in enumerate(verdict.witness.steps):
-        state = _replay_one(fired, state, label, None, i + 1)
+        state = _replay_one(revisits, state, label, None, i + 1)
     assert culpable(state, report.session) == frozenset(["B1"])
     v, _ = ready(state, "B1")
     assert v is False
@@ -391,15 +403,84 @@ def test_honesty_expands_each_state_once_and_at_most_the_bound(monkeypatch):
     assert {p for _, p in calls} == {"A0", "B0"}
 
 
-def test_replay_expands_each_revisited_state_once(monkeypatch):
+def test_replay_expands_each_revisited_state_at_most_twice(monkeypatch):
     system = _load("pingpong.co2")
     trace = run(system, seed=0, max_steps=300)
     assert len(trace.steps) == 300
-    calls = _count_expansions(monkeypatch)
+    reached = Counter((state, label.actor) for state, label, _ in walk(system, trace))
+    expansions = _count_expansions(monkeypatch)
     assert check_trace_properties(trace.steps, trace.digests, system).steps_replayed == 300
-    # replay asks for the label's actor only, once per (state, participant)
-    assert 0 < len(calls) == len(set(calls)) < len(trace.steps)
-    assert {who for _, who in calls} == {label.actor for label in trace.steps}
+    calls = Counter(expansions)
+    # replay asks for the label's actor only, for a (state, participant) pair
+    # once, or twice where the trace reaches the pair again
+    assert max(calls.values()) <= 2
+    assert all(reached[pair] >= 2 for pair, n in calls.items() if n == 2)
+    assert 0 < sum(calls.values()) < len(trace.steps)
+    assert set(calls) == set(reached)
+
+
+def _walks(monkeypatch) -> list:
+    """The `Revisits` record of every walk started from now on."""
+    walks = []
+
+    class Kept(Revisits):
+        __slots__ = ()
+
+        def __init__(self):
+            super().__init__()
+            walks.append(self)
+    monkeypatch.setattr(runtime, "Revisits", Kept)
+    monkeypatch.setattr(analysis, "Revisits", Kept)
+    return walks
+
+
+def test_a_walk_that_revisits_no_state_keeps_no_record(monkeypatch):
+    walks = _walks(monkeypatch)
+    for name in ("store_s1.co2", "robust_pair.co2", "pingpong.co2"):
+        system = _load(name)
+        trace = run(system, seed=4, max_steps=120)
+        check_trace_properties(trace.steps, trace.digests, system)
+        states = [system_digest(normalize(system)), *trace.digests]
+        for walk_ in walks:  # the run's, then the replay's
+            assert len(walk_.seen) <= len(set(states))
+            if len(set(states)) == len(states):
+                assert walk_.kept == {}, name
+            else:  # only the states reached twice or more, each with a record
+                again = {d for d in states if states.count(d) > 1}
+                assert {system_digest(s) for s in walk_.kept} <= again and walk_.kept, name
+        walks.clear()
+
+
+def _peak_in_a_fresh_process(tmp_path, script: str) -> float:
+    """The tracemalloc peak, in MB, of `script`'s last line, run in a fresh
+    interpreter after the lines before it."""
+    *setup, measured = script.strip().splitlines()
+    code = "\n".join(["import tracemalloc", *setup, "tracemalloc.start()", measured,
+                      "print(tracemalloc.get_traced_memory()[1] / 1e6)"])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return float(out)
+
+
+def test_replay_of_a_pair_that_revisits_nothing_peaks_no_higher_than_run(tmp_path):
+    """Each as its command does it, in a process of its own: `run` from the
+    parsed system, and the replay of `check` from the system and the trace
+    read back. A replay that kept every state it met peaked at 2.5 times
+    run's here (16.4 against 6.6 MB)."""
+    text, _ = pair_context(random.Random(0), 1, 200, False)
+    (tmp_path / "pair.co2").write_text(text)
+    system = parse_system(text)
+    (tmp_path / "pair.jsonl").write_text(trace_to_jsonl(run(system)))
+    load = ("from co2run.frontend import parse_system, trace_from_jsonl\n"
+            "from co2run.runtime import run\n"
+            "from co2run.analysis import check_trace_properties\n"
+            "system = parse_system(open('pair.co2').read())\n")
+    ran = _peak_in_a_fresh_process(tmp_path, load + "run(system)")
+    replayed = _peak_in_a_fresh_process(tmp_path, load + (
+        "steps, digests = trace_from_jsonl(open('pair.jsonl').read())\n"
+        "check_trace_properties(steps, digests, system)"))
+    assert replayed <= ran, (replayed, ran)
 
 
 def test_exculpation_in_robust_fixture():
@@ -443,11 +524,11 @@ def test_stuck_trace_reports_progress_violation():
 
 def test_label_directed_replay_picks_the_first_matching_successor():
     for name, system, trace in traced_contexts():
-        fired, blind = {}, {}  # blind: replay without digests
+        revisits, blind = Revisits(), Revisits()  # blind: replay without digests
         for i, (state, label, nxt) in enumerate(walk(system, trace)):
             successors = StateGraph().successors(state)
             digest = trace.digests[i]
-            assert _replay_one(fired, state, label, digest, i + 1) == nxt == next(
+            assert _replay_one(revisits, state, label, digest, i + 1) == nxt == next(
                 n for n, produced in successors if produced == label and system_digest(n) == digest
             ), (name, i)
             assert _replay_one(blind, state, label, None, i + 1) == next(

@@ -413,6 +413,26 @@ def test_check_rejects_malformed_trace_records(path, value, tmp_path, capsys):
         assert err.rstrip().endswith(f"missing {path[-1]!r}")
 
 
+def test_check_reads_a_record_nested_too_deeply_for_json_as_a_located_refusal(tmp_path, capsys):
+    """A fuse report whose global type nests 5,000 levels: `json.loads`
+    raises RecursionError, which once left `check` as an internal error."""
+    good = tmp_path / "good.trace.jsonl"
+    assert main(["run", S1, "--seed", "0", "--trace", str(good)]) == 0
+    lines = good.read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if '"fuseReport"' in line)
+    record = json.loads(lines[at])
+    record["fuseReport"]["globalType"] = "DEEP"
+    deep = '{"kind": "msg", "from": "A", "to": "B1", "sort": "a", "cont": ' * 5000
+    lines[at] = json.dumps(record).replace('"DEEP"', deep + '{"kind": "end"}' + "}" * 5000)
+    tampered = tmp_path / "deep.trace.jsonl"
+    tampered.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["check", str(tampered), S1]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot read trace: trace line {at + 1}: nested too deeply to read: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_honesty_text_output_does_not_depend_on_the_hash_seed():
     env = dict(os.environ, PYTHONPATH=str(Path(co2run.__file__).parents[1]))
     outs = set()

@@ -38,6 +38,7 @@ from co2run.runtime import (
     PTau,
     ProcDef,
     PTell,
+    Revisits,
     Sum,
     make_co2,
     normalize,
@@ -286,9 +287,9 @@ def test_digest_is_sha256_of_the_plain_repr_at_every_state_of_every_fixture():
         trace = run(system, seed=0, max_steps=300)
         state = normalize(system)
         assert system_digest(state) == _reference_digest(state)
-        fired = {}
+        revisits = Revisits()
         for i, (label, digest) in enumerate(zip(trace.steps, trace.digests)):
-            state = _replay_one(fired, state, label, digest, i + 1)
+            state = _replay_one(revisits, state, label, digest, i + 1)
             assert _reference_digest(state) == digest, (name, i)
         assert state == trace.terminal
 

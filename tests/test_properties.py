@@ -1943,22 +1943,19 @@ def test_no_honest_participant_is_culpable_where_a_run_stops(kind, rng, mutate):
     4. S has no enabled step, so S' has no enabled G-step, the graph gives S'
        no successors and W is `process_ready_set(S', p, s)`: the (peer, sort)
        of each `do s` with a participant-name peer that heads a branch of a
-       top-level `Sum` of p's process.
+       top-level `Sum` of p's process, in the direction of c's head: sends
+       for a `SendChoice`, receives otherwise.
     5. A receive's X holds (q, m) for every sort m it offers, the queue's head
        among them; a send's X is {(q, m)} for one branch. So p's process heads
-       a branch with `do s q?m` or `do s q!m`. When its direction is the
-       contract's and q is a participant of t, `_prefix_enabled` finds the
-       move in `next_moves(t, p)`: S has an enabled step, a contradiction.
-    Two cases escape the argument:
-    - a send branch to a peer outside t. Only a `session` block stipulates
-      such a contract (a fused contract's sends all appear in the
-      choreography it projects), and a participant with an unfinished
-      contract in a block is not initial, so it is not in H;
-    - a `do` whose direction is not the contract's. `process_ready_set`
-      keeps (peer, sort) and drops the direction, so honesty calls such a
-      process ready though its `do` never fires: a defect of the honesty
-      verdict, kept as the named regression below. The mutants reach it
-      only by turning one `do`'s `!` into `?` or back.
+       a branch with `do s q?m` or `do s q!m`, of the contract's direction.
+       When q is a participant of t, `_prefix_enabled` finds the move in
+       `next_moves(t, p)`: S has an enabled step, a contradiction. The named
+       regression below is a context where a `do` of the other direction
+       would cover X though it never fires.
+    One case escapes the argument: a send branch to a peer outside t. Only a
+    `session` block stipulates such a contract (a fused contract's sends
+    all appear in the choreography it projects), and a participant with an
+    unfinished contract in a block is not initial, so it is not in H.
     """
     text = _theorem_context(kind, rng)
     if mutate:
@@ -1971,20 +1968,24 @@ def test_no_honest_participant_is_culpable_where_a_run_stops(kind, rng, mutate):
     assert found == [], (text, found)
 
 
-@pytest.mark.xfail(strict=True, reason="`process_ready_set` drops a do's direction, so honesty "
-                                       "calls A0 ready for a send its process only receives")
 def test_a_do_that_receives_what_the_contract_sends_is_no_honest_participant_culpable():
     """The single-edit mutant of a one-message `pair_context` that turns A0's
-    `do xA0 B0!` into `do xA0 B0?`. `honesty` finds A0 honest; every run
-    stops after both tells and the fuse, with A0 culpable in s1."""
+    `do xA0 B0!` into `do xA0 B0?`. Every run stops after both tells and the
+    fuse, with A0 culpable in s1. `process_ready_set` once kept a `do`'s
+    (peer, sort) whatever its direction, so honesty found A0 honest; it keeps
+    only the `do`s of the contract head's direction, and A0 is dishonest."""
     text, _ = pair_context(random.Random(0), 1, 1, False)
     mutant = text.replace("do xA0 B0!", "do xA0 B0?")
     assert len(mutant) == len(text) and mutant != text
     system = parse_system(mutant)
-    assert _honest_participants(system) == {"A0", "B0"}
+    assert _honest_participants(system) == {"B0"}
+    assert check_honesty(system, "A0").violation_found
     stopped, found = _culpable_honest_where_runs_stop(system)
     assert stopped == len(THEOREM_SEEDS)
-    assert found == []  # fails: A0 at every seed
+    assert found == []
+    for seed in THEOREM_SEEDS:
+        terminal = runtime.run(system, seed=seed, max_steps=THEOREM_MAX_STEPS).terminal
+        assert culpable(terminal, "s1") == {"A0"}
 
 
 def test_no_honest_participant_is_culpable_where_a_run_stops_through_the_cli(tmp_path, capsys):

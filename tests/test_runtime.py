@@ -51,6 +51,7 @@ from co2run.synthesis import synthesize
 
 from corpus import broker_context, corpus_system, pair_context, random_contract
 from corpus import recursive_pair_context
+from oracle import reference_run
 from test_choreo import G_STORE2_TEXT, G_STORE3_TEXT
 
 
@@ -776,32 +777,49 @@ def test_touched_participants_are_the_only_ones_whose_steps_change():
     assert kinds == {"tau", "tell", "fuse", "do", "call"}
 
 
-def _enumerating_run(system, seed, max_steps, fairness_window):
-    """The scheduler of `run`, asking every participant for its enabled
-    steps at every round."""
-    rng = random.Random(seed)
-    state = normalize(system)
-    ages: dict = {}
-    labels, digests = [], []
-    for _ in range(max_steps):
-        keyed = [(s, runtime._step_key(state, s)) for s in enabled_steps(state)]
-        if not keyed:
-            break
-        ages = {k: ages.get(k, 0) + 1 for _, k in keyed}
-        pool = [sk for sk in keyed if ages[sk[1]] >= fairness_window] or keyed
-        choice, key = pool[rng.randrange(len(pool))]
-        state, label = apply_step(state, choice)
-        ages.pop(key, None)
-        labels.append(label)
-        digests.append(system_digest(state))
-    return tuple(labels), tuple(digests)
-
-
 @pytest.mark.parametrize("window", [4, 64])
 def test_run_traces_equal_those_of_a_scheduler_enumerating_every_participant(window):
     for name, system, _ in traced_contexts():
-        trace = run(system, seed=5, max_steps=120, fairness_window=window)
-        assert (trace.steps, trace.digests) == _enumerating_run(system, 5, 120, window), name
+        assert run(system, 5, 120, window) == reference_run(system, 5, 120, window), name
+
+
+def _revisit_contexts(seed: int) -> list:
+    """The `.co2` fixtures and a generated pair, recursive pair and broker
+    context of each shape drawn from `seed`."""
+    rng = random.Random(seed)
+    texts = [pair_context(rng, rng.randint(1, 3), rng.randint(1, 8), rng.random() < 0.5)[0],
+             recursive_pair_context(rng, rng.randint(1, 2), rng.randint(1, 3)),
+             broker_context(rng, rng.randint(3, 5), rng.random() < 0.5)]
+    return [_load(name) for name in FIXTURES] + [parse_system(text) for text in texts]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_run_with_revisits_equals_the_reference_scheduler(seed):
+    for system in _revisit_contexts(seed):
+        assert run(system, seed, 200) == reference_run(system, seed, 200)
+
+
+def _counted(monkeypatch, name) -> Counter:
+    """How often `runtime` calls its function `name` with each argument tuple."""
+    calls, original = Counter(), getattr(runtime, name)
+
+    def counting(*args):
+        calls[args] += 1
+        return original(*args)
+    monkeypatch.setattr(runtime, name, counting)
+    return calls
+
+
+def test_run_derives_each_revisited_state_at_most_twice(monkeypatch):
+    applied = _counted(monkeypatch, "apply_step")
+    asked = _counted(monkeypatch, "enabled_steps")
+    trace = run(_load("pingpong.co2"), seed=0, max_steps=500)
+    assert len(trace.steps) == 500
+    # a looping session comes back to a few states: each (state, step) is
+    # fired, and each (state, participant) asked, once or twice
+    assert max(applied.values()) == max(asked.values()) == 2
+    assert len({state for state, _ in applied}) <= len(set(trace.digests)) + 1 <= 20
+    assert sum(applied.values()) < 50 and sum(asked.values()) < 50  # not 500
 
 
 def test_make_co2_rejects_lowercase_participant():
