@@ -463,11 +463,13 @@ def _peak_in_a_fresh_process(tmp_path, script: str) -> float:
     return float(out)
 
 
-def test_replay_of_a_pair_that_revisits_nothing_peaks_no_higher_than_run(tmp_path):
+def test_replay_of_a_pair_that_revisits_nothing_peaks_near_run(tmp_path):
     """Each as its command does it, in a process of its own: `run` from the
     parsed system, and the replay of `check` from the system and the trace
     read back. A replay that kept every state it met peaked at 2.5 times
-    run's here (16.4 against 6.6 MB)."""
+    run's here (16.4 against 6.6 MB); this one reads about run's peak (6.49
+    against 6.55 MB on CPython 3.11). The bound sits between the two, so
+    that allocation sizes that differ between interpreters do not flip it."""
     text, _ = pair_context(random.Random(0), 1, 200, False)
     (tmp_path / "pair.co2").write_text(text)
     system = parse_system(text)
@@ -480,7 +482,7 @@ def test_replay_of_a_pair_that_revisits_nothing_peaks_no_higher_than_run(tmp_pat
     replayed = _peak_in_a_fresh_process(tmp_path, load + (
         "steps, digests = trace_from_jsonl(open('pair.jsonl').read())\n"
         "check_trace_properties(steps, digests, system)"))
-    assert replayed <= ran, (replayed, ran)
+    assert replayed < 1.5 * ran, (replayed, ran)
 
 
 def test_exculpation_in_robust_fixture():

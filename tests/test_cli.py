@@ -414,16 +414,20 @@ def test_check_rejects_malformed_trace_records(path, value, tmp_path, capsys):
 
 
 def test_check_reads_a_record_nested_too_deeply_for_json_as_a_located_refusal(tmp_path, capsys):
-    """A fuse report whose global type nests 5,000 levels: `json.loads`
-    raises RecursionError, which once left `check` as an internal error."""
+    """A fuse report whose global type nests 50,000 levels: `json.loads`
+    raises RecursionError, which once left `check` as an internal error.
+    The depth is past every supported interpreter's limit: the recursion
+    limit (1,000) on 3.10 and 3.11, the C scanner's fixed nesting limit
+    (8,000 on 3.12, 10,000 on 3.13) from 3.12 on."""
     good = tmp_path / "good.trace.jsonl"
     assert main(["run", S1, "--seed", "0", "--trace", str(good)]) == 0
     lines = good.read_text().splitlines()
     at = next(i for i, line in enumerate(lines) if '"fuseReport"' in line)
     record = json.loads(lines[at])
     record["fuseReport"]["globalType"] = "DEEP"
-    deep = '{"kind": "msg", "from": "A", "to": "B1", "sort": "a", "cont": ' * 5000
-    lines[at] = json.dumps(record).replace('"DEEP"', deep + '{"kind": "end"}' + "}" * 5000)
+    depth = 50_000
+    deep = '{"kind": "msg", "from": "A", "to": "B1", "sort": "a", "cont": ' * depth
+    lines[at] = json.dumps(record).replace('"DEEP"', deep + '{"kind": "end"}' + "}" * depth)
     tampered = tmp_path / "deep.trace.jsonl"
     tampered.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
