@@ -8,7 +8,11 @@ contractual action inside a session (do). Fuse searches the pool for a
 subset of latent contracts that can be assigned a choreography once their
 participant variables are instantiated; the new session starts from those
 stipulated contracts plus an empty queue grid, and the chosen substitutions
-are applied across the whole system.
+are applied across the whole system: pi, of participant variables, to every
+process and pool; sigma, of the fused session variables, to every process.
+A latent told on a variable sigma binds leaves every pool, for it could
+never fuse into a fresh session, and a tell on an installed session's name
+leaves no latent.
 
 Systems are immutable; every reduction returns a fresh value. Delimitation
 is compiled away: loading renames all bound and block-local variables to
@@ -35,7 +39,6 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 from .choreo import GlobalType
 from .contracts import (
     Contract,
-    ContractError,
     ContractSystem,
     End,
     Frozen,
@@ -612,21 +615,24 @@ def _replace_item(p: Process, index: int, replacement: Process) -> Process:
     return normalize_proc(Par(tuple(items)) if len(items) > 1 else replacement)
 
 
-def _prefix_enabled(system: Co2System, actor: str, prefix: Prefix) -> bool:
+def _prefix_enabled(system: Co2System, actor: str, prefix: Union[Prefix, Call]) -> bool:
+    """The one premise of the step firing `prefix`; a call, its own prefix,
+    needs a definition with matching arities."""
     if isinstance(prefix, PTau):
         return True
     if isinstance(prefix, PTell):
         return is_part_name(prefix.target)
     if isinstance(prefix, PFuse):
-        return (
-            find_agreement(system.pool(actor), prefix.policy) is not None
-        )
+        return find_agreement(system.pool(actor), prefix.policy) is not None
     if isinstance(prefix, PDo):
-        if prefix.session not in system.session_names or not is_part_name(prefix.peer):
-            return False
-        move = MoveLabel(actor, prefix.peer, prefix.sort, prefix.dir)
-        return any(m == move for m, _ in next_moves(system.session(prefix.session), actor))
-    return False
+        if is_part_name(prefix.peer):
+            for name, t in system.sessions:
+                if name == prefix.session:
+                    move = MoveLabel(actor, prefix.peer, prefix.sort, prefix.dir)
+                    return any(m == move for m, _ in next_moves(t, actor))
+        return False
+    return any(n == prefix.name and len(d.session_params) == len(prefix.session_args)
+               and len(d.part_params) == len(prefix.part_args) for n, d in system.definitions)
 
 
 # the step kind of each prefix, and of a call's unfolding
@@ -641,7 +647,7 @@ def enabled_steps(system: Co2System, participant: Optional[str] = None) -> tuple
         if participant is not None and actor != participant:
             continue
         for i, item in enumerate(proc_items(proc)):
-            if isinstance(item, Call):
+            if isinstance(item, Call) and _prefix_enabled(system, actor, item):
                 steps.append(Step(actor, i, None, "call"))
             elif isinstance(item, Sum):
                 for j, (prefix, _) in enumerate(item.branches):
@@ -783,6 +789,8 @@ def find_agreement(
 
 def apply_step(system: Co2System, step: Step) -> tuple[Co2System, StepLabel]:
     """Fire one step: the reduction rule of its prefix, or a call's unfolding.
+    A step `enabled_steps` does not list raises ReductionError: one whose
+    item, branch or kind is wrong, or whose prefix `_prefix_enabled` refuses.
 
     The successor reuses the input's sorted fields and changes only those
     the step touches; only a grown or substituted pool and a new session
@@ -791,15 +799,17 @@ def apply_step(system: Co2System, step: Step) -> tuple[Co2System, StepLabel]:
     actor = step.actor
     proc = system.process(actor)
     items = proc_items(proc)
-    item = items[step.item] if step.item < len(items) else None
+    item = items[step.item] if step.item in range(len(items)) else None
     if isinstance(item, Call):
         prefix = item  # a call is its own prefix: the step unfolds it
-    elif isinstance(item, Sum) and step.branch is not None and step.branch < len(item.branches):
+    elif isinstance(item, Sum) and step.branch in range(len(item.branches)):
         prefix, cont = item.branches[step.branch]
     else:
         raise ReductionError(f"{actor} has no branch {step.branch} at item {step.item}")
     if _KINDS[type(prefix)] != step.kind:
         raise ReductionError(f"item {step.item} of {actor} is not a {step.kind} step")
+    if not _prefix_enabled(system, actor, prefix):
+        raise ReductionError(f"the {step.kind} step of {actor} at item {step.item} is not enabled")
 
     def advance(replacement: Process) -> tuple[tuple[str, Process], ...]:
         new = _replace_item(proc, step.item, replacement)
@@ -809,28 +819,23 @@ def apply_step(system: Co2System, step: Step) -> tuple[Co2System, StepLabel]:
         return system.replace(processes=advance(cont)), StepLabel(actor, "tau")
 
     if isinstance(prefix, PTell):
-        if not is_part_name(prefix.target):
-            raise ReductionError(f"tell target {prefix.target!r} is unresolved")
-        latent = LatentContract(actor, prefix.session_var, prefix.contract)
-        pools = {**dict(system.pools), prefix.target: (*system.pool(prefix.target), latent)}
-        out = system.replace(processes=advance(cont), pools=_pools(pools))
+        pools = system.pools
+        if prefix.session_var not in system.session_names:  # else the latent could never fuse
+            latent = LatentContract(actor, prefix.session_var, prefix.contract)
+            pools = _pools({**dict(pools), prefix.target: (*system.pool(prefix.target), latent)})
+        out = system.replace(processes=advance(cont), pools=pools)
         label = StepLabel(actor, "tell", target=prefix.target, session_var=prefix.session_var)
         return out, label
 
     if isinstance(prefix, PFuse):
         s = next_session_name(system)
         agreement = find_agreement(system.pool(actor), prefix.policy)
-        if agreement is None:
-            raise ReductionError(f"fuse of {actor} is not enabled: no agreement in the pool")
         sigma = {k.session_var: s for k in agreement.latents}  # each latent's variable -> s
         pi = dict(agreement.pi)
-        fused = set(agreement.latents)
+        # the fused latents, and any other latent told on a variable sigma binds, leave
         pools = {
-            host: [
-                LatentContract(k.promiser, k.session_var, subst_parts(k.contract, pi))
-                for k in pool
-                if not (host == actor and k in fused)
-            ]
+            host: [LatentContract(k.promiser, k.session_var, subst_parts(k.contract, pi))
+                   for k in pool if k.session_var not in sigma]
             for host, pool in system.pools
         }
         out = Co2System(
@@ -851,13 +856,8 @@ def apply_step(system: Co2System, step: Step) -> tuple[Co2System, StepLabel]:
         return out, StepLabel(actor, "fuse", session=s, fuse=report)
 
     if isinstance(prefix, PDo):
-        if prefix.session not in system.session_names:
-            raise ReductionError(f"session {prefix.session!r} is not installed")
         move = MoveLabel(actor, prefix.peer, prefix.sort, prefix.dir)
-        try:
-            t = contract_step(system.session(prefix.session), move)
-        except ContractError as exc:
-            raise ReductionError(f"do of {actor} not permitted by the session: {exc}") from exc
+        t = contract_step(system.session(prefix.session), move)
         sessions = tuple((n, t if n == prefix.session else u) for n, u in system.sessions)
         out = system.replace(processes=advance(cont), sessions=sessions)
         label = StepLabel(
@@ -865,14 +865,7 @@ def apply_step(system: Co2System, step: Step) -> tuple[Co2System, StepLabel]:
         )
         return out, label
 
-    try:
-        d = system.definition(prefix.name)
-    except KeyError:
-        raise ReductionError(f"undefined process {prefix.name!r}")
-    if len(d.session_params) != len(prefix.session_args) or len(d.part_params) != len(
-        prefix.part_args
-    ):
-        raise ReductionError(f"arity mismatch calling {prefix.name}")
+    d = system.definition(prefix.name)
     memo, key = d._unfoldings, (prefix.session_args, prefix.part_args)
     body = memo.get(key) if memo is not None else None
     if body is None:
@@ -891,7 +884,8 @@ def touched(system: Co2System, label: StepLabel) -> Iterable[str]:
     changes only the actor's process, a tell also its target's pool, a do
     also its session, and a fuse every process, pool and the session names;
     `_prefix_enabled` reads only the actor's process, `pool(actor)`, the
-    session a do names and `session_names`."""
+    session a do names and the definition a call names, which no step
+    changes."""
     if label.kind == "fuse":
         return [n for n, _ in system.processes]
     if label.kind == "tell":

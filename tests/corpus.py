@@ -6,8 +6,9 @@ choreographies (compliant by construction), raw random contract systems
 (near-misses). All draws are driven by an explicit Random instance, so a
 fixed seed reproduces the corpus exactly. `pair_context` writes CO2
 contexts whose honesty verdict is known from how they were built,
-`recursive_pair_context` CO2 contexts that run forever through calls, and
-`broker_context` contexts heavy in `tell` and `fuse`. `rejoining_system`
+`recursive_pair_context` CO2 contexts that run forever through calls,
+`broker_context` contexts heavy in `tell` and `fuse`, and `retell_context`
+contexts in which a participant tells twice on one handle. `rejoining_system`
 builds contracts whose choices rejoin, for the synthesis memo.
 `single_edit_mutants` edits a text in one place, for differential and
 robustness tests over near-miss inputs.
@@ -394,6 +395,37 @@ def broker_context(rng: random.Random, k: int, agree: bool) -> str:
         acts = "".join(f" . do x{name} {h}" for h in heads)
         text.append(f"participant {name} {{ tell Br @x{name} {{ {' . '.join(heads)} }}"
                     f" . do g Br!ready{acts} }}\n")
+    return "".join(text)
+
+
+def retell_context(rng: random.Random, n: int) -> str:
+    """A `.co2` context in which A tells broker H twice on one handle x: first
+    a contract with B, then one with C, at a seeded point of A's run of its
+    B contract, before or after H's first fuse. B and C tell H the duals on
+    handles of their own and perform them; H fuses twice.
+
+    Each contract has n messages of seeded sorts, alternating in direction
+    from a seeded first one. Only the first of A's latents to fuse binds x:
+    a latent told on an installed session, or left over once x is bound,
+    never fuses."""
+    protocols = {}
+    for peer in ("B", "C"):
+        first = rng.randrange(2)
+        protocols[peer] = [(("A", peer) if (j + first) % 2 == 0 else (peer, "A"))
+                           + (rng.choice(SORTS),) for j in range(n)]
+
+    def heads(me, msgs):
+        return [f"{dst}!{sort}" if me == src else f"{src}?{sort}" for src, dst, sort in msgs]
+
+    mine = [f"do x {h}" for h in heads("A", protocols["B"])]
+    mine.insert(rng.randint(0, n), f"tell H @x {{ {' . '.join(heads('A', protocols['C']))} }}")
+    text = [f"participant A {{ tell H @x {{ {' . '.join(heads('A', protocols['B']))} }} . "
+            f"{' . '.join(mine)} }}\n"]
+    for peer, msgs in protocols.items():
+        theirs = heads(peer, msgs)
+        acts = "".join(f" . do x{peer} {h}" for h in theirs)
+        text.append(f"participant {peer} {{ tell H @x{peer} {{ {' . '.join(theirs)} }}{acts} }}\n")
+    text.append("participant H { fuse . fuse }\n")
     return "".join(text)
 
 

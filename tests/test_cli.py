@@ -12,18 +12,21 @@ import pytest
 import co2run
 from co2run.cli import main
 from co2run.contracts import make_system
-from co2run.fixtures import CONTRACT_FILES, fixture_path, fixture_text
+from co2run.fixtures import CONTRACT_FILES, FIXTURES, fixture_path, fixture_text
 from co2run.frontend import (
+    ParseError,
     global_to_json,
     json_text,
     parse_global,
     parse_named_contracts,
+    parse_system,
     render_contract,
     render_global,
     trace_from_jsonl,
 )
 from co2run.synthesis import synthesize
-from corpus import pair_context, random_global
+from corpus import broker_context, pair_context, random_global, recursive_pair_context
+from corpus import retell_context, single_edit_mutants
 
 
 TRIO = str(fixture_path("store_trio.ctr"))
@@ -559,3 +562,86 @@ def test_run_trace_of_a_thousand_message_pair_is_no_crash_passing_as_a_verdict(t
     err = capsys.readouterr().err
     assert code in (0, 6), (code, err)
     assert "Traceback" not in err
+
+
+# -- no input crashes the CLI -------------------------------------------------
+
+DOCUMENTED_EXITS = range(6)  # 0 to 5; 6 is a crash
+# a wrong value of another sort, or a plausible name, for a tampered field
+TAMPERED_VALUES = (None, -1, 1.5, True, "", "A", "s1", [], {}, {"kind": "end"})
+
+
+def _no_crash_inputs(family: str) -> list[tuple[str, str]]:
+    """(file name, text) of the family's inputs: the fixtures, or 8 contexts
+    a generator draws at a fixed seed; and 4 single-edit mutants of each."""
+    rng = Random(f"no-crash:{family}")
+    if family == "fixtures":
+        texts = [(name, fixture_text(name)) for name in (*FIXTURES, *CONTRACT_FILES)]
+    else:
+        draw = {
+            "pair": lambda: pair_context(rng, rng.randint(1, 2), rng.randint(1, 8),
+                                         rng.random() < 0.5)[0],
+            "recursive": lambda: recursive_pair_context(rng, rng.randint(1, 2), rng.randint(1, 3)),
+            "broker": lambda: broker_context(rng, rng.randint(3, 5), rng.random() < 0.5),
+            "retell": lambda: retell_context(rng, rng.randint(1, 3)),
+        }[family]
+        texts = [(f"{family}{i}.co2", draw()) for i in range(8)]
+    return texts + [(f"mutant{j}-{name}", mutant) for name, text in texts
+                    for j, mutant in enumerate(single_edit_mutants(rng, text, 4))]
+
+
+def _tampered(lines: list[str], rng: Random):
+    """Copies of a trace's lines, each with one field of one record changed:
+    every field, `fuseReport`'s too, of its first fuse record and of one
+    record drawn by `rng`."""
+    fuses = [i for i, line in enumerate(lines) if '"fuseReport"' in line]
+    for at in sorted({*fuses[:1], rng.randrange(len(lines))}):
+        record = json.loads(lines[at])
+        paths = [(key,) for key in record]
+        paths += [("fuseReport", key) for key in record.get("fuseReport", ())]
+        for path in paths:
+            copy = json.loads(lines[at])
+            inner = copy
+            for key in path[:-1]:
+                inner = inner[key]
+            inner[path[-1]] = rng.choice(TAMPERED_VALUES)
+            yield lines[:at] + [json.dumps(copy)] + lines[at + 1:]
+
+
+@pytest.mark.parametrize("family", ["fixtures", "pair", "recursive", "broker", "retell"])
+def test_no_input_crashes_the_cli(family, tmp_path, capsys):
+    """Every subcommand exits with a documented code, never 6, and prints no
+    traceback, on the fixtures, generated contexts and single-edit mutants
+    of them: `synth` on contract files, `run --trace`, `honesty` for each
+    participant, and `check` on each trace and on copies tampered one field
+    at a time."""
+    rng = Random(family)
+    codes = []
+
+    def cli(*argv):
+        codes.append((argv[0], main([str(a) for a in argv])))
+        assert codes[-1][1] in DOCUMENTED_EXITS, (name, argv, codes[-1][1])
+        assert "Traceback" not in capsys.readouterr().err, (name, argv)
+
+    for k, (name, text) in enumerate(_no_crash_inputs(family)):
+        path = tmp_path / f"{k}-{name}"
+        path.write_text(text)
+        if name.endswith(".ctr"):
+            cli("synth", path)
+            continue
+        try:
+            participants = [who for who, _ in parse_system(text).processes]
+        except ParseError:
+            participants = ["A"]
+        trace = tmp_path / f"{k}.trace.jsonl"
+        cli("run", path, "--trace", trace, "--max-steps", 200)
+        for who in participants:
+            cli("honesty", path, "--participant", who, "--state-bound", 50)
+        if not trace.exists() or not trace.read_text():
+            continue
+        cli("check", trace, path)
+        for lines in _tampered(trace.read_text().splitlines(), rng):
+            trace.write_text("\n".join(lines) + "\n")
+            cli("check", trace, path)
+    synth = {"synth"} if family == "fixtures" else set()
+    assert {command for command, _ in codes} >= {"run", "honesty", "check", *synth}

@@ -118,7 +118,7 @@ from co2run.runtime import (  # noqa: E402
 
 from corpus import SORTS as CORPUS_SORTS  # noqa: E402
 from corpus import corpus_system, pair_context, random_global, reference_repr  # noqa: E402
-from corpus import broker_context, recursive_pair_context  # noqa: E402
+from corpus import broker_context, recursive_pair_context, retell_context  # noqa: E402
 from corpus import random_contract, regex_named_contracts, single_edit_mutants  # noqa: E402
 from corpus import random_raw_system  # noqa: E402
 from oracle import ALL_RUNS_COMPLETE, execution_oracle  # noqa: E402
@@ -1878,7 +1878,21 @@ def _theorem_context(kind: str, rng: random.Random) -> str:
         return pair_context(rng, rng.randint(1, 2), rng.randint(1, 5), rng.random() < 0.5)[0]
     if kind == "recursive":
         return recursive_pair_context(rng, rng.randint(1, 2), rng.randint(1, 3))
+    if kind == "retell":
+        return retell_context(rng, rng.randint(1, 3))
     return broker_context(rng, rng.randint(3, 4), rng.random() < 0.5)
+
+
+def _rebound_by_fuses(installed, reports) -> list[tuple[str, str]]:
+    """Each (session, key) where a fuse's sigma binds a session `installed`
+    before it, one an earlier fuse made, or a variable an earlier fuse bound:
+    the paper's fuse binds only variables, each to one fresh session."""
+    installed, bound, found = set(installed), set(), []
+    for report in reports:
+        found += [(report["session"], k) for k in sorted(report["sigma"]) if k in installed | bound]
+        installed.add(report["session"])
+        bound.update(report["sigma"])
+    return found
 
 
 def _honest_participants(system) -> set[str]:
@@ -1903,6 +1917,9 @@ def _culpable_honest_where_runs_stop(system) -> tuple[int, list]:
     stopped, found = 0, []
     for seed in THEOREM_SEEDS:
         trace = runtime.run(system, seed=seed, max_steps=THEOREM_MAX_STEPS)
+        reports = [{"session": label.session, "sigma": dict(label.fuse.sigma)}
+                   for label in trace.steps if label.kind == "fuse"]
+        assert _rebound_by_fuses(system.session_names, reports) == [], seed
         if len(trace.steps) == THEOREM_MAX_STEPS:
             continue  # cut, not stopped: the theorem says nothing
         stopped += 1
@@ -1914,12 +1931,13 @@ def _culpable_honest_where_runs_stop(system) -> tuple[int, list]:
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(("fixture", "pair", "recursive", "broker")),
+@given(st.sampled_from(("fixture", "pair", "recursive", "broker", "retell")),
        st.randoms(use_true_random=False), st.booleans())
 def test_no_honest_participant_is_culpable_where_a_run_stops(kind, rng, mutate):
     """Honesty gives progress: in a run that stops by itself (fewer than
     `max_steps` steps, so `enabled_steps` of its last state S is empty), no
-    participant p of H is culpable in an unfinished session s of S.
+    participant p of H is culpable in an unfinished session s of S. And in
+    every run, each fuse binds only variables no earlier fuse bound.
 
     The argument, against the code's definitions. Let t be s's contract
     system at S and c = t.contract(p).
@@ -1989,14 +2007,22 @@ def test_a_do_that_receives_what_the_contract_sends_is_no_honest_participant_cul
 
 
 def test_no_honest_participant_is_culpable_where_a_run_stops_through_the_cli(tmp_path, capsys):
-    """The property's twin on the `.co2` fixtures, read off the CLI's JSON:
-    `honesty` for every participant, then `run --trace` and `check`, whose
-    culpable lists must hold no participant `honesty` found honest."""
+    """The property's twin on the `.co2` fixtures and four `retell_context`s,
+    read off the CLI's JSON: `honesty` for every participant, then `run
+    --trace` and `check`, whose culpable lists must hold no participant
+    `honesty` found honest, and whose trace's fuse reports bind only
+    variables no earlier fuse bound."""
+    rng = random.Random(0)
+    paths = [fixture_path(name) for name in CO2_FIXTURES]
+    for i in range(4):
+        paths.append(tmp_path / f"retell{i}.co2")
+        paths[-1].write_text(retell_context(rng, i % 3 + 1))
     stopped = honest_seen = 0
-    for name in CO2_FIXTURES:
-        path = str(fixture_path(name))
+    for path in paths:
+        name, system = path.name, parse_system(path.read_text())
+        path = str(path)
         honest = set()
-        for who, _ in parse_system(fixture_text(name)).processes:
+        for who, _ in system.processes:
             code = main(["honesty", path, "--participant", who, "--format", "json"])
             out = capsys.readouterr().out
             if code == 0:
@@ -2006,14 +2032,17 @@ def test_no_honest_participant_is_culpable_where_a_run_stops_through_the_cli(tmp
             else:
                 assert code in (3, 4), (name, who, code)
         honest_seen += len(honest)
-        trace = str(tmp_path / f"{name}.trace.jsonl")
+        trace = tmp_path / f"{name}.trace.jsonl"
         for seed in THEOREM_SEEDS:
             argv = ["run", path, "--seed", str(seed), "--max-steps", str(THEOREM_MAX_STEPS)]
-            assert main([*argv, "--trace", trace, "--format", "json"]) == 0
+            assert main([*argv, "--trace", str(trace), "--format", "json"]) == 0
+            records = [json.loads(line) for line in trace.read_text().splitlines()]
+            reports = [r["fuseReport"] for r in records if r.get("kind") == "fuse"]
+            assert _rebound_by_fuses(system.session_names, reports) == [], (name, seed)
             if json.loads(capsys.readouterr().out)["steps"] == THEOREM_MAX_STEPS:
                 continue
             stopped += 1
-            assert main(["check", trace, path, "--format", "json"]) in (0, 3)
+            assert main(["check", str(trace), path, "--format", "json"]) in (0, 3)
             live = json.loads(capsys.readouterr().out)["liveSessions"]
             assert [(name, seed, s, who) for s, who_list in live.items()
                     for who in who_list if who in honest] == []

@@ -8,7 +8,9 @@ from typing import Iterable, Optional
 import pytest
 
 from co2run import runtime
+from co2run.analysis import check_honesty
 from co2run.choreo import canonicalize, well_formed
+from co2run.cli import main
 from co2run.contracts import (
     ContractError,
     Rec,
@@ -31,6 +33,8 @@ from co2run.runtime import (
     proc_items,
     NIL,
     Par,
+    PDo,
+    PFuse,
     PTell,
     ProcDef,
     ReductionError,
@@ -50,7 +54,7 @@ from co2run.runtime import (
 from co2run.synthesis import synthesize
 
 from corpus import broker_context, corpus_system, pair_context, random_contract
-from corpus import recursive_pair_context
+from corpus import recursive_pair_context, retell_context
 from oracle import reference_run
 from test_choreo import G_STORE2_TEXT, G_STORE3_TEXT
 
@@ -269,20 +273,62 @@ def test_fuse_installs_session_and_substitutes():
     assert normalize(s2) == s2
 
 
-def test_fuse_blocked_without_agreement():
-    s = _load("store_s1.co2")
-    s2, _ = _drive(s, [("tell", "A")])
-    assert not any(st.kind == "fuse" for st in enabled_steps(s2))
-    with pytest.raises(ReductionError):
-        apply_step(s2, Step("A", 0, 0, "fuse"))
+# A tells H twice on its handle x. The second tell is made on s1, the
+# session the first fuse bound x to, so it leaves no latent; H's second fuse
+# once fused that latent and renamed the live s1
+RETELL_AFTER_FUSE = """
+participant A { tell H @x { B!m } . do x B!m . tell H @x { C!n } }
+participant B { tell H @y { A?m } . do y A?m }
+participant C { tell H @z { A?n } }
+participant H { fuse . fuse }
+"""
+# A tells twice on x before any fuse: the fuse that binds x drops the other
+# latent on x, which a second fuse once bound again
+RETELL_BEFORE_FUSE = RETELL_AFTER_FUSE.replace(
+    "do x B!m . tell H @x { C!n }", "tell H @x { C!n } . do x B!m")
 
 
-def test_step_kind_must_match_its_prefix():
-    s = normalize(_load("store_s1.co2"))
-    tell = next(st for st in enabled_steps(s) if st.actor == "A")
-    assert tell.kind == "tell"
-    with pytest.raises(ReductionError):
-        apply_step(s, Step("A", tell.item, tell.branch, "tau"))
+def _fuse_reports(trace):
+    return [label.fuse for label in trace.steps if label.kind == "fuse"]
+
+
+def test_a_tell_on_an_installed_session_never_fuses(tmp_path, capsys):
+    system = parse_system(RETELL_AFTER_FUSE)
+    for seed in range(8):
+        trace = run(system, seed=seed)
+        report, = _fuse_reports(trace)
+        assert dict(report.sigma) == {"x": "s1", "y": "s1"}
+        terminal = trace.terminal
+        assert terminal.session_names == {"s1"} and is_terminated(terminal.session("s1"))
+        # the retold latent is never in a pool; C's waits, unmatched
+        assert dict(terminal.pools) == {"H": (LatentContract("C", "z", parse_contract("A?n")),)}
+    for who in ("A", "B"):
+        verdict = check_honesty(system, who)
+        assert not verdict.violation_found and verdict.unknown_states == 0, who
+    path = tmp_path / "retell.co2"
+    path.write_text(RETELL_AFTER_FUSE)
+    for seed in range(8):
+        assert main(["run", str(path), "--seed", str(seed)]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == ["session s1: terminated"], seed
+    for who in ("A", "B"):
+        assert main(["honesty", str(path), "--participant", who]) == 0, who
+
+
+def test_a_leftover_latent_whose_variable_a_fuse_bound_never_fuses():
+    system = parse_system(RETELL_BEFORE_FUSE)
+    partners = set()
+    for seed in range(8):
+        trace = run(system, seed=seed)
+        report, = _fuse_reports(trace)  # x is bound once, with B's y or C's z
+        assert set(dict(report.sigma)) in ({"x", "y"}, {"x", "z"})
+        assert trace.terminal.session_names == {"s1"}
+        assert all(k.session_var != "x" for _, pool in trace.terminal.pools for k in pool)
+        partners.add(report.participants)
+    assert partners == {("A", "B"), ("A", "C")}
+    # A may fuse its C contract and then offers only B's move: A is dishonest, B honest
+    assert check_honesty(system, "A").violation_found
+    verdict = check_honesty(system, "B")
+    assert not verdict.violation_found and verdict.unknown_states == 0
 
 
 def test_honest_store_completes():
@@ -738,8 +784,8 @@ def test_fairness_serves_persistent_step():
 @functools.lru_cache(maxsize=None)
 def traced_contexts() -> tuple:
     """(name, system, trace) of seeded `run`s of every fixture, generated
-    pair and recursive-pair contexts, and broker contexts, which are heavy
-    in `tell` and `fuse`."""
+    pair and recursive-pair contexts, broker contexts, which are heavy in
+    `tell` and `fuse`, and a context that tells twice on one handle."""
     rng = random.Random(3)
     systems = [(name, _load(name)) for name in FIXTURES]
     for pairs in (1, 2):
@@ -747,6 +793,7 @@ def traced_contexts() -> tuple:
         systems.append((f"recursive{pairs}", parse_system(recursive_pair_context(rng, pairs, 3))))
     for k, agree in ((3, True), (5, True), (4, False)):
         systems.append((f"broker{k}", parse_system(broker_context(rng, k, agree))))
+    systems.append(("retell", parse_system(retell_context(rng, 2))))
     return tuple((f"{name}@{seed}", system, run(system, seed=seed, max_steps=150))
                  for name, system in systems for seed in (0, 1))
 
@@ -775,6 +822,77 @@ def test_touched_participants_are_the_only_ones_whose_steps_change():
             assert sum(own.values(), ()) == enabled_steps(nxt), (name, i, label)
             kinds.add(label.kind)
     assert kinds == {"tau", "tell", "fuse", "do", "call"}
+
+
+def _refused_steps(state):
+    """(shape, system, step) triples, each step one that `enabled_steps(system)`
+    does not list. At `state`: each branch or call under every other kind,
+    each one not enabled or counted from the end, and an item past each
+    participant's last or counted from the end. At `state` with one more
+    item for a participant: a tell to a variable target, a do on an
+    uninstalled session, a do its session refuses, a fuse without agreement,
+    a call to a missing definition or with the wrong arities. At `state`
+    without definitions: each call it enables."""
+    enabled = set(enabled_steps(state))
+    for actor, proc in state.processes:
+        items = proc_items(proc)
+        yield "item", state, Step(actor, len(items), 0, "tau")
+        yield "item", state, Step(actor, -1, 0, "tau")
+        for i, item in enumerate(items):
+            heads = item.branches if isinstance(item, Sum) else ((item, None),)
+            for j, (prefix, _) in enumerate(heads):
+                st = Step(actor, i, j if isinstance(item, Sum) else None,
+                          runtime._KINDS[type(prefix)])
+                if st not in enabled:
+                    yield "branch", state, st
+                if isinstance(item, Sum):
+                    yield "branch", state, Step(actor, i, j - len(heads), st.kind)
+                for kind in {"tau", "tell", "fuse", "do", "call"} - {st.kind}:
+                    yield "kind", state, Step(actor, i, st.branch, kind)
+    extras = [("tell", PTell("v", "w", parse_contract("B!m"))),
+              ("do", PDo("nowhere", "B", "m", "send"))]
+    extras += [("do", PDo(sname, peer, "unused", "send"))
+               for sname, t in state.sessions for peer in t.participants]
+    extras += [("call", Call("Missing", (), ())),
+               *(("call", Call(name, ("u",) * (len(d.session_params) + 1), ()))
+                 for name, d in state.definitions)]
+    for actor, proc in state.processes:
+        blocked = find_agreement(state.pool(actor)) is None
+        for kind, prefix in extras + [("fuse", PFuse(DEFAULT_POLICY))] * blocked:
+            if kind == "do" and prefix.peer == actor:
+                continue
+            item = prefix if kind == "call" else Sum(((prefix, NIL),))
+            grown = normalize_proc(Par((proc, item)))
+            system = state.replace(processes=tuple(
+                (n, grown if n == actor else p) for n, p in state.processes))
+            i = proc_items(grown).index(item)
+            yield kind, system, Step(actor, i, None if kind == "call" else 0, kind)
+    if state.definitions:
+        bare = state.replace(definitions=())
+        for st in enabled:
+            if st.kind == "call":
+                yield "call", bare, st
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_apply_step_refuses_what_enabled_steps_does_not_list(name):
+    """`apply_step` fires a step only when `enabled_steps` lists it, at each
+    state of a fixture's runs: any other step raises ReductionError, never a
+    KeyError, IndexError or ContractError from the rule it would fire."""
+    seen, shapes = set(), set()
+    for trace_name, system, trace in traced_contexts():
+        if not trace_name.startswith(name + "@"):
+            continue
+        for state in [*(state for state, _, _ in walk(system, trace)), trace.terminal]:
+            if state in seen:
+                continue
+            seen.add(state)
+            for shape, at, step in _refused_steps(state):
+                assert step not in enabled_steps(at), (shape, step)
+                with pytest.raises(ReductionError):
+                    apply_step(at, step)
+                shapes.add(shape)
+    assert {"kind", "item", "tell", "do", "fuse", "call"} <= shapes
 
 
 @pytest.mark.parametrize("window", [4, 64])
