@@ -273,6 +273,22 @@ def test_fuse_installs_session_and_substitutes():
     assert normalize(s2) == s2
 
 
+def test_fuse_blocked_without_agreement():
+    s = _load("store_s1.co2")
+    s2, _ = _drive(s, [("tell", "A")])
+    assert not any(st.kind == "fuse" for st in enabled_steps(s2))
+    with pytest.raises(ReductionError):
+        apply_step(s2, Step("A", 0, 0, "fuse"))
+
+
+def test_step_kind_must_match_its_prefix():
+    s = normalize(_load("store_s1.co2"))
+    tell = next(st for st in enabled_steps(s) if st.actor == "A")
+    assert tell.kind == "tell"
+    with pytest.raises(ReductionError):
+        apply_step(s, Step("A", tell.item, tell.branch, "tau"))
+
+
 # A tells H twice on its handle x. The second tell is made on s1, the
 # session the first fuse bound x to, so it leaves no latent; H's second fuse
 # once fused that latent and renamed the live s1
